@@ -9,6 +9,7 @@ in ``benchmarks/output/`` for EXPERIMENTS.md.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 OUTPUT_DIR = Path(__file__).parent / "output"
@@ -39,9 +40,24 @@ PAPER = {
 }
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float, however nested, as ``None``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def archive_bench_json(name: str, report: dict) -> Path:
     """Write ``BENCH_<name>.json`` to ``benchmarks/output/`` (archived per
     run, gitignored) and, at smoke scale, mirror it to the repo root.
+
+    Records are strict JSON: a non-finite float (e.g. the mean best cost
+    of a fleet with no feasible solution) is written as ``null``, never as
+    a bare ``NaN``/``Infinity`` token that standard parsers reject.
 
     The root copies are the committed perf trajectory: ``benchmarks/output/``
     never reaches the repository, so without the mirror the numbers quoted
@@ -49,7 +65,7 @@ def archive_bench_json(name: str, report: dict) -> Path:
     records are mirrored — they run anywhere in seconds, so a stale root
     copy is always one ``--smoke`` invocation away from fresh.
     """
-    text = json.dumps(report, indent=2) + "\n"
+    text = json.dumps(_finite_or_null(report), indent=2, allow_nan=False) + "\n"
     OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
     out_path = OUTPUT_DIR / f"BENCH_{name}.json"
     out_path.write_text(text)

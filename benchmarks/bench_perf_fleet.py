@@ -7,8 +7,8 @@ dominates small instances.  This bench races the three executor strategies
 on two fleet shapes:
 
 - ``30 x N=40`` — many small QKPs, the fused sweet spot;
-- ``8 x N=200`` — few large QKPs, where per-instance matmuls dominate and
-  the fused scan is honestly reported as roughly break-even or worse.
+- ``8 x N=200`` — few large QKPs, where the column matmuls' arithmetic
+  weighs more and the fused win is smaller.
 
 All strategies run the *same* jobs built by ``runtime.fleet_jobs`` (per-job
 generators spawned from one seed), so their results are bit-identical —
@@ -25,10 +25,12 @@ or through pytest-benchmark::
 
     REPRO_SCALE=ci PYTHONPATH=src python -m pytest benchmarks/bench_perf_fleet.py
 
-The fused-vs-serial comparison is one core against one core and holds on
-any host; the process-pool comparison depends on the host's CPU count, so
-the wall-time assertions only arm at non-smoke scale on >= 4 CPUs (the CI
-runners), as in the other perf benches.
+The fused-vs-serial comparison is one core against one core in one
+process, so :func:`run_fleet_bench` checks it at every scale and on every
+host (the smoke CI job included): fused must beat the serial loop by
+``MIN_FUSED_SPEEDUP`` on 30 x N=40.  The process-pool comparison depends on
+the host's CPU count, so that assertion only arms at non-smoke scale on
+>= 4 CPUs (the CI runners), as in the other perf benches.
 """
 
 from __future__ import annotations
@@ -55,6 +57,9 @@ _BUDGETS = {
     "full": (80, 500),
 }
 NUM_REPLICAS = 1
+# Fused over the one-core serial loop on the 30 x N=40 fleet: a ratio of two
+# single-core runs in one process, valid on any host and at any scale.
+MIN_FUSED_SPEEDUP = 1.5
 
 
 def _scale_name() -> str:
@@ -177,24 +182,29 @@ def run_fleet_bench(scale: str | None = None) -> dict:
         print(f"    fused vs serial {fleet['fused_speedup_vs_serial']:.2f}x, "
               f"vs process {fleet['fused_speedup_vs_process']:.2f}x")
     print(f"archived {out_path}")
+    small = next(f for f in fleets if f["fleet"] == "30xN40")
+    if small["fused_speedup_vs_serial"] < MIN_FUSED_SPEEDUP:
+        raise AssertionError(
+            f"fused only {small['fused_speedup_vs_serial']:.2f}x vs the "
+            f"one-core serial loop on 30xN40 (need {MIN_FUSED_SPEEDUP}x)"
+        )
     return report
 
 
 def test_perf_fleet(benchmark):
-    """The fused scan must win its sweet spot: many small instances."""
+    """The fused scan must win its sweet spot: many small instances.
+
+    ``run_fleet_bench`` itself checks fused against the serial loop; only
+    the process-pool comparison is gated on the host here.
+    """
     report = benchmark.pedantic(
         run_fleet_bench, rounds=1, iterations=1, warmup_rounds=0
     )
     small = next(f for f in report["fleets"] if f["fleet"] == "30xN40")
-    assert small["fused_speedup_vs_serial"] > 0.0  # all strategies ran
     if report["scale"] != "smoke" and report["available_cpus"] >= 4:
-        # Wall-time assertions need a quiet multi-core host (the CI
-        # runners); 1-2 core containers report the honest ratios without
-        # gating on them.
-        assert small["fused_speedup_vs_serial"] >= 1.5, (
-            f"fused only {small['fused_speedup_vs_serial']:.2f}x vs the "
-            f"one-core serial loop on 30xN40"
-        )
+        # The pool's wall time needs a quiet multi-core host (the CI
+        # runners); 1-2 core containers report the honest ratio without
+        # gating on it.
         assert small["fused_speedup_vs_process"] >= 1.0, (
             f"fused {small['fused_speedup_vs_process']:.2f}x vs the "
             f"process pool on 30xN40"

@@ -16,6 +16,8 @@ multipliers' job (Fig. 1d).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -120,16 +122,20 @@ class SaimConfig:
     dtype: str | None = None
 
     def __post_init__(self):
-        if self.num_iterations <= 0:
-            raise ValueError(f"num_iterations must be positive, got {self.num_iterations}")
-        if self.mcs_per_run <= 0:
-            raise ValueError(f"mcs_per_run must be positive, got {self.mcs_per_run}")
-        if self.beta_max <= 0:
-            raise ValueError(f"beta_max must be positive, got {self.beta_max}")
-        if self.eta <= 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        for name in ("num_iterations", "mcs_per_run"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value <= 0:
+                raise ValueError(
+                    f"{name} must be a positive integer, got {value!r}"
+                )
+        for name in ("beta_max", "eta", "alpha"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value}"
+                )
+        if self.penalty is not None and not math.isfinite(self.penalty):
+            raise ValueError(f"penalty must be finite, got {self.penalty}")
         if self.schedule not in _SCHEDULES:
             raise ValueError(
                 f"unknown schedule {self.schedule!r}; choose from {sorted(_SCHEDULES)}"
@@ -138,8 +144,12 @@ class SaimConfig:
             raise ValueError(
                 f"unknown eta_decay {self.eta_decay!r}; choose from {sorted(_ETA_DECAYS)}"
             )
-        if self.patience is not None and self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
+        if self.patience is not None and (
+            not isinstance(self.patience, numbers.Integral) or self.patience < 1
+        ):
+            raise ValueError(
+                f"patience must be an integer >= 1, got {self.patience!r}"
+            )
         if self.dtype is not None and self.dtype not in _DTYPES:
             raise ValueError(
                 f"unknown dtype {self.dtype!r}; choose from {_DTYPES}"

@@ -15,11 +15,14 @@ Layout
 ------
 Instances are stacked on a shared padded row grid: ``npad`` is the largest
 instance size rounded up to the 32-spin block width, and every per-spin
-array becomes ``(B, npad, R)``.  Padding rows carry spin ``-1``, threshold
-``+inf`` and zero couplings, so they never flip, never consume noise, and
-contribute nothing to energies.  Each instance keeps its own
-:class:`~repro.ising._lockstep.AnnealProgram` (contiguous dtype cast +
-col/sub block decomposition, built once per fleet), reusing the
+array (spins, inputs, thresholds, block deltas) is *row-major*
+``(npad, B, R)``.  A block tail ``local[j:]`` is then one contiguous
+``(m, B*R)`` slab, so each scan step is a handful of basic-slice numpy
+calls over the whole batch, whatever ``B`` is.  Padding rows carry spin
+``-1``, threshold ``+inf`` and zero couplings, so they never flip, never
+consume noise, and contribute nothing to energies.  Each instance keeps
+its own :class:`~repro.ising._lockstep.AnnealProgram` (contiguous dtype
+cast + col/sub block decomposition, built once per fleet), reusing the
 build-once/``set_fields``-many contract of the single-instance kernel.
 
 Bit-identity contract
@@ -32,15 +35,28 @@ alone with generator ``spawn_rngs(seed, B)[b]``:
   initial states) from that instance's own spawned stream, in the same
   order as a standalone :class:`~repro.ising.pbit.PBitMachine`;
 - the speculative event loop runs over the *union* of flip rows across
-  instances; decisions for an instance are unchanged by re-speculation at
-  another instance's flip row (its local inputs did not move), so each
-  instance sees its own event sequence exactly;
-- block flips hit the global inputs as one 2-D matmul *per flipped
-  instance* with the standalone operand shapes (zero-padding a BLAS
-  contraction dimension is not bit-safe, so cross-instance stacking is
-  reserved for the elementwise event machinery where it is);
-- per-instance energies are float64 einsums over the instance's contiguous
-  row slice — the standalone accounting, shapes included.
+  instances, and each event updates every chain at once: the deltas are
+  the standalone ``new - old`` (exactly ``-2 * spin`` where a chain flips,
+  ``+0.0`` where it does not), and the in-block correction adds
+  ``J_b[jf, jf+1:] * delta`` to every instance's tail.  On a chain that
+  does not flip at that row the correction is a sum with a zero, which
+  leaves every nonzero local input unchanged and can at most turn a
+  ``-0.0`` into ``+0.0`` — invisible to the ``>=`` threshold test — so
+  each instance still sees its own event sequence exactly.  Spins take
+  the block's deltas once, at block end: the scan never reads a row at or
+  before the current event again;
+- block flips hit the global inputs as one ``np.matmul`` per group of
+  active instances with the same ``(n_b, width)``: the group's stacked
+  column blocks ``(G, n_b, width)`` against its contiguous deltas
+  ``(G, width, R)``.  numpy runs a stacked matmul as one BLAS call per
+  slice with that slice's shapes and strides, so every member gets its
+  standalone ``cols @ deltas`` call; no contraction dimension is
+  zero-padded (that is not bit-safe).  A member without flips in the
+  block adds an exact zero product, which again can only change the sign
+  of a zero input;
+- per-instance energies are float64 einsums over a contiguous copy of the
+  instance's ``(n_b, R)`` rows — the standalone accounting, shapes
+  included.
 
 The contract is pinned by ``tests/ising/test_fleet.py`` (kernel level) and
 ``tests/core/test_fleet_engine.py`` (SAIM level); it is what makes
@@ -86,9 +102,7 @@ class FleetProgram:
         self.padded_spins = BLOCK * ((self.max_spins + BLOCK - 1) // BLOCK)
         self.starts = tuple(range(0, self.padded_spins, BLOCK))
         # Per block k: (B, BLOCK, BLOCK) stacked in-block couplings, zero
-        # where an instance has no rows in the block — the elementwise
-        # speculation corrections batch across instances (bit-safe), the
-        # BLAS column updates below do not and stay per-instance.
+        # where an instance has no rows in the block.
         self.sub_stacks = []
         for ki, i0 in enumerate(self.starts):
             stack = np.zeros(
@@ -103,21 +117,52 @@ class FleetProgram:
             (self.num_instances, self.padded_spins), dtype=self.dtype
         )
         self.offsets = np.zeros(self.num_instances)
-        self._stack_key = tuple(range(self.num_instances))
-        self._stack_cache = self.sub_stacks
+        self._scan_key = None
+        self._scan_stacks = None
 
-    def sub_stacks_for(self, indices: tuple) -> list:
-        """The per-block sub-coupling stacks restricted to ``indices``.
+    def scan_stacks_for(self, indices: tuple) -> tuple[list, list]:
+        """The scan's coupling operands for the active set ``indices``.
+
+        Returns ``(sub_rows, col_groups)``, one entry per block ``k``:
+
+        - ``sub_rows[k]`` is ``sub_stacks[k]`` restricted to ``indices``
+          and transposed to row-major ``(BLOCK, BLOCK, B_act, 1)``, so
+          ``sub_rows[k][j, j + 1:]`` is every instance's in-block coupling
+          row ``j`` in the scan's ``(rows, B, R)`` layout;
+        - ``col_groups[k]`` holds one ``(members, cols)`` pair per
+          distinct ``(n_b, width)`` among the active instances owning rows
+          in the block: ``members`` are their positions in ``indices`` and
+          ``cols`` stacks their standalone column blocks into one
+          contiguous ``(G, n_b, width)`` array.
 
         The fleet engine calls the kernel thousands of times on a slowly
-        shrinking active set, so the restricted stacks are cached per
-        active-set key instead of re-sliced every anneal.
+        shrinking active set, so the operands are cached per active-set
+        key instead of rebuilt every anneal.
         """
-        if indices != self._stack_key:
-            self._stack_key = indices
+        if indices != self._scan_key:
             rows = list(indices)
-            self._stack_cache = [stack[rows] for stack in self.sub_stacks]
-        return self._stack_cache
+            sub_rows = [
+                np.ascontiguousarray(stack[rows].transpose(1, 2, 0)[..., None])
+                for stack in self.sub_stacks
+            ]
+            col_groups = []
+            for ki, i0 in enumerate(self.starts):
+                groups = {}
+                for row, b in enumerate(indices):
+                    width = self.block_width(b, i0)
+                    if width > 0:
+                        key = (int(self.sizes[b]), width)
+                        groups.setdefault(key, []).append(row)
+                col_groups.append([
+                    (np.array(members), np.stack([
+                        self.programs[indices[row]].col_blocks[ki]
+                        for row in members
+                    ]))
+                    for members in groups.values()
+                ])
+            self._scan_key = indices
+            self._scan_stacks = (sub_rows, col_groups)
+        return self._scan_stacks
 
     def block_width(self, index: int, start: int) -> int:
         """Rows instance ``index`` owns in the block starting at ``start``."""
@@ -156,7 +201,7 @@ class FleetAnnealResult:
                  best_spins, best_energies, num_sweeps, energy_traces=None):
         self.indices = list(indices)
         self._sizes = sizes
-        self._last_spins = last_spins        # (B_act, npad, R)
+        self._last_spins = last_spins        # (npad, B_act, R)
         self._last_energies = last_energies  # (B_act, R)
         self._best_spins = best_spins
         self._best_energies = best_energies
@@ -181,9 +226,9 @@ class FleetAnnealResult:
         if self._energy_traces is not None:
             traces = self._energy_traces[row].copy()
         return BatchAnnealResult(
-            last_samples=self._last_spins[row, :n].T.copy(),
+            last_samples=self._last_spins[:n, row].T.copy(),
             last_energies=self._last_energies[row].copy(),
-            best_samples=self._best_spins[row, :n].T.copy(),
+            best_samples=self._best_spins[:n, row].T.copy(),
             best_energies=self._best_energies[row].copy(),
             num_sweeps=self.num_sweeps,
             energy_traces=traces,
@@ -336,46 +381,45 @@ def _fleet_anneal(program, rngs, betas, num_replicas, indices, record_energy,
     two = dtype.type(2.0)
     npad = program.padded_spins
     num_active = len(indices)
+    lanes = num_active * num_replicas            # chains per spin row
     sizes = program.sizes[indices]
     programs = [program.programs[b] for b in indices]
     streams = [rngs[b] for b in indices]
     fields2 = program.fields[indices]            # (B, npad), dtype
     offsets = program.offsets[indices]           # (B,)
-    sub_stacks = program.sub_stacks_for(tuple(indices))
-    widths = [
-        [program.block_width(b, i0) for i0 in program.starts]
-        for b in indices
-    ]
+    sub_rows, col_groups = program.scan_stacks_for(tuple(indices))
 
     pm = np.array([-1.0, 1.0])
     # Padding rows: spin -1, threshold +inf, zero couplings — the decide
     # rule yields delta 0 there forever, and they consume no noise.
-    spins3 = np.full((num_active, npad, num_replicas), -one, dtype=dtype)
-    inputs3 = np.zeros((num_active, npad, num_replicas), dtype=dtype)
+    spins3 = np.full((npad, num_active, num_replicas), -one, dtype=dtype)
+    inputs3 = np.zeros((npad, num_active, num_replicas), dtype=dtype)
     for row, (prog, stream) in enumerate(zip(programs, streams)):
         n = int(sizes[row])
         # Same draw as PBitMachine.anneal_many: (R, n) choice, then the
         # kernel's contiguous transpose-cast.
         states = stream.choice(pm, size=(num_replicas, n))
-        spins3[row, :n] = np.ascontiguousarray(states.T, dtype=dtype)
-        inputs3[row, :n] = prog.initial_inputs(
-            spins3[row, :n], fields2[row, :n]
-        )
+        spins = np.ascontiguousarray(states.T, dtype=dtype)
+        spins3[:n, row] = spins
+        inputs3[:n, row] = prog.initial_inputs(spins, fields2[row, :n])
 
     def instance_energies(out):
         # Standalone float64 accounting per instance, standalone shapes:
-        # einsums over the contiguous (n_b, R) row slice.  Zero-padded
-        # batched reductions are NOT bit-safe (pairwise-summation splits
-        # move), so this stays a per-instance loop.
+        # einsums over a contiguous (n_b, R) copy of the instance's rows,
+        # taken from instance-major (B, npad, R) copies.
+        # Zero-padded batched reductions are NOT bit-safe (pairwise-
+        # summation splits move), so this stays a per-instance loop.
+        spins_im = np.ascontiguousarray(spins3.transpose(1, 0, 2))
+        inputs_im = np.ascontiguousarray(inputs3.transpose(1, 0, 2))
         for row in range(num_active):
             n = int(sizes[row])
             out[row] = (
                 -0.5 * np.einsum(
-                    "ir,ir->r", spins3[row, :n], inputs3[row, :n],
+                    "ir,ir->r", spins_im[row, :n], inputs_im[row, :n],
                     dtype=np.float64,
                 )
                 - 0.5 * np.einsum(
-                    "i,ir->r", fields2[row, :n], spins3[row, :n],
+                    "i,ir->r", fields2[row, :n], spins_im[row, :n],
                     dtype=np.float64,
                 )
                 + offsets[row]
@@ -396,10 +440,10 @@ def _fleet_anneal(program, rngs, betas, num_replicas, indices, record_energy,
         1, min(num_sweeps, _CHUNK_DOUBLES // (num_active * npad * num_replicas))
     )
     noise4 = np.full(
-        (num_active, chunk_sweeps, npad, num_replicas), -1.0
+        (chunk_sweeps, npad, num_active, num_replicas), -1.0
     )
-    deltas3 = np.empty((num_active, BLOCK, num_replicas), dtype=dtype)
-    flipped = np.empty(num_active, dtype=bool)
+    deltas = np.zeros((BLOCK, num_active, num_replicas), dtype=dtype)
+    deltas_im = deltas.transpose(1, 0, 2)        # instance-major view
 
     for c0 in range(0, num_sweeps, chunk_sweeps):
         c1 = min(c0 + chunk_sweeps, num_sweeps)
@@ -410,7 +454,7 @@ def _fleet_anneal(program, rngs, betas, num_replicas, indices, record_energy,
         # exactly the standalone per-sweep order.
         for row, stream in enumerate(streams):
             n = int(sizes[row])
-            noise4[row, :span, :n] = stream.uniform(
+            noise4[:span, :n, row] = stream.uniform(
                 -1.0, 1.0, size=(span, n, num_replicas)
             )
         # Fold the whole chunk's noise into threshold tables in two
@@ -418,74 +462,65 @@ def _fleet_anneal(program, rngs, betas, num_replicas, indices, record_energy,
         # +inf after the division by -beta.  beta = 0 sweeps get the
         # standalone sign-split table instead.
         with np.errstate(divide="ignore", invalid="ignore"):
-            thr4 = np.arctanh(noise4[:, :span])
+            thr4 = np.arctanh(noise4[:span])
             np.divide(
-                thr4, -chunk_betas[None, :, None, None], out=thr4
+                thr4, -chunk_betas[:, None, None, None], out=thr4
             )
         for s in np.nonzero(chunk_betas == 0.0)[0]:
-            thr4[:, s] = np.where(noise4[:, s] >= 0.0, -np.inf, np.inf)
+            thr4[s] = np.where(noise4[s] >= 0.0, -np.inf, np.inf)
         thr4 = thr4.astype(dtype, copy=False)
 
         for sweep in range(c0, c1):
-            thresholds3 = thr4[:, sweep - c0]
+            thresholds3 = thr4[sweep - c0]                 # (npad, B, R)
 
             for ki, i0 in enumerate(program.starts):
-                sub = sub_stacks[ki]                       # (B, BLOCK, BLOCK)
-                local = inputs3[:, i0:i0 + BLOCK].copy()   # (B, blk, R)
-                thr_blk = thresholds3[:, i0:i0 + BLOCK]
-                spins_blk = spins3[:, i0:i0 + BLOCK]       # view; writes land
-                blk = local.shape[1]
+                sub = sub_rows[ki]                    # (BLOCK, BLOCK, B, 1)
+                local = inputs3[i0:i0 + BLOCK].copy()      # (BLOCK, B, R)
+                thr_blk = thresholds3[i0:i0 + BLOCK]
+                spins_blk = spins3[i0:i0 + BLOCK]          # view; writes land
                 # Bool mirror of the block spins: the Gibbs decide
                 # ``sign(tanh) + u`` as a threshold test flips exactly
-                # where (input >= tau) disagrees with (spin == +1).
+                # where (input >= tau) disagrees with (spin == +1).  Rows
+                # at or before an event are never read again, so the
+                # mirror needs no updates within the block.
                 pos = spins_blk > 0
-                deltas = deltas3[:, :blk]
-                deltas[...] = 0
-                flipped[...] = False
+                flipped = False
                 j = 0
-                while j < blk:
-                    # Speculative decide over every instance's tail at
-                    # once — elementwise, so values per instance are
-                    # identical to the standalone scan.
-                    up = local[:, j:] >= thr_blk[:, j:]
-                    flip = up != pos[:, j:]
-                    row_any = flip.any(axis=(0, 2))        # (m,)
-                    step = int(np.argmax(row_any))
-                    if not row_any[step]:
+                while j < BLOCK:
+                    # Speculative decide over every chain's tail at once —
+                    # elementwise, so values per instance are identical
+                    # to the standalone scan.
+                    flip = (local[j:] >= thr_blk[j:]) != pos[j:]
+                    first = int(flip.argmax())
+                    if not flip.item(first):
                         break
+                    step = first // lanes
                     jf = j + step
-                    hit = np.nonzero(flip[:, step].any(axis=1))[0]
-                    up_hit = up[hit, step]
-                    # delta = new - old on flipped replicas: exactly ±2
-                    # (and exact +0.0 elsewhere, as in the standalone
-                    # decide arithmetic).
-                    delta = np.where(
-                        flip[hit, step], np.where(up_hit, two, -two), 0.0
-                    ).astype(dtype, copy=False)
-                    deltas[hit, jf] = delta
-                    spins_blk[hit, jf] += delta
-                    pos[hit, jf] = up_hit
-                    if jf + 1 < blk:
+                    # The standalone delta new - old for every chain:
+                    # exactly -2 * spin where it flips, and the zeroed
+                    # buffer's +0.0 elsewhere.
+                    delta = np.multiply(
+                        spins_blk[jf], -two, out=deltas[jf], where=flip[step]
+                    )
+                    if jf + 1 < BLOCK:
                         # In-block coupling correction, elementwise per
-                        # instance (bit-safe to batch).
-                        local[hit, jf + 1:] += (
-                            sub[hit, jf, jf + 1:, None] * delta[:, None, :]
-                        )
-                    flipped[hit] = True
+                        # chain (bit-safe to batch).
+                        local[jf + 1:] += sub[jf, jf + 1:] * delta
+                    flipped = True
                     j = jf + 1
-                if flipped.any():
-                    # Global input update: one BLAS matmul per flipped
-                    # instance with the standalone operand shapes
-                    # (zero-padding a contraction dimension is not
-                    # bit-safe, so no cross-instance stacking here).
-                    for row in np.nonzero(flipped)[0]:
-                        width = widths[row][ki]
-                        if width <= 0:
-                            continue
-                        n = int(sizes[row])
-                        inputs3[row, :n] += (
-                            programs[row].col_blocks[ki] @ deltas[row, :width]
-                        )
+                if flipped:
+                    spins_blk += deltas
+                    # Global input update: one stacked matmul per group of
+                    # equal-shape instances, i.e. each member's standalone
+                    # BLAS call (no zero-padded contraction dimension).
+                    # The fancy-indexed deltas are a fresh contiguous
+                    # (G, width, R) array, which keeps the call on BLAS.
+                    for members, cols in col_groups[ki]:
+                        n, width = cols.shape[1:]
+                        inputs3[:n, members] += np.matmul(
+                            cols, deltas_im[members, :width]
+                        ).transpose(1, 0, 2)
+                    deltas[...] = 0
 
             if track_best:
                 energies2 = instance_energies(energies2)
@@ -493,7 +528,7 @@ def _fleet_anneal(program, rngs, betas, num_replicas, indices, record_energy,
                 if improved.any():
                     best_energies2[improved] = energies2[improved]
                     rows, reps = np.nonzero(improved)
-                    best_spins3[rows, :, reps] = spins3[rows, :, reps]
+                    best_spins3[:, rows, reps] = spins3[:, rows, reps]
                 if record_energy:
                     traces[:, :, sweep] = energies2
 
@@ -512,7 +547,7 @@ def _fleet_anneal(program, rngs, betas, num_replicas, indices, record_energy,
     for row, prog in enumerate(programs):
         n = int(sizes[row])
         prog.retain(
-            spins3[row, :n].copy(), inputs3[row, :n].copy(), fields2[row, :n]
+            spins3[:n, row].copy(), inputs3[:n, row].copy(), fields2[row, :n]
         )
     return FleetAnnealResult(
         indices=indices,

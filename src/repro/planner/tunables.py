@@ -20,9 +20,10 @@ DENSE_STORAGE_DENSITY = 0.25
 
 #: ``solve_many(strategy="auto")`` only fuses fleets of small instances:
 #: the block-diagonal scan wins by amortising numpy dispatch overhead,
-#: which stops dominating once the per-instance matmuls grow (measured
-#: crossover well above N=49 encoded spins, below N~200 — see
-#: ``benchmarks/bench_perf_fleet.py``).  A host perf model may replace
+#: which weighs less once the column matmuls grow.  The cap dates from a
+#: scan that measured break-even at N~200; the row-major scan wins there
+#: too (``benchmarks/bench_perf_fleet.py``), but no benchmark workload
+#: sits above the cap to measure a new one.  A host perf model may replace
 #: the cap with its calibrated ``fused_max_variables`` tunable.
 AUTO_FUSED_MAX_VARIABLES = 128
 

@@ -52,11 +52,26 @@ class TestSaimConfig:
             {"eta": 0.0},
             {"alpha": -1.0},
             {"schedule": "exponential"},
+            {"num_iterations": 2.5},
+            {"mcs_per_run": 10.0},
+            {"patience": 1.5},
+            {"beta_max": float("inf")},
+            {"beta_max": float("nan")},
+            {"eta": float("nan")},
+            {"eta": float("inf")},
+            {"alpha": float("nan")},
+            {"penalty": float("nan")},
+            {"penalty": float("inf")},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SaimConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        config = SaimConfig(num_iterations=np.int64(3),
+                            mcs_per_run=np.int32(5), patience=np.int64(2))
+        assert config.num_iterations == 3
 
 
 class TestSaimSolve:

@@ -24,6 +24,9 @@ from tests.helpers import random_ising
 # Ragged on purpose: exercises multi-block instances (n > 32), a full
 # 32-aligned instance, and tiny tails inside one padded block.
 SIZES = (11, 40, 17, 33, 5)
+# Repeated sizes: the scan's global update runs one stacked matmul per
+# group of equal-shape instances, so groups need more than one member.
+REPEATED_SIZES = (40, 40, 17, 40, 17, 5)
 DTYPES = ("float64", "float32")
 
 
@@ -86,6 +89,30 @@ class TestFleetProgram:
         assert program.block_width(4, 0) == 5    # n=5 fits the first block
         assert program.block_width(4, 32) == 0   # ...and owns no tail rows
 
+    def test_scan_stacks_group_equal_shapes(self):
+        models = fleet_models(REPEATED_SIZES)
+        program = FleetProgram([m.coupling for m in models])
+        sub_rows, col_groups = program.scan_stacks_for((0, 1, 2, 3, 4, 5))
+        assert [s.shape for s in sub_rows] == [(32, 32, 6, 1)] * 2
+        np.testing.assert_array_equal(
+            sub_rows[1][:, :, 3, 0], program.sub_stacks[1][3]
+        )
+        groups = [
+            [(list(members), cols.shape) for members, cols in block]
+            for block in col_groups
+        ]
+        assert groups == [
+            [([0, 1, 3], (3, 40, 32)), ([2, 4], (2, 17, 17)),
+             ([5], (1, 5, 5))],
+            [([0, 1, 3], (3, 40, 8))],   # n=17 and n=5 own no rows here
+        ]
+        # An active subset regroups by position in the subset.
+        _, col_groups = program.scan_stacks_for((1, 4, 3))
+        assert [list(members) for members, _ in col_groups[0]] == [[0, 2], [1]]
+        np.testing.assert_array_equal(
+            col_groups[0][0][1][1], program.programs[3].col_blocks[0]
+        )
+
     def test_empty_fleet_rejected(self):
         with pytest.raises(ValueError, match="at least one instance"):
             FleetProgram([])
@@ -147,8 +174,11 @@ class TestFleetBitIdentity:
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("num_replicas", [1, 3])
-    def test_matches_standalone(self, dtype, num_replicas):
-        models = fleet_models()
+    @pytest.mark.parametrize(
+        "sizes", [SIZES, REPEATED_SIZES], ids=["ragged", "repeated"]
+    )
+    def test_matches_standalone(self, sizes, dtype, num_replicas):
+        models = fleet_models(sizes)
         machine = FleetMachine(models, rng=42, dtype=dtype)
         fused = machine.anneal_fleet(
             fleet_schedule(), num_replicas, record_energy=True
@@ -161,14 +191,20 @@ class TestFleetBitIdentity:
                 fused.instance(index), expected[index], traces=True
             )
 
-    def test_active_subset_is_invariant(self):
+    @pytest.mark.parametrize(
+        "sizes, active",
+        # The repeated fleet's subset splits both multi-member groups.
+        [(SIZES, [1, 3]), (REPEATED_SIZES, [1, 3, 4])],
+        ids=["ragged", "repeated"],
+    )
+    def test_active_subset_is_invariant(self, sizes, active):
         """An instance's chain is the same whatever else is active."""
-        models = fleet_models()
+        models = fleet_models(sizes)
         full = FleetMachine(models, rng=7).anneal_fleet(fleet_schedule(), 2)
         subset = FleetMachine(models, rng=7).anneal_fleet(
-            fleet_schedule(), 2, active=[1, 3]
+            fleet_schedule(), 2, active=active
         )
-        for index in (1, 3):
+        for index in active:
             assert_batches_equal(subset.instance(index), full.instance(index))
 
     def test_untracked_last_equals_tracked_last(self):
