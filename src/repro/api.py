@@ -403,7 +403,6 @@ def solve_fleet(
     across instances (the fused call is indivisible).
     """
     from repro.core.fleet_engine import FleetEngine
-    from repro.ising.backend import resolve_dtype
 
     problems = list(problems)
     if backend is not None and backend != "pbit":
@@ -421,15 +420,7 @@ def solve_fleet(
             f"{sorted(options)}"
         )
     resolved = _build_config(config, config_overrides)
-    if (
-        option_dtype is not None
-        and resolved.dtype is not None
-        and resolve_dtype(option_dtype) != resolve_dtype(resolved.dtype)
-    ):
-        raise ValueError(
-            f"conflicting dtypes: SaimConfig(dtype={resolved.dtype!r}) vs "
-            f"backend_options dtype {option_dtype!r}; pass one spelling"
-        )
+    _check_dtype_spellings(resolved, option_dtype)
     if option_dtype is not None and resolved.dtype is None:
         resolved = replace(resolved, dtype=option_dtype)
 
@@ -450,18 +441,9 @@ def solve_fleet(
 
     reports = []
     for instance, problem, result in zip(instances, problems, results):
-        name = getattr(instance, "name", "") or getattr(problem, "name", "")
-        report = SolveReport(
-            method="saim",
-            backend="pbit",
-            best_x=result.best_x,
-            best_cost=result.best_cost,
-            feasible=result.found_feasible,
-            num_iterations=result.num_iterations,
-            detail=result,
-            num_replicas=result.num_replicas,
-            total_mcs=result.total_mcs,
-            problem_name=name,
+        report = _saim_report(result, "pbit")
+        report.problem_name = (
+            getattr(instance, "name", "") or getattr(problem, "name", "")
         )
         report.wall_seconds = share
         reports.append(report)
@@ -610,18 +592,12 @@ def _higher_order_builder(dtype: str | None = None):
 def _run_saim(problem, *, config, backend, num_replicas, aggregate, restart,
               rng, initial_lambdas, backend_options, method_options, **_):
     from repro.core.engine import SaimEngine
-    from repro.ising.backend import resolve_dtype
 
     if method_options:
         raise ValueError(
             f"the saim method has no method_options (got "
             f"{sorted(method_options)}); its settings live on SaimConfig"
         )
-    # The precision knob has two front-door spellings —
-    # ``backend_options={"dtype": ...}`` and ``SaimConfig(dtype=...)``.
-    # They must agree when both are given explicitly (the config default
-    # ``None`` defers to the backend options); either way a single
-    # resolved dtype reaches the machine factory.
     if restart == "warm" and backend == "pt":
         # PTMachine owns its replica initialization (anneal's `initial` is
         # interface parity only), so a warm restart would be silently
@@ -631,7 +607,26 @@ def _run_saim(problem, *, config, backend, num_replicas, aggregate, restart,
             "tempering re-initializes its own replica ladder every run"
         )
     options = dict(backend_options or {})
-    option_dtype = options.get("dtype")
+    _check_dtype_spellings(config, options.get("dtype"))
+    engine = SaimEngine(
+        config,
+        num_replicas=num_replicas,
+        aggregate=aggregate,
+        restart=restart,
+        machine_factory=make_backend_factory(backend, **options),
+    )
+    result = engine.solve(problem, rng=rng, initial_lambdas=initial_lambdas)
+    return _saim_report(result, backend)
+
+
+def _check_dtype_spellings(config, option_dtype) -> None:
+    """The precision knob has two front-door spellings —
+    ``backend_options={"dtype": ...}`` and ``SaimConfig(dtype=...)``.
+    They must agree when both are given explicitly (the config default
+    ``None`` defers to the backend options), so a single resolved dtype
+    reaches the machine."""
+    from repro.ising.backend import resolve_dtype
+
     if (
         option_dtype is not None
         and config.dtype is not None
@@ -641,14 +636,10 @@ def _run_saim(problem, *, config, backend, num_replicas, aggregate, restart,
             f"conflicting dtypes: SaimConfig(dtype={config.dtype!r}) vs "
             f"backend_options dtype {option_dtype!r}; pass one spelling"
         )
-    engine = SaimEngine(
-        config,
-        num_replicas=num_replicas,
-        aggregate=aggregate,
-        restart=restart,
-        machine_factory=make_backend_factory(backend, **options),
-    )
-    result = engine.solve(problem, rng=rng, initial_lambdas=initial_lambdas)
+
+
+def _saim_report(result, backend) -> SolveReport:
+    """The front-door report of one SAIM ``result`` (``solve``/``solve_fleet``)."""
     return SolveReport(
         method="saim",
         backend=backend,

@@ -40,7 +40,6 @@ from repro.core.hybrid_encoding import (
     hybrid_slack_weights,
     max_coefficient_ratio,
 )
-from repro.core.parallel_saim import ParallelSaim, ParallelSaimConfig
 from repro.core.dual import (
     dual_value,
     dual_minimizer,
@@ -68,8 +67,6 @@ __all__ = [
     "encode_with_hybrid_slacks",
     "hybrid_slack_weights",
     "max_coefficient_ratio",
-    "ParallelSaim",
-    "ParallelSaimConfig",
     "ConstrainedProblem",
     "LinearConstraints",
     "EncodedProblem",

@@ -8,6 +8,14 @@ window; when it falls below a floor, multiply the quadratic penalty ``P``
 and rebuild the machine (keeping the learned multipliers, which remain
 valid — ``lambda`` and ``P`` shape the landscape independently).
 
+Between two anneals it runs the engine's own loop body
+(:class:`repro.core.engine.SaimRun`) on a serial p-bit machine, so every
+:class:`~repro.core.saim.SaimConfig` knob — schedule, eta decay, early
+exits, ``record_trace``, ``dtype`` — behaves as in
+:class:`~repro.core.engine.SaimEngine`; with no escalation the result is
+exactly ``SaimEngine(base).solve(problem, rng)``.  On escalation the run
+rebuilds its Lagrangian from its normalized problem at the new ``P``.
+
 A second suggestion from [16] — artificially reducing the capacities so
 samples are biased into the feasible region — lives in
 :func:`repro.core.adaptive_penalty.reduced_capacity_problem`.
@@ -17,15 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.encoding import encode_with_slacks, normalize_problem
-from repro.core.lagrangian import LagrangianIsing
-from repro.core.penalty import density_heuristic_penalty
+from repro.core.encoding import encode_with_slacks
+from repro.core.engine import SaimRun
 from repro.core.problem import ConstrainedProblem, LinearConstraints
-from repro.core.results import FeasibleRecord, SolveTrace
-from repro.core.saim import _ETA_DECAYS, SaimConfig, SaimResult
-from repro.core.schedule import linear_beta_schedule
+from repro.core.saim import SaimConfig, SaimResult
 from repro.ising.pbit import PBitMachine
 from repro.utils.rng import ensure_rng
 
@@ -79,89 +82,26 @@ class AdaptivePenaltySaim:
         outer = self.config
         config = outer.base
         rng = ensure_rng(rng)
-        encoded = encode_with_slacks(problem)
-        normalized, _ = normalize_problem(encoded.problem)
-        if config.penalty is not None:
-            penalty = float(config.penalty)
-        else:
-            penalty = density_heuristic_penalty(normalized, alpha=config.alpha)
-
-        lagrangian = LagrangianIsing(normalized, penalty)
-        machine = PBitMachine(lagrangian.base_ising, rng=rng)
-        schedule = linear_beta_schedule(config.beta_max, config.mcs_per_run)
-
-        source = encoded.source
-        lambdas = np.zeros(lagrangian.num_multipliers)
-        k_total = config.num_iterations
-
-        sample_costs = np.empty(k_total)
-        feasible_mask = np.zeros(k_total, dtype=bool)
-        lambda_history = np.empty((k_total, lagrangian.num_multipliers))
-        energies = np.empty(k_total)
-
-        best_x = None
-        best_cost = np.inf
-        feasible_records = []
+        run = SaimRun(encode_with_slacks(problem), config)
+        machine = PBitMachine(
+            run.lagrangian.base_ising, rng=rng, dtype=config.dtype
+        )
         escalations = []
-        escalations_left = outer.max_escalations
-        window_feasible = 0
-
-        for k in range(k_total):
-            lambda_history[k] = lambdas
-            machine.set_fields(
-                lagrangian.fields_for(lambdas), lagrangian.offset_for(lambdas)
-            )
-            run = machine.anneal(schedule)
-            sample = run.best_sample if config.read_best else run.last_sample
-            x_ext = ((np.asarray(sample) + 1) / 2).astype(np.int8)
-            residual = lagrangian.residuals(x_ext)
-            x = encoded.restrict(x_ext)
-            cost = source.objective(x)
-            sample_costs[k] = cost
-            energies[k] = run.last_energy
-            if source.is_feasible(x):
-                feasible_mask[k] = True
-                window_feasible += 1
-                feasible_records.append(FeasibleRecord(iteration=k, x=x, cost=cost))
-                if cost < best_cost:
-                    best_cost = cost
-                    best_x = x
-
-            direction = residual
-            if config.normalize_step:
-                norm = float(np.linalg.norm(residual))
-                if norm > 1e-12:
-                    direction = residual / norm
-            lambdas = lambdas + config.eta * _ETA_DECAYS[config.eta_decay](k) * direction
-
+        for k in range(config.num_iterations):
+            machine.set_fields(*run.program(k))
+            if not run.advance(machine.anneal_many(run.schedule, 1), k):
+                break
             # Outer loop: escalate P when the window stays infeasible.
-            if (k + 1) % outer.window == 0:
-                ratio = window_feasible / outer.window
-                window_feasible = 0
-                if ratio < outer.feasibility_floor and escalations_left > 0:
-                    escalations_left -= 1
-                    penalty *= outer.growth
-                    lagrangian = LagrangianIsing(normalized, penalty)
-                    machine = PBitMachine(lagrangian.base_ising, rng=rng)
-                    escalations.append((k + 1, penalty))
-
-        trace = SolveTrace(
-            sample_costs=sample_costs,
-            feasible=feasible_mask,
-            lambdas=lambda_history,
-            energies=energies,
-        )
-        result = SaimResult(
-            best_x=best_x,
-            best_cost=float(best_cost),
-            feasible_records=feasible_records,
-            penalty=penalty,
-            final_lambdas=lambdas,
-            num_iterations=k_total,
-            mcs_per_run=config.mcs_per_run,
-            trace=trace,
-        )
-        return AdaptivePenaltyResult(result=result, escalations=escalations)
+            if (k + 1) % outer.window or len(escalations) == outer.max_escalations:
+                continue
+            window = run.history.feasible[k + 1 - outer.window:k + 1]
+            if window.sum() / outer.window < outer.feasibility_floor:
+                run.set_penalty(run.penalty * outer.growth)
+                machine = PBitMachine(
+                    run.lagrangian.base_ising, rng=rng, dtype=config.dtype
+                )
+                escalations.append((k + 1, run.penalty))
+        return AdaptivePenaltyResult(result=run.result(), escalations=escalations)
 
 
 def reduced_capacity_problem(

@@ -11,14 +11,26 @@ aggregate:
   surrogate for the true ``argmin L``, per the surrogate-gradient view);
 - ``"mean"`` — the average residual over replicas (a smoothed subgradient).
 
-:class:`SaimEngine` is the single implementation of that loop.  With
-``num_replicas=1`` it reproduces the paper's serial Algorithm 1 bit-for-bit
-(:class:`repro.core.saim.SelfAdaptiveIsingMachine` is a thin shim over it);
-with ``R > 1`` every iteration is one batched ``anneal_many`` call on the
-backend (:class:`repro.core.parallel_saim.ParallelSaim` is the shim for
-that).  Every configuration knob — schedule choice, eta decay, normalized
-steps, warm-started multipliers, early exits, custom machine factories —
-works identically at any replica count.
+:class:`SaimRun` is the single implementation of everything between two
+anneals of one problem: the Lagrangian build (normalize, penalty, the PUBO
+check), warm-start validation, reprogramming into a standing fields buffer,
+the read-out with incumbent harvest over every replica, the subgradient
+step, the early exits and the final :class:`~repro.core.saim.SaimResult`.
+Three solvers run it and own only the machines around it:
+
+- :class:`SaimEngine` builds one machine and makes one batched
+  ``anneal_many`` call per iteration, optionally warm-restarted.  With
+  ``num_replicas=1`` it reproduces the paper's serial Algorithm 1
+  bit-for-bit (:class:`repro.core.saim.SelfAdaptiveIsingMachine` is a thin
+  shim over it).
+- :class:`repro.core.fleet_engine.FleetEngine` advances ``B`` runs through
+  one fused fleet kernel call per iteration.
+- :class:`repro.core.adaptive_penalty.AdaptivePenaltySaim` escalates its
+  run's penalty between feasibility windows.
+
+So every configuration knob — schedule choice, eta decay, normalized
+steps, warm-started multipliers, early exits — works identically at any
+replica count and in every solver.
 
 The engine drives machines exclusively through the
 :class:`repro.ising.backend.AnnealingBackend` protocol; machines exposing
@@ -159,162 +171,229 @@ class SaimEngine:
     def solve_encoded(self, encoded: EncodedProblem, rng=None,
                       initial_lambdas=None) -> SaimResult:
         """Run the engine loop on an already slack-encoded problem."""
-        config = self.config
-        replicas = self.num_replicas
-        rng = ensure_rng(rng)
-        normalized, _scales = normalize_problem(encoded.problem)
-        if config.penalty is not None:
-            penalty = float(config.penalty)
-        else:
-            penalty = density_heuristic_penalty(normalized, alpha=config.alpha)
-        if isinstance(normalized, PolyProblem):
-            if not getattr(self.machine_factory, "accepts_poly", False):
-                label = getattr(
-                    self.machine_factory, "backend_name", None
-                ) or getattr(
-                    self.machine_factory, "__name__", repr(self.machine_factory)
-                )
-                raise ValueError(
-                    "problem has a polynomial (PUBO) objective; the "
-                    f"{label!r} backend only handles quadratic "
-                    "models — solve with backend='higher_order'"
-                )
-            lagrangian = PolyLagrangianIsing(normalized, penalty)
-        else:
-            lagrangian = LagrangianIsing(normalized, penalty)
-        machine = self._build_machine(lagrangian.base_ising, rng, config.dtype)
-        schedule_fn = _SCHEDULES[config.schedule]
-        if config.schedule == "linear":
-            schedule = schedule_fn(config.beta_max, config.mcs_per_run, beta_min=0.0)
-        else:
-            schedule = schedule_fn(config.beta_max, config.mcs_per_run)
-
-        source = encoded.source
-        num_multipliers = lagrangian.num_multipliers
-        if initial_lambdas is None:
-            lambdas = np.zeros(num_multipliers)
-        else:
-            lambdas = np.asarray(initial_lambdas, dtype=float).copy()
-            if lambdas.shape != (num_multipliers,):
-                raise ValueError(
-                    f"initial_lambdas must have shape ({num_multipliers},), "
-                    f"got {lambdas.shape}"
-                )
-
-        k_total = config.num_iterations
-        sample_costs = np.empty(k_total)
-        feasible_mask = np.zeros(k_total, dtype=bool)
-        lambda_history = np.empty((k_total, num_multipliers))
-        energies = np.empty(k_total)
-
-        best_x = None
-        best_cost = np.inf
-        feasible_records = []
-        stall = 0
-        k_ran = 0
-
-        # Per-iteration reprogramming is one matvec into one standing
-        # buffer: program_for computes fields and offset from a single
-        # A^T lambda product, and the machines copy on set_fields, so the
-        # loop allocates no field arrays.  With restart="warm" each run
-        # resumes from the previous one's final spins (solve-resident
-        # annealing); with "random" (the paper) every run starts fresh.
-        fields_buf = np.empty(lagrangian.num_spins)
+        run = SaimRun(
+            encoded, self.config, self.num_replicas, self.aggregate,
+            initial_lambdas, self.machine_factory,
+        )
+        machine = self._build_machine(
+            run.lagrangian.base_ising, ensure_rng(rng), self.config.dtype
+        )
+        # With restart="warm" each run resumes from the previous one's
+        # final spins (solve-resident annealing); with "random" (the
+        # paper) every run starts fresh.
         initial = None
-
-        for k in range(k_total):
-            lambda_history[k] = lambdas
-            machine.set_fields(*lagrangian.program_for(lambdas, out=fields_buf))
+        for k in range(self.config.num_iterations):
+            machine.set_fields(*run.program(k))
             batch = dispatch_anneal_many(
-                machine, schedule, replicas, initial=initial
+                machine, run.schedule, self.num_replicas, initial=initial
             )
             if self.restart == "warm":
                 initial = batch.last_samples
-            # One coherent read-out view: with read_best the consumed samples
-            # AND the energies that rank/trace them come from the per-replica
-            # best, never mixed with the last-sweep arrays.
-            if config.read_best:
-                samples = batch.best_samples
-                readout_energies = batch.best_energies
-            else:
-                samples = batch.last_samples
-                readout_energies = batch.last_energies
-            xs_ext = ((np.asarray(samples) + 1) / 2).astype(np.int8)
-
-            # Harvest every replica's read-out for the incumbent.
-            improved = False
-            restricted = [encoded.restrict(xs_ext[r]) for r in range(replicas)]
-            feasible = [source.is_feasible(x) for x in restricted]
-            for r in range(replicas):
-                if not feasible[r]:
-                    continue
-                cost = source.objective(restricted[r])
-                if cost < best_cost:
-                    best_cost = cost
-                    best_x = restricted[r]
-                    improved = True
-
-            # The lead replica feeds the trace and (for "best") the update.
-            lead = int(np.argmin(readout_energies)) if replicas > 1 else 0
-            if self.aggregate == "mean" and replicas > 1:
-                lead = 0
-            x_lead = restricted[lead]
-            cost_lead = source.objective(x_lead)
-            sample_costs[k] = cost_lead
-            energies[k] = readout_energies[lead]
-            if feasible[lead]:
-                feasible_mask[k] = True
-                feasible_records.append(
-                    FeasibleRecord(iteration=k, x=x_lead, cost=cost_lead)
-                )
-
-            if self.aggregate == "mean" and replicas > 1:
-                residual = np.mean(
-                    [lagrangian.residuals(xs_ext[r]) for r in range(replicas)],
-                    axis=0,
-                )
-            else:
-                residual = lagrangian.residuals(xs_ext[lead])
-
-            step = config.eta * _ETA_DECAYS[config.eta_decay](k)
-            direction = residual
-            if config.normalize_step:
-                norm = float(np.linalg.norm(residual))
-                if norm > 1e-12:
-                    direction = residual / norm
-            lambdas = lambdas + step * direction
-            k_ran = k + 1
-
-            # Optional early exits (disabled by default; the paper always
-            # spends the full budget).
-            if (
-                config.target_cost is not None
-                and best_x is not None
-                and best_cost <= config.target_cost + 1e-12
-            ):
+            if not run.advance(batch, k):
                 break
-            if config.patience is not None and best_x is not None:
-                stall = 0 if improved else stall + 1
-                if stall >= config.patience:
-                    break
+        return run.result()
 
+
+class SaimRun:
+    """One problem's Algorithm 1 state between two anneals.
+
+    The caller owns the machine.  For each iteration ``k`` it programs the
+    machine with :meth:`program`, anneals, and passes the batch to
+    :meth:`advance`; it stops when that returns ``False`` or the budget
+    is spent, and :meth:`result` assembles the
+    :class:`~repro.core.saim.SaimResult`.
+
+    Parameters
+    ----------
+    encoded:
+        The slack-encoded problem.  It is normalized here; every reported
+        solution and cost refers back to ``encoded.source``.
+    config, num_replicas, aggregate:
+        As for :class:`SaimEngine`, which validates them.
+    initial_lambdas:
+        Warm-start multipliers: ``None`` (the paper's zero start) or a
+        finite vector with one entry per equality row.
+    machine_factory:
+        What the caller builds its machine with.  Only its
+        ``accepts_poly`` flag and name are read: a polynomial (PUBO)
+        objective is refused unless the machine accepts one.
+    """
+
+    lagrangian: LagrangianIsing | PolyLagrangianIsing
+
+    def __init__(self, encoded: EncodedProblem, config: SaimConfig,
+                 num_replicas: int = 1, aggregate: str = "best",
+                 initial_lambdas=None, machine_factory=PBitMachine):
+        self.encoded = encoded
+        self.config = config
+        self.num_replicas = num_replicas
+        self.aggregate = aggregate
+        self.schedule = _SCHEDULES[config.schedule](
+            config.beta_max, config.mcs_per_run
+        )
+        self.normalized, _scales = normalize_problem(encoded.problem)
+        if isinstance(self.normalized, PolyProblem) and not getattr(
+            machine_factory, "accepts_poly", False
+        ):
+            label = getattr(machine_factory, "backend_name", None) or getattr(
+                machine_factory, "__name__", repr(machine_factory)
+            )
+            raise ValueError(
+                "problem has a polynomial (PUBO) objective; the "
+                f"{label!r} backend only handles quadratic "
+                "models — solve with backend='higher_order'"
+            )
+        if config.penalty is not None:
+            self.set_penalty(float(config.penalty))
+        else:
+            self.set_penalty(
+                density_heuristic_penalty(self.normalized, alpha=config.alpha)
+            )
+
+        num_multipliers = self.lagrangian.num_multipliers
+        if initial_lambdas is None:
+            self.lambdas = np.zeros(num_multipliers)
+        else:
+            self.lambdas = np.array(initial_lambdas, dtype=float)
+            if self.lambdas.shape != (num_multipliers,) or not np.all(
+                np.isfinite(self.lambdas)
+            ):
+                raise ValueError(
+                    f"initial_lambdas must be a finite vector of shape "
+                    f"({num_multipliers},), got shape {self.lambdas.shape} "
+                    f"values {self.lambdas}"
+                )
+        k_total = config.num_iterations
+        self.history = SolveTrace(
+            sample_costs=np.empty(k_total),
+            feasible=np.zeros(k_total, dtype=bool),
+            lambdas=np.empty((k_total, num_multipliers)),
+            energies=np.empty(k_total),
+        )
+        self.best_x: np.ndarray | None = None
+        self.best_cost = np.inf
+        self.feasible_records: list[FeasibleRecord] = []
+        self.k_ran = 0
+        self._stall = 0
+        self._fields = np.empty(self.lagrangian.num_spins)
+
+    def set_penalty(self, penalty: float) -> None:
+        """(Re)build the Lagrangian at quadratic penalty ``P``.
+
+        The multipliers carry over (``lambda`` and ``P`` shape the
+        landscape independently); the caller rebuilds its machine from
+        the new ``lagrangian.base_ising``.
+        """
+        self.penalty = penalty
+        if isinstance(self.normalized, PolyProblem):
+            self.lagrangian = PolyLagrangianIsing(self.normalized, penalty)
+        else:
+            self.lagrangian = LagrangianIsing(self.normalized, penalty)
+
+    def program(self, k: int) -> tuple[np.ndarray, float]:
+        """Record ``lambda_k``; return the ``(fields, offset)`` to program.
+
+        One ``program_for`` matvec into one standing buffer: machines copy
+        on ``set_fields``, so the loop allocates no field arrays.
+        """
+        self.history.lambdas[k] = self.lambdas
+        return self.lagrangian.program_for(self.lambdas, out=self._fields)
+
+    def advance(self, batch, k: int) -> bool:
+        """Read out iteration ``k``'s anneal and step the multipliers.
+
+        Returns ``False`` once an early exit fires (``target_cost`` or
+        ``patience``; both off by default — the paper always spends the
+        full budget).
+        """
+        config = self.config
+        replicas = self.num_replicas
+        encoded = self.encoded
+        source = encoded.source
+        # One coherent read-out view: with read_best the consumed samples
+        # AND the energies that rank/trace them come from the per-replica
+        # best, never mixed with the last-sweep arrays.
+        if config.read_best:
+            samples, energies = batch.best_samples, batch.best_energies
+        else:
+            samples, energies = batch.last_samples, batch.last_energies
+        xs_ext = ((np.asarray(samples) + 1) / 2).astype(np.int8)
+
+        # Harvest every replica's read-out for the incumbent.
+        improved = False
+        restricted = [encoded.restrict(xs_ext[r]) for r in range(replicas)]
+        feasible = [source.is_feasible(x) for x in restricted]
+        for r in range(replicas):
+            if not feasible[r]:
+                continue
+            cost = source.objective(restricted[r])
+            if cost < self.best_cost:
+                self.best_cost = cost
+                self.best_x = restricted[r]
+                improved = True
+
+        # The lead replica feeds the trace and (for "best") the update.
+        mean = self.aggregate == "mean" and replicas > 1
+        lead = int(np.argmin(energies)) if replicas > 1 and not mean else 0
+        x_lead = restricted[lead]
+        cost_lead = source.objective(x_lead)
+        self.history.sample_costs[k] = cost_lead
+        self.history.energies[k] = energies[lead]
+        if feasible[lead]:
+            self.history.feasible[k] = True
+            self.feasible_records.append(
+                FeasibleRecord(iteration=k, x=x_lead, cost=cost_lead)
+            )
+
+        if mean:
+            residual = np.mean(
+                [self.lagrangian.residuals(xs_ext[r]) for r in range(replicas)],
+                axis=0,
+            )
+        else:
+            residual = self.lagrangian.residuals(xs_ext[lead])
+        step = config.eta * _ETA_DECAYS[config.eta_decay](k)
+        direction = residual
+        if config.normalize_step:
+            norm = float(np.linalg.norm(residual))
+            if norm > 1e-12:
+                direction = residual / norm
+        self.lambdas = self.lambdas + step * direction
+        self.k_ran = k + 1
+
+        if self.best_x is None:
+            return True
+        if (
+            config.target_cost is not None
+            and self.best_cost <= config.target_cost + 1e-12
+        ):
+            return False
+        if config.patience is not None:
+            self._stall = 0 if improved else self._stall + 1
+            if self._stall >= config.patience:
+                return False
+        return True
+
+    def result(self) -> SaimResult:
+        """The run's :class:`~repro.core.saim.SaimResult` so far."""
+        k = self.k_ran
         trace = None
-        if config.record_trace:
+        if self.config.record_trace:
+            history = self.history
             trace = SolveTrace(
-                sample_costs=sample_costs[:k_ran],
-                feasible=feasible_mask[:k_ran],
-                lambdas=lambda_history[:k_ran],
-                energies=energies[:k_ran],
+                sample_costs=history.sample_costs[:k],
+                feasible=history.feasible[:k],
+                lambdas=history.lambdas[:k],
+                energies=history.energies[:k],
             )
         return SaimResult(
-            best_x=best_x,
-            best_cost=float(best_cost),
-            feasible_records=feasible_records,
-            penalty=penalty,
-            final_lambdas=lambdas,
-            num_iterations=k_ran,
-            mcs_per_run=config.mcs_per_run,
+            best_x=self.best_x,
+            best_cost=float(self.best_cost),
+            feasible_records=self.feasible_records,
+            penalty=self.penalty,
+            final_lambdas=self.lambdas,
+            num_iterations=k,
+            mcs_per_run=self.config.mcs_per_run,
             trace=trace,
-            num_replicas=replicas,
-            total_mcs=k_ran * replicas * config.mcs_per_run,
+            num_replicas=self.num_replicas,
         )

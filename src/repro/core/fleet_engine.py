@@ -1,16 +1,17 @@
 """Per-instance SAIM outer loops over one fused fleet anneal per iteration.
 
 :class:`FleetEngine` is :class:`repro.core.engine.SaimEngine` vectorized
-across problems: every outer iteration reprograms each active instance's
-Lagrangian fields into the shared :class:`repro.ising.fleet.FleetMachine`
-and runs ONE fused lock-step kernel call for the whole fleet, then performs
-the per-instance read-out, incumbent harvest and multiplier update exactly
-as the single-instance engine does.  Each instance keeps its own lambda
-trajectory, penalty, feasible records and convergence state; instances that
-hit their ``target_cost`` / ``patience`` early-exit are *masked out of the
-active set* — later iterations draw no noise, run no events and pay no
-matmuls for them (the fused kernel compacts the stacks to the active
-subset), so late stragglers don't pay for finished work.
+across problems: one :class:`repro.core.engine.SaimRun` per instance holds
+that instance's Lagrangian, multipliers, penalty, feasible records and
+convergence state.  Every outer iteration programs each active run's
+fields into the shared :class:`repro.ising.fleet.FleetMachine` and makes
+ONE fused lock-step kernel call for the whole fleet; each run then reads
+its own slice of the batch out and steps its multipliers with the same
+code the single-instance engine runs.  Instances that hit their
+``target_cost`` / ``patience`` early exit are *masked out of the active
+set* — later iterations draw no noise, run no events and pay no matmuls
+for them (the fused kernel compacts the stacks to the active subset), so
+late stragglers don't pay for finished work.
 
 Equivalence contract
 --------------------
@@ -20,10 +21,10 @@ instance ``b``, *exactly* the :class:`~repro.core.saim.SaimResult` that
 returns on the default p-bit backend — best cost, lambda trajectory, trace
 and iteration count included.  That holds because the fused kernel is
 bit-identical per instance to the standalone machine on the same spawned
-stream (see :mod:`repro.ising.fleet`) and everything else in the loop is
-per-instance deterministic arithmetic.  ``tests/core/test_fleet_engine.py``
-pins it; ``solve_many(strategy=...)`` relies on it to make the fused and
-process strategies interchangeable.
+stream (see :mod:`repro.ising.fleet`) and both engines run the same
+:class:`~repro.core.engine.SaimRun` between anneals.
+``tests/core/test_fleet_engine.py`` pins it; ``solve_many(strategy=...)``
+relies on it to make the fused and process strategies interchangeable.
 
 The fleet path supports the engine's ``restart="random"`` mode (the
 paper's) only: warm restarts would need per-instance resident spins across
@@ -32,50 +33,13 @@ a changing active set, which the fused packer does not model.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.encoding import encode_with_slacks, normalize_problem
-from repro.core.engine import AGGREGATES
-from repro.core.lagrangian import LagrangianIsing
-from repro.core.penalty import density_heuristic_penalty
-from repro.core.results import FeasibleRecord, SolveTrace
-from repro.core.saim import _ETA_DECAYS, _SCHEDULES, SaimConfig, SaimResult
+from repro.core.encoding import encode_with_slacks
+from repro.core.engine import AGGREGATES, SaimRun
+from repro.core.saim import SaimConfig
 from repro.ising.fleet import FleetMachine
 from repro.utils.rng import spawn_rngs
 
 __all__ = ["FleetEngine"]
-
-
-class _InstanceState:
-    """Mutable per-instance solver state threaded through the fused loop."""
-
-    def __init__(self, index, encoded, lagrangian, penalty, num_iterations,
-                 initial_lambdas):
-        self.index = index
-        self.encoded = encoded
-        self.source = encoded.source
-        self.lagrangian = lagrangian
-        self.penalty = penalty
-        num_multipliers = lagrangian.num_multipliers
-        if initial_lambdas is None:
-            self.lambdas = np.zeros(num_multipliers)
-        else:
-            self.lambdas = np.asarray(initial_lambdas, dtype=float).copy()
-            if self.lambdas.shape != (num_multipliers,):
-                raise ValueError(
-                    f"instance {index}: initial_lambdas must have shape "
-                    f"({num_multipliers},), got {self.lambdas.shape}"
-                )
-        self.fields_buf = np.empty(lagrangian.num_spins)
-        self.sample_costs = np.empty(num_iterations)
-        self.feasible_mask = np.zeros(num_iterations, dtype=bool)
-        self.lambda_history = np.empty((num_iterations, num_multipliers))
-        self.energies = np.empty(num_iterations)
-        self.best_x = None
-        self.best_cost = np.inf
-        self.feasible_records = []
-        self.stall = 0
-        self.k_ran = 0
 
 
 class FleetEngine:
@@ -147,150 +111,33 @@ class FleetEngine:
                     f"{len(initial_lambdas)} for {len(problems)} problems"
                 )
 
-        states = []
-        for b, problem in enumerate(problems):
-            encoded = encode_with_slacks(problem)
-            normalized, _scales = normalize_problem(encoded.problem)
-            if config.penalty is not None:
-                penalty = float(config.penalty)
-            else:
-                penalty = density_heuristic_penalty(
-                    normalized, alpha=config.alpha
-                )
-            states.append(
-                _InstanceState(
-                    b, encoded, LagrangianIsing(normalized, penalty), penalty,
-                    config.num_iterations, initial_lambdas[b],
-                )
-            )
+        runs = []
+        for b, (problem, start) in enumerate(zip(problems, initial_lambdas)):
+            try:
+                runs.append(SaimRun(
+                    encode_with_slacks(problem), config, replicas,
+                    self.aggregate, start, FleetMachine,
+                ))
+            except ValueError as error:
+                raise ValueError(f"instance {b}: {error}") from error
 
         machine = FleetMachine(
-            [state.lagrangian.base_ising for state in states],
+            [run.lagrangian.base_ising for run in runs],
             rng=rngs, dtype=config.dtype,
         )
-        schedule_fn = _SCHEDULES[config.schedule]
-        if config.schedule == "linear":
-            schedule = schedule_fn(
-                config.beta_max, config.mcs_per_run, beta_min=0.0
-            )
-        else:
-            schedule = schedule_fn(config.beta_max, config.mcs_per_run)
-
-        active = list(range(len(states)))
+        schedule = runs[0].schedule  # one config, one schedule
+        active = list(range(len(runs)))
         for k in range(config.num_iterations):
             if not active:
                 break
             for b in active:
-                state = states[b]
-                state.lambda_history[k] = state.lambdas
-                machine.set_fields(
-                    b,
-                    *state.lagrangian.program_for(
-                        state.lambdas, out=state.fields_buf
-                    ),
-                )
+                machine.set_fields(b, *runs[b].program(k))
             fleet_result = machine.anneal_fleet(
                 schedule, replicas, active=active,
                 track_best=config.read_best,
             )
             active = [
                 b for b in active
-                if self._advance(states[b], fleet_result.instance(b), k)
+                if runs[b].advance(fleet_result.instance(b), k)
             ]
-
-        return [self._finish(state) for state in states]
-
-    def _advance(self, state, batch, k) -> bool:
-        """One instance's read-out + multiplier update; True to stay active.
-
-        This is the per-iteration body of ``SaimEngine.solve_encoded``,
-        verbatim, acting on one instance's state.
-        """
-        config = self.config
-        replicas = self.num_replicas
-        source = state.source
-        lagrangian = state.lagrangian
-        if config.read_best:
-            samples = batch.best_samples
-            readout_energies = batch.best_energies
-        else:
-            samples = batch.last_samples
-            readout_energies = batch.last_energies
-        xs_ext = ((np.asarray(samples) + 1) / 2).astype(np.int8)
-
-        improved = False
-        restricted = [state.encoded.restrict(xs_ext[r]) for r in range(replicas)]
-        feasible = [source.is_feasible(x) for x in restricted]
-        for r in range(replicas):
-            if not feasible[r]:
-                continue
-            cost = source.objective(restricted[r])
-            if cost < state.best_cost:
-                state.best_cost = cost
-                state.best_x = restricted[r]
-                improved = True
-
-        lead = int(np.argmin(readout_energies)) if replicas > 1 else 0
-        if self.aggregate == "mean" and replicas > 1:
-            lead = 0
-        x_lead = restricted[lead]
-        cost_lead = source.objective(x_lead)
-        state.sample_costs[k] = cost_lead
-        state.energies[k] = readout_energies[lead]
-        if feasible[lead]:
-            state.feasible_mask[k] = True
-            state.feasible_records.append(
-                FeasibleRecord(iteration=k, x=x_lead, cost=cost_lead)
-            )
-
-        if self.aggregate == "mean" and replicas > 1:
-            residual = np.mean(
-                [lagrangian.residuals(xs_ext[r]) for r in range(replicas)],
-                axis=0,
-            )
-        else:
-            residual = lagrangian.residuals(xs_ext[lead])
-
-        step = config.eta * _ETA_DECAYS[config.eta_decay](k)
-        direction = residual
-        if config.normalize_step:
-            norm = float(np.linalg.norm(residual))
-            if norm > 1e-12:
-                direction = residual / norm
-        state.lambdas = state.lambdas + step * direction
-        state.k_ran = k + 1
-
-        if (
-            config.target_cost is not None
-            and state.best_x is not None
-            and state.best_cost <= config.target_cost + 1e-12
-        ):
-            return False
-        if config.patience is not None and state.best_x is not None:
-            state.stall = 0 if improved else state.stall + 1
-            if state.stall >= config.patience:
-                return False
-        return True
-
-    def _finish(self, state) -> SaimResult:
-        config = self.config
-        trace = None
-        if config.record_trace:
-            trace = SolveTrace(
-                sample_costs=state.sample_costs[:state.k_ran],
-                feasible=state.feasible_mask[:state.k_ran],
-                lambdas=state.lambda_history[:state.k_ran],
-                energies=state.energies[:state.k_ran],
-            )
-        return SaimResult(
-            best_x=state.best_x,
-            best_cost=float(state.best_cost),
-            feasible_records=state.feasible_records,
-            penalty=state.penalty,
-            final_lambdas=state.lambdas,
-            num_iterations=state.k_ran,
-            mcs_per_run=config.mcs_per_run,
-            trace=trace,
-            num_replicas=self.num_replicas,
-            total_mcs=state.k_ran * self.num_replicas * config.mcs_per_run,
-        )
+        return [run.result() for run in runs]

@@ -29,7 +29,7 @@ from repro.ising.energy import (
 )
 from repro.ising.pbit import PBitMachine, AnnealResult
 from repro.ising.sa import simulated_annealing, SAResult, MetropolisMachine
-from repro.ising.parallel_tempering import parallel_tempering, PTResult
+from repro.ising.parallel_tempering import parallel_tempering
 from repro.ising.exhaustive import brute_force_ground_state, enumerate_energies
 from repro.ising.quantization import (
     QuantizationSpec,
@@ -43,7 +43,7 @@ from repro.ising.sparse import (
     greedy_coloring,
     random_sparse_ising,
 )
-from repro.ising.fleet import FleetAnnealResult, FleetMachine, FleetProgram
+from repro.ising.fleet import FleetMachine
 from repro.ising.pt_machine import PTMachine
 from repro.ising.qubo_io import write_qubo, read_qubo
 from repro.ising.higher_order import (
@@ -65,9 +65,7 @@ __all__ = [
     "ChromaticPBitMachine",
     "greedy_coloring",
     "random_sparse_ising",
-    "FleetAnnealResult",
     "FleetMachine",
-    "FleetProgram",
     "PTMachine",
     "write_qubo",
     "read_qubo",
@@ -86,7 +84,6 @@ __all__ = [
     "SAResult",
     "MetropolisMachine",
     "parallel_tempering",
-    "PTResult",
     "brute_force_ground_state",
     "enumerate_energies",
 ]

@@ -256,6 +256,10 @@ class FleetMachine:
         Coefficient storage / scan precision (``"float64"`` default).
     """
 
+    #: The registered backend each fused instance runs; the engine's
+    #: error messages name it.
+    backend_name = "pbit"
+
     def __init__(self, models, rng=None, dtype=None):
         models = list(models)
         for b, model in enumerate(models):

@@ -8,6 +8,7 @@ from repro.core.adaptive_penalty import (
     AdaptivePenaltySaim,
     reduced_capacity_problem,
 )
+from repro.core.engine import SaimEngine
 from repro.core.saim import SaimConfig
 from repro.problems.generators import generate_mkp, generate_qkp
 from tests.helpers import tiny_knapsack_problem
@@ -98,6 +99,87 @@ class TestAdaptivePenaltySaim:
                                   feasibility_floor=0.2, growth=3.0)
         ).solve(instance.to_problem(), rng=3)
         assert adaptive.result.feasible_ratio >= static.feasible_ratio
+
+
+class TestEscalationGolden:
+    """An escalating run pinned bit-for-bit against values captured from
+    the pre-``SaimRun`` adaptive loop: one escalation at iteration 20,
+    after which the run keeps finding feasible samples."""
+
+    @pytest.fixture(scope="class")
+    def outcome(self):
+        config = AdaptivePenaltyConfig(
+            SaimConfig(num_iterations=40, mcs_per_run=60, eta=2.0,
+                       eta_decay="sqrt", normalize_step=True, penalty=0.02),
+            window=10, feasibility_floor=0.3, growth=3.0,
+        )
+        instance = generate_mkp(15, 4, rng=9)
+        return AdaptivePenaltySaim(config).solve(instance.to_problem(), rng=5)
+
+    def test_escalations(self, outcome):
+        assert outcome.escalations == [(20, pytest.approx(0.06))]
+        assert outcome.result.penalty == pytest.approx(0.06)
+
+    def test_incumbent(self, outcome):
+        assert outcome.result.best_cost == -6323.0
+        assert outcome.result.best_x.tolist() == [
+            0, 1, 0, 0, 1, 0, 0, 1, 1, 0, 1, 0, 1, 0, 1
+        ]
+
+    def test_multipliers_and_trace(self, outcome):
+        result = outcome.result
+        assert result.final_lambdas.tolist() == [
+            1.7883385085312271, 1.9022630693896756,
+            0.9636376321378258, 0.5266379355730825,
+        ]
+        assert float(result.trace.sample_costs.sum()) == -270234.0
+        assert float(result.trace.energies.sum()) == -222.01687251088669
+        assert float(result.trace.lambdas.sum()) == 204.6726255840735
+        assert result.trace.feasible.astype(int).tolist() == [
+            0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1,
+            0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1,
+        ]
+        assert result.num_feasible == 12
+        assert result.num_iterations == 40
+
+
+class TestSharedLoopBody:
+    """Without an escalation the adaptive solver IS the serial engine, so
+    every SaimConfig knob behaves as it does there."""
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"schedule": "geometric"},
+        {"target_cost": -8.0},
+        {"patience": 2},
+        {"record_trace": False},
+        {"read_best": True},
+    ], ids=["default", "geometric", "target_cost", "patience",
+            "no_trace", "read_best"])
+    def test_matches_engine_without_escalation(self, overrides):
+        config = SaimConfig(num_iterations=30, mcs_per_run=60, eta=5.0,
+                            eta_decay="sqrt", normalize_step=True,
+                            **overrides)
+        outcome = AdaptivePenaltySaim(
+            AdaptivePenaltyConfig(config, window=10, max_escalations=0)
+        ).solve(tiny_knapsack_problem(), rng=4)
+        engine = SaimEngine(config).solve(tiny_knapsack_problem(), rng=4)
+        result = outcome.result
+        assert outcome.escalations == []
+        assert result.best_cost == engine.best_cost
+        assert result.num_iterations == engine.num_iterations
+        np.testing.assert_array_equal(
+            result.final_lambdas, engine.final_lambdas
+        )
+        if engine.trace is None:
+            assert result.trace is None
+        else:
+            np.testing.assert_array_equal(
+                result.trace.energies, engine.trace.energies
+            )
+            np.testing.assert_array_equal(
+                result.trace.sample_costs, engine.trace.sample_costs
+            )
 
 
 class TestReducedCapacity:

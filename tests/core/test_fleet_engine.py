@@ -61,17 +61,23 @@ def assert_reports_equal(fleet_report, solo_report):
 
 
 class TestSolveFleetEquivalence:
-    @pytest.mark.parametrize("num_replicas", [1, 3])
-    def test_matches_serial_solve_loop(self, num_replicas):
+    @pytest.mark.parametrize("num_replicas, aggregate", [
+        pytest.param(1, "best", id="1"),
+        pytest.param(3, "best", id="3"),
+        pytest.param(3, "mean", id="3-mean"),
+    ])
+    def test_matches_serial_solve_loop(self, num_replicas, aggregate):
         problems = fleet_problems()
         config = small_config()
         fleet = repro.solve_fleet(
-            problems, config=config, num_replicas=num_replicas, rng=42
+            problems, config=config, num_replicas=num_replicas,
+            aggregate=aggregate, rng=42,
         )
         streams = spawn_rngs(42, len(problems))
         for problem, stream, fleet_report in zip(problems, streams, fleet):
             solo = repro.solve(
-                problem, config=config, num_replicas=num_replicas, rng=stream
+                problem, config=config, num_replicas=num_replicas,
+                aggregate=aggregate, rng=stream,
             )
             assert_reports_equal(fleet_report, solo)
 
@@ -156,13 +162,16 @@ class TestFleetEngineValidation:
                 fleet_problems()[:2], initial_lambdas=[None]
             )
 
-    def test_initial_lambdas_shape_checked(self):
+    @pytest.mark.parametrize(
+        "start", [np.zeros(9), [np.nan], [np.inf]], ids=["shape", "nan", "inf"]
+    )
+    def test_initial_lambdas_shape_checked(self, start):
         # The engine's contract is ConstrainedProblem (the front door
         # converts instances); one QKP has exactly one multiplier.
         engine = FleetEngine(small_config(num_iterations=2))
         problem = fleet_problems()[0].to_problem()
         with pytest.raises(ValueError, match="shape"):
-            engine.solve_fleet([problem], initial_lambdas=[np.zeros(9)])
+            engine.solve_fleet([problem], initial_lambdas=[start])
 
 
 class TestSolveFleetApi:

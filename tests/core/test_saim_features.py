@@ -17,10 +17,15 @@ class TestWarmStart:
         )
         np.testing.assert_array_equal(result.trace.lambdas[0], [2.5])
 
-    def test_wrong_shape_rejected(self):
+    @pytest.mark.parametrize(
+        "initial_lambdas", [np.zeros(3), [np.nan], [np.inf]],
+        ids=["shape", "nan", "inf"],
+    )
+    def test_wrong_shape_rejected(self, initial_lambdas):
         with pytest.raises(ValueError, match="initial_lambdas"):
             SelfAdaptiveIsingMachine(FAST).solve(
-                tiny_knapsack_problem(), rng=0, initial_lambdas=np.zeros(3)
+                tiny_knapsack_problem(), rng=0,
+                initial_lambdas=initial_lambdas,
             )
 
     def test_warm_start_from_prior_solve(self):

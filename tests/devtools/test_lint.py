@@ -500,13 +500,11 @@ def test_src_repro_is_clean_modulo_committed_baseline():
 
 
 def test_committed_baseline_contains_only_known_debt():
-    # The grandfather file carries exactly the dead-export debt class
-    # (RPD104); any AST-rule entry would mean a fixable violation was
-    # baselined instead of fixed.
+    # The known debt is paid off: the grandfather file stays (the gate
+    # reads it) but holds no entry, so any finding is a new one to fix.
     config = load_config(repo_root=REPO_ROOT)
-    baseline = load_baseline(config.baseline_path)
-    assert baseline, "committed baseline missing or empty"
-    assert all(key.startswith("RPD104::") for key in baseline)
+    assert config.baseline_path.is_file(), "committed baseline missing"
+    assert load_baseline(config.baseline_path) == {}
 
 
 def test_render_json_round_trips_findings(tmp_path):

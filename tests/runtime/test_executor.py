@@ -8,6 +8,7 @@ import pytest
 import repro
 from repro.core.saim import SaimConfig
 from repro.problems.generators import generate_qkp
+from repro.problems.max3sat import generate_max3sat
 from repro.runtime import (
     JobOutcome,
     SolveJob,
@@ -430,3 +431,22 @@ class TestAutoStrategy:
                             strategy="fused")
         assert "[fused]" in report.stats.summary()
         assert "jobs/s" in report.stats.summary()
+
+
+class TestPolynomialBatch:
+    @pytest.mark.parametrize("strategy", ["process", "auto"])
+    def test_pubo_on_pbit_fails_cleanly(self, strategy):
+        """A Max-3-SAT batch is shareable, so "auto" fuses it; either way
+        the quadratic p-bit kernel refuses it with the same ValueError
+        pointing at backend='higher_order' (never a crash inside the
+        penalty build)."""
+        problems = [generate_max3sat(8, 20, rng=index) for index in range(3)]
+        report = solve_many(fleet_jobs(problems, rng=0, config=FAST),
+                            strategy=strategy, raise_on_error=False)
+        expected = "fused" if strategy == "auto" else "process"
+        assert report.stats.strategy == expected
+        for outcome in report.outcomes:
+            assert not outcome.ok
+            assert "ValueError: " in outcome.error
+            assert ("the 'pbit' backend only handles quadratic models — "
+                    "solve with backend='higher_order'") in outcome.error
