@@ -6,8 +6,9 @@ coefficient precision (float32 halves the memory traffic of the block
 matmuls) and sparse layout (CSR rows vs dense BLAS row blocks in the
 chromatic machine) start to matter.  This bench profiles exactly that grid:
 
-- **dense** — ``PBitMachine.anneal_many`` (the speculative-block lock-step
-  scan) on a SAIM-encoded QKP Lagrangian;
+- **dense** — ``PBitMachine.anneal_many`` (the compiled p-bit sweep, or
+  the numpy lock-step scan where no compiler is available) on a
+  SAIM-encoded QKP Lagrangian;
 - **sparse** — ``ChromaticPBitMachine.anneal_many`` (per-color
   replica-batched sweeps) on a random regular graph, in both ``csr`` and
   ``dense`` row-block storage;

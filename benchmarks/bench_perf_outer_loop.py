@@ -10,22 +10,21 @@ so everything else the kernels used to redo per iteration was pure tax:
 - ``fields_for`` and ``offset_for`` each redid the same ``A^T lambda``
   matvec and allocated fresh arrays (now one ``program_for`` matvec into
   one standing buffer);
-- the default R=1 path was the pure-python per-spin scan (now the block
-  kernel in threshold form; ``kernel="serial"`` is the escape hatch this
-  bench compares against);
+- the default R=1 path was the pure-python per-spin scan (now the
+  threshold-form sweep: compiled C, or the numpy block scan without a
+  compiler; ``kernel="serial"`` is the escape hatch this bench compares
+  against);
 - every run re-derived its input fields with a fresh ``O(N^2 R)`` matmul
   (with ``restart="warm"`` the resident ``J @ s`` is reused).
 
 This bench profiles per-iteration overhead vs. anneal time across
 N x R x K and archives ``benchmarks/output/BENCH_outer_loop.json``.  The
 headline cell is the end-to-end ``repro.solve`` speedup of the default
-lock-step R=1 path over the retired serial kernel at the largest workload
-(N ≈ 1000 spins, K >= 100 at full scale).  The lock-step R=1 route wins
-with model size: below N ≈ 300 the scalar python loop's lower per-spin
-constant still beats the block kernel's per-event numpy calls (the small
-cells report < 1x honestly; the smoke grid is entirely in that regime),
-~1.3x at N ≈ 500 and ~1.5x at N ≈ 1000 single-core, more with BLAS
-threads.  Wall-time *assertions* arm only
+R=1 path over the serial kernel at the largest workload (N ≈ 1000 spins,
+K >= 100 at full scale).  The compiled sweep wins at every size; on the
+numpy fallback the scalar python loop's lower per-spin constant still
+wins below N ≈ 300 (~1.3x for numpy at N ≈ 500, ~1.5x at N ≈ 1000
+single-core).  Wall-time *assertions* arm only
 on >= 4-CPU hosts at non-smoke scales, per repo convention (the dev
 container has 1 CPU); the JSON is emitted everywhere.  Run standalone::
 
@@ -108,10 +107,12 @@ def _reprogram_overhead(lagrangian, repeats: int = 50) -> dict:
 
 
 def _program_build_cost(coupling, repeats: int = 3) -> float:
-    """Seconds to build one AnnealProgram (the retired per-iteration tax)."""
+    """Seconds to build one AnnealProgram with the numpy scan's blocks
+    (the retired per-iteration tax)."""
     start = time.perf_counter()
     for _ in range(repeats):
-        AnnealProgram(coupling)
+        program = AnnealProgram(coupling)
+        program.col_blocks, program.sub_blocks
     return (time.perf_counter() - start) / repeats
 
 

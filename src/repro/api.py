@@ -381,19 +381,19 @@ def solve_fleet(
     backend_options: dict | None = None,
     **config_overrides,
 ) -> list[SolveReport]:
-    """Solve ``B`` problems with ONE fused annealing kernel call per SAIM
-    iteration; returns one :class:`~repro.core.report.SolveReport` each.
+    """Solve ``B`` problems with ONE fleet anneal call per SAIM iteration;
+    returns one :class:`~repro.core.report.SolveReport` each.
 
-    The fleet path packs all instances into a block-diagonal lock-step scan
-    (:mod:`repro.ising.fleet`), which amortises the numpy dispatch overhead
-    that dominates at small N — the single-core alternative to
-    ``solve_many``'s process pool.  Per instance, the result is **exactly**
+    The fleet (:mod:`repro.ising.fleet`) anneals every active instance
+    with the p-bit kernel on its own stream — the single-process
+    alternative to ``solve_many``'s process pool.  Per instance, the
+    result is **exactly**
     what ``repro.solve(problems[b], rng=spawn_rngs(rng, B)[b])`` returns:
     the per-instance chains are bit-identical to standalone machines on the
     same spawned streams.
 
-    Parameters mirror :func:`solve` where they apply.  The fused kernel is
-    the p-bit machine, so ``backend`` must be ``None`` or ``"pbit"`` (run
+    Parameters mirror :func:`solve` where they apply.  The fleet runs the
+    p-bit machine's kernel, so ``backend`` must be ``None`` or ``"pbit"`` (run
     other backends through ``solve_many(strategy="process")``);
     ``backend_options`` accepts the ``dtype`` knob only, and ``restart``
     must be ``"random"`` (the paper's).  ``rng`` may be a seed-like (one
@@ -480,7 +480,7 @@ def _pbit_builder(dtype: str | None = None, kernel: str = "lockstep",
             # Service warm path: bind the machine to a resident
             # AnnealProgram keyed by coupling content (see
             # repro.service.pool.ProgramCache), skipping the O(N^2)
-            # block decomposition on repeat instances.
+            # program build on repeat instances.
             program_cache.bind(machine)
         return machine
 

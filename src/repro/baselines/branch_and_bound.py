@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.baselines.greedy import greedy_mkp
 from repro.problems.mkp import MkpInstance
@@ -30,6 +29,8 @@ class BnBResult:
 
 def _lp_bound(instance: MkpInstance, fixed_zero: set, fixed_one: set) -> tuple[float, np.ndarray | None]:
     """LP-relaxation profit bound under partial fixing; (bound, lp_x)."""
+    from scipy.optimize import linprog
+
     n = instance.num_items
     bounds = []
     for i in range(n):

@@ -11,7 +11,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import LinearConstraint, Bounds, milp
 
 from repro.problems.mkp import MkpInstance
 
@@ -32,6 +31,8 @@ def solve_mkp_exact(instance: MkpInstance, time_limit: float | None = None) -> M
     Raises ``RuntimeError`` if HiGHS does not prove optimality within the
     optional time limit (callers treat the incumbent as a bound instead).
     """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     n = instance.num_items
     constraints = LinearConstraint(
         instance.weights, -np.inf, instance.capacities

@@ -244,9 +244,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--strategy", choices=("process", "fused", "auto"), default="process",
-        help="executor strategy: 'fused' packs the grid into one "
-             "block-diagonal fleet anneal (single-cell SAIM/pbit grids "
-             "only); 'auto' fuses when the grid is shareable and small",
+        help="executor strategy: 'fused' runs the grid as one "
+             "in-process fleet (single-cell SAIM/pbit grids only); "
+             "'auto' fuses when the grid is shareable and small",
     )
     sweep.add_argument("--iterations", type=int, default=150,
                        help="SAIM iterations per grid point")

@@ -1,17 +1,17 @@
-"""Per-instance SAIM outer loops over one fused fleet anneal per iteration.
+"""Per-instance SAIM outer loops over one fleet anneal per iteration.
 
 :class:`FleetEngine` is :class:`repro.core.engine.SaimEngine` vectorized
 across problems: one :class:`repro.core.engine.SaimRun` per instance holds
 that instance's Lagrangian, multipliers, penalty, feasible records and
 convergence state.  Every outer iteration programs each active run's
 fields into the shared :class:`repro.ising.fleet.FleetMachine` and makes
-ONE fused lock-step kernel call for the whole fleet; each run then reads
-its own slice of the batch out and steps its multipliers with the same
-code the single-instance engine runs.  Instances that hit their
-``target_cost`` / ``patience`` early exit are *masked out of the active
-set* — later iterations draw no noise, run no events and pay no matmuls
-for them (the fused kernel compacts the stacks to the active subset), so
-late stragglers don't pay for finished work.
+ONE ``anneal_fleet`` call for the whole fleet, which anneals every active
+instance with the standalone p-bit kernel on its own stream; each run then
+reads its own result out and steps its multipliers with the same code the
+single-instance engine runs.  Instances that hit their ``target_cost`` /
+``patience`` early exit are *masked out of the active set* — later
+iterations draw no noise and run no sweeps for them, so late stragglers
+don't pay for finished work.
 
 Equivalence contract
 --------------------
@@ -19,16 +19,16 @@ Equivalence contract
 instance ``b``, *exactly* the :class:`~repro.core.saim.SaimResult` that
 ``SaimEngine(config, ...).solve(problems[b], rng=spawn_rngs(seed, B)[b])``
 returns on the default p-bit backend — best cost, lambda trajectory, trace
-and iteration count included.  That holds because the fused kernel is
-bit-identical per instance to the standalone machine on the same spawned
-stream (see :mod:`repro.ising.fleet`) and both engines run the same
-:class:`~repro.core.engine.SaimRun` between anneals.
+and iteration count included.  That holds because the fleet anneals each
+instance with the same function as the standalone machine, on the same
+spawned stream (see :mod:`repro.ising.fleet`), and both engines run the
+same :class:`~repro.core.engine.SaimRun` between anneals.
 ``tests/core/test_fleet_engine.py`` pins it; ``solve_many(strategy=...)``
 relies on it to make the fused and process strategies interchangeable.
 
 The fleet path supports the engine's ``restart="random"`` mode (the
 paper's) only: warm restarts would need per-instance resident spins across
-a changing active set, which the fused packer does not model.
+a changing active set, which the fleet engine does not model.
 """
 
 from __future__ import annotations
@@ -43,10 +43,10 @@ __all__ = ["FleetEngine"]
 
 
 class FleetEngine:
-    """Algorithm 1 over ``B`` problems, one fused kernel call per iteration.
+    """Algorithm 1 over ``B`` problems, one fleet anneal per iteration.
 
     Parameters mirror :class:`~repro.core.engine.SaimEngine` where they
-    apply; the backend is the fused p-bit fleet machine (there is no
+    apply; the backend is the p-bit fleet machine (there is no
     ``machine_factory`` — other backends go through ``solve_many``'s
     process strategy instead).
     """

@@ -1,9 +1,12 @@
-"""Shared lock-step replica kernel for single-flip samplers.
+"""Numpy lock-step replica kernel for single-flip samplers.
 
-Both the p-bit (Gibbs) and Metropolis machines advance ``R`` independent
-chains in lock-step over the same sweep/spin scan.  The per-spin acceptance
-rules differ, but the machinery that makes the scan fast in pure numpy is
-identical, so it lives here once:
+The p-bit machines run the compiled sweep of :mod:`repro.ising._native`
+when it loads; this scan is their no-compiler fallback and the parity
+reference the compiled sweep is tested against.  The Metropolis machine's
+``kernel="lockstep"`` runs only here.  Both advance ``R`` independent
+chains in lock-step over the same sweep/spin scan.  The per-spin
+acceptance rules differ, but the machinery that makes the scan fast in
+pure numpy is shared:
 
 - per-sweep noise is folded into per-spin *threshold tables* outside the
   scan (``thresholds_for``), so the hot loop is comparisons only;
@@ -17,29 +20,30 @@ identical, so it lives here once:
   recomputed from the maintained inputs once per sweep.
 
 The scan runs in a configurable storage/compute ``dtype``: ``float32``
-halves the memory traffic of the block matmuls (sgemm vs dgemm), which is
-where the big-R batched path spends its time.  Per-sweep *energies* are
-always accumulated in float64 from the maintained inputs, so integer-weight
-Hamiltonians — exactly representable in float32 — report exact energies at
-either precision, and float-weight models stay within float32 tolerance of
-the exact Hamiltonian.
+halves the memory traffic of the block matmuls (sgemm vs dgemm).  Per-sweep
+*energies* are always accumulated in float64 from the maintained inputs
+(:func:`sweep_energies`), so integer-weight Hamiltonians — exactly
+representable in float32 — report exact energies at either precision, and
+float-weight models stay within float32 tolerance of the exact
+Hamiltonian.
 
 Program/run split
 -----------------
 SAIM calls the kernel once per outer iteration on the *same* coupling
-matrix — only the linear fields move between calls.  The expensive,
-coupling-only setup (contiguous dtype cast, the ``col_blocks`` /
-``sub_blocks`` decomposition — ≈ N/32 full-matrix copies) therefore lives
-in :class:`AnnealProgram`, built once per machine and passed back into
-every :func:`lockstep_anneal` call; the per-run work is just fields,
-noise, and the scan itself.  The program also keeps *solve-resident*
-annealing state: the final spins of the previous run together with their
-coupling inputs ``J @ s``, so a warm-restarted run (same spins back in)
-reprograms its input fields from the field delta instead of paying a
-fresh ``O(N^2 R)`` matmul.
+matrix — only the linear fields move between calls.  The coupling-only
+setup therefore lives in :class:`AnnealProgram`, built once per machine
+and passed back into every run: the contiguous dtype cast, and — built
+lazily, because only this numpy scan reads them — the ``col_blocks`` /
+``sub_blocks`` decomposition (≈ N/32 full-matrix copies).  The program
+also keeps *solve-resident* annealing state for both kernels: the final
+spins of the previous run together with their coupling inputs ``J @ s``,
+so a warm-restarted run (same spins back in) reprograms its input fields
+from the field delta instead of paying a fresh ``O(N^2 R)`` matmul.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -49,13 +53,14 @@ BLOCK = 32
 
 
 class AnnealProgram:
-    """Once-per-solve preparation of a coupling matrix for the scan kernel.
+    """Once-per-solve preparation of a coupling matrix for the kernels.
 
-    Owns everything about the kernel that depends only on ``(J, dtype)``:
-    the contiguous dtype-cast coupling and its speculative-block
-    decomposition.  A machine builds one program at construction and hands
-    it to every :func:`lockstep_anneal` call, so the K outer iterations of
-    a SAIM solve pay the O(N^2) setup exactly once instead of K times.
+    Owns everything that depends only on ``(J, dtype)``: the contiguous
+    dtype-cast coupling both kernels read, and the speculative-block
+    decomposition only the numpy scan reads (built on its first use).  A
+    machine builds one program and hands it to every run, so the K outer
+    iterations of a SAIM solve pay the O(N^2) setup exactly once instead
+    of K times.
 
     The program is also the keeper of *solve-resident* state: after each
     run it retains the final spins and their coupling inputs ``J @ s``.
@@ -78,18 +83,26 @@ class AnnealProgram:
         n = self.coupling.shape[0]
         self.num_spins = n
         self.starts = tuple(range(0, n, BLOCK))
-        self.col_blocks = [
-            np.ascontiguousarray(self.coupling[:, i0:i0 + BLOCK])
-            for i0 in self.starts
-        ]
-        self.sub_blocks = [
-            np.ascontiguousarray(self.coupling[i0:i0 + BLOCK, i0:i0 + BLOCK])
-            for i0 in self.starts
-        ]
         self.warm_hits = 0
         self.cold_starts = 0
         self._resident_spins = None
         self._resident_coupling_inputs = None
+
+    @cached_property
+    def col_blocks(self) -> list:
+        """Per block, the coupling columns ``J[:, i0:i0 + BLOCK]``."""
+        return [
+            np.ascontiguousarray(self.coupling[:, i0:i0 + BLOCK])
+            for i0 in self.starts
+        ]
+
+    @cached_property
+    def sub_blocks(self) -> list:
+        """Per block, the in-block couplings ``J[i0:i1, i0:i1]``."""
+        return [
+            np.ascontiguousarray(self.coupling[i0:i0 + BLOCK, i0:i0 + BLOCK])
+            for i0 in self.starts
+        ]
 
     def initial_inputs(self, spins, fields) -> np.ndarray:
         """``J @ spins + h`` for a run starting at ``spins`` (``(n, R)``).
@@ -131,6 +144,20 @@ class AnnealProgram:
         """
         self._resident_spins = spins
         self._resident_coupling_inputs = inputs - fields[:, None]
+
+
+def sweep_energies(spins, inputs, fields, offset: float) -> np.ndarray:
+    """Float64 energies ``H = -1/2 s.I - 1/2 h.s + c`` of ``(n, R)`` chains.
+
+    ``inputs`` are the maintained ``I = J s + h``.  Accumulated in float64
+    whatever the storage dtype, so integer-weight models report exact
+    energies.
+    """
+    return (
+        -0.5 * np.einsum("ir,ir->r", spins, inputs, dtype=np.float64)
+        - 0.5 * np.einsum("i,ir->r", fields, spins, dtype=np.float64)
+        + offset
+    )
 
 
 def lockstep_anneal(
@@ -184,31 +211,12 @@ def lockstep_anneal(
     if program is None:
         program = AnnealProgram(coupling, dtype=dtype)
     dtype = program.dtype
-    coupling = program.coupling
-    num_replicas, n = states.shape
-    if num_replicas == 1:
-        # Dedicated single-chain scan: same draws, same decisions, but all
-        # event machinery on 1-D arrays (one reduction per event instead
-        # of three (m, 1)-shaped passes) — this is what lets the R=1 SAIM
-        # default beat the retired per-spin python loop.
-        return _lockstep_anneal_r1(
-            program, fields, offset, betas, states, thresholds_for, decide,
-            record_energy,
-        )
+    num_replicas = states.shape[0]
     fields = np.asarray(fields, dtype=dtype)
     spins = np.ascontiguousarray(states.T, dtype=dtype)  # (n, R): row i = spin i
     inputs = program.initial_inputs(spins, fields)
 
-    def batch_energies():
-        # H = -1/2 s.I - 1/2 h.s + c, accumulated in float64 whatever the
-        # scan dtype (exact for integer-weight models).
-        return (
-            -0.5 * np.einsum("ir,ir->r", spins, inputs, dtype=np.float64)
-            - 0.5 * np.einsum("i,ir->r", fields, spins, dtype=np.float64)
-            + offset
-        )
-
-    energies = batch_energies()
+    energies = sweep_energies(spins, inputs, fields, offset)
     best_energies = energies.copy()
     best_spins = spins.copy()
     traces = np.empty((num_replicas, betas.size)) if record_energy else None
@@ -245,7 +253,7 @@ def lockstep_anneal(
             if flipped_any:
                 inputs += cols @ deltas
 
-        energies = batch_energies()
+        energies = sweep_energies(spins, inputs, fields, offset)
         improved = energies < best_energies
         if improved.any():
             best_energies[improved] = energies[improved]
@@ -256,85 +264,3 @@ def lockstep_anneal(
     program.retain(spins, inputs, fields)
     return spins, energies, best_spins, best_energies, traces
 
-
-def _lockstep_anneal_r1(
-    program: AnnealProgram,
-    fields,
-    offset: float,
-    betas: np.ndarray,
-    states: np.ndarray,
-    thresholds_for,
-    decide,
-    record_energy: bool,
-):
-    """The ``R = 1`` fast path of :func:`lockstep_anneal`.
-
-    Identical chain to the general kernel (same threshold tables consumed
-    in the same order, same speculative-block decisions), but every array
-    in the event loop is 1-D: ``decide`` is called on ``(m,)`` tails and
-    the first flip is located with a single ``nonzero`` instead of
-    ``any(axis=1)`` + ``any`` + ``argmax`` over ``(m, 1)`` columns.
-    Returns the same ``(n, 1)``-shaped tuple as the general kernel.
-    """
-    dtype = program.dtype
-    n = program.num_spins
-    fields = np.asarray(fields, dtype=dtype)
-    spins = np.ascontiguousarray(states[0], dtype=dtype)  # (n,)
-    inputs = program.initial_inputs(spins[:, None], fields)[:, 0]
-
-    def energy():
-        return float(
-            -0.5 * np.einsum("i,i->", spins, inputs, dtype=np.float64)
-            - 0.5 * np.einsum("i,i->", fields, spins, dtype=np.float64)
-            + offset
-        )
-
-    current = energy()
-    best_energy = current
-    best_spins = spins.copy()
-    traces = np.empty((1, betas.size)) if record_energy else None
-
-    for sweep, beta in enumerate(betas):
-        thresholds = np.asarray(thresholds_for(beta), dtype=dtype).ravel()
-
-        for i0, cols, sub in zip(
-            program.starts, program.col_blocks, program.sub_blocks
-        ):
-            size = cols.shape[1]
-            local = inputs[i0:i0 + size].copy()
-            thr_blk = thresholds[i0:i0 + size]
-            spins_blk = spins[i0:i0 + size]  # view; writes hit `spins`
-            deltas = None
-            j = 0
-            while j < size:
-                spec_delta = decide(thr_blk[j:], local[j:], spins_blk[j:])
-                flips = np.nonzero(spec_delta)[0]
-                if flips.size == 0:
-                    break
-                jf = j + int(flips[0])
-                delta = spec_delta[jf - j]
-                if deltas is None:
-                    deltas = np.zeros(size, dtype=dtype)
-                deltas[jf] = delta
-                spins_blk[jf] += delta
-                if jf + 1 < size:
-                    local[jf + 1:] += sub[jf, jf + 1:] * delta
-                j = jf + 1
-            if deltas is not None:
-                inputs += cols @ deltas
-
-        current = energy()
-        if current < best_energy:
-            best_energy = current
-            best_spins = spins.copy()
-        if record_energy:
-            traces[0, sweep] = current
-
-    program.retain(spins[:, None], inputs[:, None], fields)
-    return (
-        spins[:, None],
-        np.array([current]),
-        best_spins[:, None],
-        np.array([best_energy]),
-        traces,
-    )

@@ -17,23 +17,23 @@ what the surrounding algorithm reads out.
 
 The machine implements the :class:`repro.ising.backend.AnnealingBackend`
 protocol; :meth:`PBitMachine.anneal_many` is the canonical entry point.
-Every replica count — **including R = 1** — runs the lock-step
-speculative-block kernel of :mod:`repro.ising._lockstep`: the per-sweep
-noise is folded into per-update acceptance *thresholds* (one comparison per
-p-bit instead of a tanh per p-bit), within a block only the block-local
-couplings are corrected incrementally, and each block's accumulated flips
-hit the global input fields as a single BLAS matmul.  At R = 1 the
-threshold test ``I_i >= -atanh(u_i) / beta`` consumes the *same noise
-stream in the same order* as the historical per-spin python scan and is
-the exact algebraic rearrangement of eq. 10, so the trajectory is the
-same Gibbs chain — just computed by vectorized blocks instead of a python
-loop per spin.  ``kernel="serial"`` is the escape hatch back to that
-retired pure-python reference scan (useful for parity tests and as the
-ground-truth spelling of eq. 10).
+Every replica count — **including R = 1** — and the fleet
+(:mod:`repro.ising.fleet`) run one function, :func:`pbit_anneal`.  The
+per-sweep noise is drawn from the machine's own generator and folded into
+acceptance *thresholds*: ``sign(tanh(beta I_i) + u_i) = +1`` exactly when
+``I_i >= -atanh(u_i) / beta``, so each p-bit update is one comparison.  The
+sweep itself runs compiled (:mod:`repro.ising._native`: one C loop per
+chain, a rank-1 input update per flip) when the system compiler could
+build it, and as the numpy lock-step scan of :mod:`repro.ising._lockstep`
+otherwise.  Both consume the same noise stream in the same order and take
+the same decisions, so they compute the same chain; energies differ only
+by the rounding of the maintained inputs (none on integer weights).
+``kernel="serial"`` is the escape hatch back to the pure-python per-spin
+scan of eq. 10 (useful for parity tests and as its ground-truth spelling).
 
-The expensive coupling-only preparation (contiguous dtype cast + block
-decomposition) is built once per machine as an
-:class:`repro.ising._lockstep.AnnealProgram` and reused across
+The coupling-only preparation (contiguous dtype cast, plus the numpy
+scan's block decomposition when that scan runs) is built once per machine
+as an :class:`repro.ising._lockstep.AnnealProgram` and reused across
 ``set_fields`` calls — SAIM's K outer iterations reprogram fields into a
 standing program instead of paying the O(N^2) setup each time.
 
@@ -49,7 +49,8 @@ import math
 
 import numpy as np
 
-from repro.ising._lockstep import AnnealProgram, lockstep_anneal
+from repro.ising import _native
+from repro.ising._lockstep import AnnealProgram, lockstep_anneal, sweep_energies
 from repro.ising.backend import (
     AnnealResult,
     BatchAnnealResult,
@@ -60,7 +61,131 @@ from repro.ising.energy import ising_energy
 from repro.ising.model import IsingModel
 from repro.utils.rng import ensure_rng
 
-__all__ = ["AnnealResult", "PBitMachine"]
+__all__ = ["AnnealResult", "PBitMachine", "pbit_anneal"]
+
+#: Noise-chunk budget (doubles) of the compiled path: several sweeps'
+#: noise is drawn and turned into thresholds per numpy call.  A
+#: ``(sweeps, n, R)`` draw consumes the generator in exactly the per-sweep
+#: order, so chunking never changes the chain.
+_CHUNK_DOUBLES = 1 << 15
+
+
+def pbit_anneal(program: AnnealProgram, fields, offset: float, betas,
+                states, rng, record_energy: bool = False,
+                track_best: bool = True) -> BatchAnnealResult:
+    """Anneal ``R`` p-bit chains on ``program``'s coupling.
+
+    The one p-bit kernel entry, shared by :class:`PBitMachine` and the
+    fleet.  ``states`` are the ``(R, n)`` starting spins; the noise comes
+    from ``rng`` as one ``(n, R)`` table per sweep, in sweep order.  Runs
+    the compiled sweep when it loaded and the numpy lock-step scan
+    otherwise — the same chain either way.  The run's final spins and
+    inputs stay resident in ``program`` for a warm restart.
+
+    ``track_best=False`` skips the per-sweep energy accounting that only
+    feeds ``best_*`` and the traces: the chain is untouched, the last
+    energies are exactly the tracked ones, and ``best_*`` alias
+    ``last_*``.
+    """
+    betas = np.asarray(betas, dtype=float)
+    n = program.num_spins
+    fields = np.ascontiguousarray(fields, dtype=program.dtype)
+    if states.ndim != 2 or states.shape[1] != n or fields.shape != (n,):
+        raise ValueError(
+            f"states {states.shape} / fields {fields.shape} do not match "
+            f"a {n}-spin program"
+        )
+    if record_energy and not track_best:
+        raise ValueError(
+            "record_energy needs the per-sweep accounting; pass track_best=True"
+        )
+    sweeps = _native.sweep_library()
+    if sweeps is None:
+        spins, energies, best_spins, best_energies, traces = _numpy_anneal(
+            program, fields, offset, betas, states, rng, record_energy
+        )
+    else:
+        spins, energies, best_spins, best_energies, traces = _compiled_anneal(
+            sweeps[program.dtype], program, fields, offset, betas, states,
+            rng, record_energy, track_best,
+        )
+    if not track_best:
+        best_spins, best_energies = spins, energies
+    return BatchAnnealResult(
+        last_samples=spins,
+        last_energies=energies,
+        best_samples=best_spins,
+        best_energies=best_energies,
+        num_sweeps=betas.size,
+        energy_traces=traces,
+    )
+
+
+def _thresholds(noise, betas):
+    """Acceptance thresholds for ``(sweeps, n, R)`` noise, one beta per sweep.
+
+    ``sign(tanh(beta I) + u) == +1  <=>  I >= -atanh(u) / beta``; a sweep
+    with ``beta <= 0`` is pure noise (``+1`` exactly when ``u >= 0``).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        taus = np.arctanh(noise)
+        taus /= -betas[:, None, None]
+    noise_only = betas <= 0.0
+    if noise_only.any():
+        taus[noise_only] = np.where(noise[noise_only] >= 0.0, -np.inf, np.inf)
+    return taus
+
+
+def _compiled_anneal(sweep, program, fields, offset, betas, states, rng,
+                     record_energy, track_best):
+    """:func:`pbit_anneal` on the compiled sweep, replica-major ``(R, n)``."""
+    dtype = program.dtype
+    num_replicas, n = states.shape
+    num_sweeps = betas.size
+    # Initial inputs and energies exactly as the numpy scan computes them.
+    spins_nr = np.ascontiguousarray(states.T, dtype=dtype)
+    inputs_nr = program.initial_inputs(spins_nr, fields)
+    spins = np.ascontiguousarray(spins_nr.T)
+    inputs = np.ascontiguousarray(inputs_nr.T)
+    if track_best:
+        energies = sweep_energies(spins_nr, inputs_nr, fields, offset)
+    else:
+        energies = np.empty(num_replicas)
+    best_energies = energies.copy()
+    best_spins = spins.copy()
+    traces = np.empty((num_replicas, num_sweeps)) if record_energy else None
+    chunk = max(1, _CHUNK_DOUBLES // max(1, n * num_replicas))
+    for t0 in range(0, num_sweeps, chunk):
+        span = betas[t0:t0 + chunk]
+        noise = rng.uniform(-1.0, 1.0, size=(span.size, n, num_replicas))
+        # The compiled loop reads each chain's thresholds contiguously.
+        taus = np.ascontiguousarray(
+            _thresholds(noise, span).transpose(2, 0, 1), dtype=dtype
+        )
+        sweep(program.coupling, fields, offset, taus, spins, inputs,
+              energies, best_spins, best_energies, traces, t0, track_best)
+    program.retain(spins.T, inputs.T, fields)
+    return spins.copy(), energies, best_spins, best_energies, traces
+
+
+def _numpy_anneal(program, fields, offset, betas, states, rng,
+                  record_energy):
+    """:func:`pbit_anneal` on the numpy lock-step scan (the reference)."""
+    num_replicas, n = states.shape
+    one = program.dtype.type(1.0)
+
+    def thresholds_for(beta):
+        noise = rng.uniform(-1.0, 1.0, size=(1, n, num_replicas))
+        return _thresholds(noise, np.array([beta]))[0]
+
+    def decide(taus_rows, input_rows, spin_rows):
+        return np.where(input_rows >= taus_rows, one, -one) - spin_rows
+
+    spins, energies, best_spins, best_energies, traces = lockstep_anneal(
+        program.coupling, fields, offset, betas, states, thresholds_for,
+        decide, record_energy=record_energy, program=program,
+    )
+    return spins.T.copy(), energies, best_spins.T.copy(), best_energies, traces
 
 
 class PBitMachine:
@@ -80,9 +205,9 @@ class PBitMachine:
         ``"float32"``.  All energy read-outs are float64 regardless.
     kernel:
         ``"lockstep"`` (default) — every replica count, R = 1 included,
-        runs the prepared-program block kernel; ``"serial"`` — R = 1 falls
-        back to the retired pure-python per-spin reference scan (R > 1 is
-        always lock-step).
+        runs :func:`pbit_anneal` (compiled sweep, numpy scan fallback);
+        ``"serial"`` — R = 1 falls back to the pure-python per-spin
+        reference scan (R > 1 always runs :func:`pbit_anneal`).
     """
 
     KERNELS = ("lockstep", "serial")
@@ -95,10 +220,9 @@ class PBitMachine:
             )
         self._dtype = resolve_dtype(dtype)
         self._coupling = np.ascontiguousarray(model.coupling, dtype=self._dtype)
-        # Programmed lazily on first lock-step use, then kept for the
+        # Programmed lazily on first pbit_anneal run, then kept for the
         # machine's lifetime (the coupling never changes; SAIM only
-        # reprograms fields) — a kernel="serial" machine that never runs
-        # the block kernel skips the decomposition cost entirely.
+        # reprograms fields).
         self._program = None
         self._fields = np.asarray(model.fields, dtype=self._dtype).copy()
         self._offset = model.offset
@@ -123,8 +247,8 @@ class PBitMachine:
     @property
     def program(self) -> AnnealProgram:
         """The machine's standing :class:`AnnealProgram` (built on first
-        lock-step run; the cast coupling is shared, so the build cost is
-        the block decomposition only)."""
+        run; it shares the machine's cast coupling, and the numpy scan's
+        block decomposition is built only if that scan runs)."""
         if self._program is None:
             self._program = AnnealProgram(self._coupling, dtype=self._dtype)
         return self._program
@@ -139,7 +263,7 @@ class PBitMachine:
 
         The service-layer warm path: a long-lived worker keys programs by
         coupling content and hands a cached one to each fresh machine,
-        which skips the O(N^2) block decomposition entirely.  The program
+        which skips the O(N^2) coupling preparation.  The program
         must have been built from a bit-identical coupling at this
         machine's dtype — verified here, because a silently-wrong program
         would anneal the wrong Hamiltonian — and its solve-resident spin
@@ -204,9 +328,9 @@ class PBitMachine:
         record_energy:
             Store per-sweep energies in ``energy_traces`` (``(R, sweeps)``).
 
-        Every replica count runs the prepared-program lock-step kernel; a
-        machine built with ``kernel="serial"`` routes ``R = 1`` through the
-        retired pure-python reference scan instead (same chain, python
+        Every replica count runs :func:`pbit_anneal` on the machine's
+        program; a machine built with ``kernel="serial"`` routes ``R = 1``
+        through the pure-python reference scan instead (same chain, python
         per-spin loop).
         """
         betas = np.asarray(beta_schedule, dtype=float)
@@ -229,7 +353,10 @@ class PBitMachine:
         if num_replicas == 1 and self._kernel == "serial":
             run = self._anneal_serial(betas, states[0], record_energy)
             return batch_from_runs([run])
-        return self._anneal_vectorized(betas, states, record_energy)
+        return pbit_anneal(
+            self.program, self._fields, self._offset, betas, states,
+            self._rng, record_energy,
+        )
 
     def anneal(
         self,
@@ -295,48 +422,6 @@ class PBitMachine:
             best_energy=best_energy,
             num_sweeps=betas.size,
             energy_trace=trace,
-        )
-
-    def _anneal_vectorized(
-        self, betas: np.ndarray, states: np.ndarray, record_energy: bool
-    ) -> BatchAnnealResult:
-        """Lock-step replicas via the shared speculative-block kernel.
-
-        Exactly ``R`` independent sequential-Gibbs chains: every (sweep,
-        spin) step updates the same spin index in all replicas from each
-        replica's own state and noise.  The Gibbs rule
-        ``m_i = sign(tanh(beta I_i) + u)`` is applied as the equivalent
-        threshold test ``I_i >= -atanh(u) / beta``; the scan machinery
-        (speculative blocks, event-driven corrections, blocked field
-        updates) lives in :mod:`repro.ising._lockstep`.
-        """
-        rng = self._rng
-        num_replicas, n = states.shape
-        one = self._dtype.type(1.0)
-
-        def thresholds_for(beta):
-            noise = rng.uniform(-1.0, 1.0, size=(n, num_replicas))
-            if beta > 0.0:
-                # sign(tanh(beta I) + u) == +1  <=>  I >= -atanh(u) / beta
-                with np.errstate(divide="ignore"):
-                    return np.arctanh(noise) / (-beta)
-            return np.where(noise >= 0.0, -np.inf, np.inf)
-
-        def decide(taus_rows, input_rows, spin_rows):
-            return np.where(input_rows >= taus_rows, one, -one) - spin_rows
-
-        spins, energies, best_spins, best_energies, traces = lockstep_anneal(
-            self._coupling, self._fields, self._offset, betas, states,
-            thresholds_for, decide, record_energy=record_energy,
-            dtype=self._dtype, program=self.program,
-        )
-        return BatchAnnealResult(
-            last_samples=spins.T.copy(),
-            last_energies=energies,
-            best_samples=best_spins.T.copy(),
-            best_energies=best_energies,
-            num_sweeps=betas.size,
-            energy_traces=traces,
         )
 
     def sample_boltzmann(self, beta: float, num_sweeps: int, burn_in: int = 0,

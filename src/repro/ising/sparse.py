@@ -19,10 +19,9 @@ literature targets (and is exercised on max-cut in the tests).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
-from scipy import sparse as sp
 
 from repro.ising.backend import resolve_dtype
 # Coupling-graph density (off-diagonal nonzeros / possible off-diagonal
@@ -32,6 +31,10 @@ from repro.ising.backend import resolve_dtype
 # here because this module is where the auto-selection happens.
 from repro.planner.tunables import DENSE_STORAGE_DENSITY
 from repro.utils.rng import ensure_rng
+
+if TYPE_CHECKING:
+    import networkx as nx
+    from scipy import sparse as sp
 
 
 @dataclass
@@ -44,6 +47,8 @@ class SparseIsingModel:
     offset: float = 0.0
 
     def __post_init__(self):
+        from scipy import sparse as sp
+
         coupling = sp.csr_matrix(self.coupling)
         if coupling.shape[0] != coupling.shape[1]:
             raise ValueError(f"J must be square, got {coupling.shape}")
@@ -63,6 +68,8 @@ class SparseIsingModel:
     @classmethod
     def from_dense(cls, model) -> "SparseIsingModel":
         """Build from a dense :class:`IsingModel`."""
+        from scipy import sparse as sp
+
         return cls(sp.csr_matrix(model.coupling), model.fields.copy(), model.offset)
 
     @property
@@ -77,6 +84,8 @@ class SparseIsingModel:
 
     def to_graph(self) -> nx.Graph:
         """The coupling graph (one node per spin, edges where J != 0)."""
+        import networkx as nx
+
         rows, cols = self.coupling.nonzero()
         graph = nx.Graph()
         graph.add_nodes_from(range(self.num_spins))
@@ -100,6 +109,8 @@ def greedy_coloring(model: SparseIsingModel) -> list[np.ndarray]:
     Spins sharing a color have no coupling between them, so they can be
     Gibbs-updated in parallel without changing the stationary distribution.
     """
+    import networkx as nx
+
     graph = model.to_graph()
     coloring = nx.greedy_color(graph, strategy="largest_first")
     num_colors = max(coloring.values(), default=-1) + 1
@@ -356,6 +367,9 @@ def random_sparse_ising(
             f"num_spins * degree must be even for a regular graph, "
             f"got {num_spins} * {degree}"
         )
+    import networkx as nx
+    from scipy import sparse as sp
+
     rng = ensure_rng(rng)
     graph = nx.random_regular_graph(degree, num_spins, seed=int(rng.integers(2**31)))
     rows, cols, data = [], [], []

@@ -74,18 +74,23 @@ def _basis_row(n: int, r: int, terms: int) -> np.ndarray:
 
 
 def fit_weights(samples) -> list[float]:
-    """Least-squares weights from ``(n, r, terms, seconds_per_sweep)`` rows.
+    """Non-negative least-squares weights from ``(n, r, terms,
+    seconds_per_sweep)`` rows.
 
-    Rank-deficient sample sets (coarse bootstrap grids) take the
-    minimum-norm solution; predictions are floored at call time so a
-    sparse fit cannot return a non-positive time.
+    Every basis feature can only add cost, so no weight may be negative:
+    an unconstrained fit to noisy timings can give a config a negative
+    slope, and its extrapolated prediction would then sit at the floor and
+    beat every real config.  Predictions are still floored at call time,
+    so an all-zero fit cannot return a non-positive time.
     """
+    from scipy.optimize import nnls
+
     samples = list(samples)
     if not samples:
         raise ValueError("fit_weights needs at least one sample")
     matrix = np.stack([_basis_row(n, r, terms) for n, r, terms, _ in samples])
     target = np.array([float(seconds) for _, _, _, seconds in samples])
-    weights, *_ = np.linalg.lstsq(matrix, target, rcond=None)
+    weights, _ = nnls(matrix, target)
     return [float(w) for w in weights]
 
 

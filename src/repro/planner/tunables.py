@@ -18,11 +18,10 @@ from __future__ import annotations
 #: quarter of the couplings are nonzero.
 DENSE_STORAGE_DENSITY = 0.25
 
-#: ``solve_many(strategy="auto")`` only fuses fleets of small instances:
-#: the block-diagonal scan wins by amortising numpy dispatch overhead,
-#: which weighs less once the column matmuls grow.  The cap dates from a
-#: scan that measured break-even at N~200; the row-major scan wins there
-#: too (``benchmarks/bench_perf_fleet.py``), but no benchmark workload
+#: ``solve_many(strategy="auto")`` only fuses fleets of small instances.
+#: The cap dates from a fused numpy scan that measured break-even at
+#: N~200; fused fleets and the serial loop now run the same compiled
+#: kernel (``benchmarks/bench_perf_fleet.py``), and no benchmark workload
 #: sits above the cap to measure a new one.  A host perf model may replace
 #: the cap with its calibrated ``fused_max_variables`` tunable.
 AUTO_FUSED_MAX_VARIABLES = 128

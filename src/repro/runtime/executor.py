@@ -21,13 +21,12 @@ Execution strategies
 - ``"process"`` (default) — each job is an independent :func:`repro.solve`
   call, sharded across ``max_workers`` processes.  Works for every job.
 - ``"fused"`` — the whole batch becomes ONE :func:`repro.solve_fleet` call:
-  all instances anneal block-diagonally inside a single lock-step kernel,
-  which amortises the per-call numpy dispatch that dominates at small N.
-  Requires a *shareable* batch: every job SAIM on the p-bit backend with
+  one in-process fleet that anneals every instance with the p-bit kernel
+  once per SAIM iteration.  Requires a *shareable* batch: every job SAIM on the p-bit backend with
   the same config/replicas/aggregate (see :func:`fused_blockers`).  Results
   are bit-identical to ``"process"`` for the same per-job generators.
 - ``"auto"`` — ``"fused"`` when the batch is shareable and the instances
-  are small (where the fused scan wins), else ``"process"``.
+  are small, else ``"process"``.
 
 :func:`fleet_jobs` builds a batch whose per-job generators are the
 ``spawn_rngs`` children of one seed — exactly the streams the fused path
@@ -295,9 +294,8 @@ def fleet_jobs(problems, rng=None, tags=None, **shared) -> list:
 def fused_blockers(jobs) -> list:
     """Why this batch can NOT run under ``strategy="fused"`` (empty = can).
 
-    The fused path packs every job into one block-diagonal p-bit fleet
-    sharing a single kernel scan, so the jobs must agree on everything
-    that shapes that scan: the ``method`` must be ``'saim'`` on the
+    The fused path runs every job in one p-bit fleet under one SAIM
+    engine, so the jobs must agree on everything that shapes that run: the ``method`` must be ``'saim'`` on the
     ``backend`` ``None``/``'pbit'`` with ``restart='random'`` and no
     ``method_options``, and ``num_replicas``, ``aggregate``, ``config``,
     ``config_overrides``, and ``backend_options`` must match across the

@@ -2,14 +2,15 @@
 
 What the service actually sells is *residency*.  An in-process
 ``repro.solve`` pays two setup costs on every call: the O(N^2)
-``AnnealProgram`` build (contiguous cast + block decomposition of the
-coupling) and the cold ``lambda = 0`` multiplier ramp.  A pool worker
+``AnnealProgram`` build (contiguous cast of the coupling, plus the numpy
+scan's block decomposition when that fallback runs) and the cold
+``lambda = 0`` multiplier ramp.  A pool worker
 lives across requests and keeps both warm:
 
 - a :class:`ProgramCache` keyed by *coupling content* (shape, dtype,
   SHA-256 of the cast bytes) hands prepared ``AnnealProgram`` objects to
   each request's fresh machine via ``PBitMachine.adopt_program`` —
-  a repeat instance skips the decomposition entirely (``warm_hits``),
+  a repeat instance skips the build entirely (``warm_hits``),
   a new instance pays it once (``cold_starts``);
 - per-solver :class:`repro.runtime.SolverSession` objects cache final
   multipliers per problem fingerprint, so a request that opts in with
@@ -19,7 +20,7 @@ lives across requests and keeps both warm:
 Bit-identity contract: by default (``warm_start=false``) a service solve
 is **bit-identical** to ``repro.solve`` on the same seed.  The program
 cache preserves this because adoption drops the program's solve-resident
-spin state (:meth:`AnnealProgram.release_residency`) — the decomposition
+spin state (:meth:`AnnealProgram.release_residency`) — the preparation
 is deterministic in the coupling, so a cached program is
 indistinguishable from a freshly built one.  ``warm_start=true`` is the
 explicit opt-out: it changes the multiplier trajectory on purpose.
@@ -414,6 +415,9 @@ class JobHandle:
     def _complete(self, worker_id: int, response: dict) -> None:
         self.worker_id = worker_id
         self.response = response
+        # Finished handles stay listed (up to ``completed_cap``); only the
+        # worker reads the request, so a done job drops it.
+        self.payload = None
         self.finished_at = time.perf_counter()
         self._done.set()
 

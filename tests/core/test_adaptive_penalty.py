@@ -11,7 +11,7 @@ from repro.core.adaptive_penalty import (
 from repro.core.engine import SaimEngine
 from repro.core.saim import SaimConfig
 from repro.problems.generators import generate_mkp, generate_qkp
-from tests.helpers import tiny_knapsack_problem
+from tests.helpers import sweep_kernel, tiny_knapsack_problem
 
 BASE = SaimConfig(num_iterations=60, mcs_per_run=120,
                   eta=5.0, eta_decay="sqrt", normalize_step=True)
@@ -133,7 +133,12 @@ class TestEscalationGolden:
             0.9636376321378258, 0.5266379355730825,
         ]
         assert float(result.trace.sample_costs.sum()) == -270234.0
-        assert float(result.trace.energies.sum()) == -222.01687251088669
+        # Energies round with the kernel's maintained inputs (samples,
+        # costs and multipliers do not): pinned exactly per kernel.
+        assert float(result.trace.energies.sum()) == {
+            "compiled": -222.01687251088663,
+            "numpy": -222.01687251088669,
+        }[sweep_kernel()]
         assert float(result.trace.lambdas.sum()) == 204.6726255840735
         assert result.trace.feasible.astype(int).tolist() == [
             0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1,

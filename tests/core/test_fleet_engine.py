@@ -60,6 +60,7 @@ def assert_reports_equal(fleet_report, solo_report):
     )
 
 
+@pytest.mark.usefixtures("kernel")
 class TestSolveFleetEquivalence:
     @pytest.mark.parametrize("num_replicas, aggregate", [
         pytest.param(1, "best", id="1"),

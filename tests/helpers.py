@@ -65,3 +65,22 @@ def tiny_knapsack_problem() -> ConstrainedProblem:
         ),
         name="tiny-knap",
     )
+
+
+def integer_ising(n: int, rng=None) -> IsingModel:
+    """Random Ising model with small integer coefficients.
+
+    Every partial sum of its inputs and energies is exact in float32 and
+    float64, whatever the summation order.
+    """
+    rng = ensure_rng(rng)
+    upper = np.triu(rng.integers(-3, 4, size=(n, n)).astype(float), k=1)
+    fields = rng.integers(-3, 4, size=n).astype(float)
+    return IsingModel(upper + upper.T, fields, offset=float(rng.integers(-3, 4)))
+
+
+def sweep_kernel() -> str:
+    """The p-bit sweep kernel this process runs: "compiled" or "numpy"."""
+    from repro.ising import _native
+
+    return "numpy" if _native.sweep_library() is None else "compiled"

@@ -49,3 +49,26 @@ class TestModuleDocstrings:
     def test_cli_importable(self):
         cli = importlib.import_module("repro.cli")
         assert callable(cli.main)
+
+
+def test_import_loads_no_scipy_or_networkx():
+    """scipy and networkx are imported by the functions that use them, so
+    ``import repro`` stays light (a fresh interpreter, so nothing loaded
+    by other tests counts)."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = (
+        "import sys\n"
+        "import repro, repro.baselines, repro.ising, repro.problems\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules}"
+        " & {'scipy', 'networkx'}))\n"
+    )
+    src = Path(__file__).resolve().parents[2] / "src"
+    completed = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, timeout=120,
+        env={"PYTHONPATH": str(src), "PATH": ""},
+    )
+    assert completed.stdout.strip() == "[]"

@@ -1,6 +1,6 @@
-"""Fused block-diagonal fleet annealing: packer, kernel, no-crosstalk.
+"""Fleet annealing: program, per-instance kernel, no-crosstalk.
 
-The headline contract (``repro.ising.fleet``): instance ``b`` of a fused
+The headline contract (``repro.ising.fleet``): instance ``b`` of a
 fleet anneal is *bit-identical* to a standalone :class:`PBitMachine` run on
 the same spawned stream — samples, energies and traces, at every dtype and
 replica count, whatever subset of the fleet is active.  The cross-backend
@@ -21,11 +21,10 @@ from repro.ising.pbit import PBitMachine
 from repro.utils.rng import spawn_rngs
 from tests.helpers import random_ising
 
-# Ragged on purpose: exercises multi-block instances (n > 32), a full
-# 32-aligned instance, and tiny tails inside one padded block.
+# Ragged on purpose: multi-block instances (n > 32) for the numpy scan, a
+# full 32-aligned instance, and tiny tails inside one block.
 SIZES = (11, 40, 17, 33, 5)
-# Repeated sizes: the scan's global update runs one stacked matmul per
-# group of equal-shape instances, so groups need more than one member.
+# Repeated sizes: instances of equal shape must stay independent.
 REPEATED_SIZES = (40, 40, 17, 40, 17, 5)
 DTYPES = ("float64", "float32")
 
@@ -70,49 +69,6 @@ def assert_batches_equal(actual, expected, traces=False):
 
 
 class TestFleetProgram:
-    def test_padding_is_block_aligned(self):
-        program = FleetProgram([m.coupling for m in fleet_models()])
-        assert program.padded_spins == 64  # max(SIZES)=40 -> 2 blocks of 32
-        assert program.max_spins == 40
-        assert list(program.sizes) == list(SIZES)
-
-    def test_sub_stacks_shapes(self):
-        program = FleetProgram([m.coupling for m in fleet_models()])
-        assert len(program.sub_stacks) == 2
-        for stack in program.sub_stacks:
-            assert stack.shape == (len(SIZES), 32, 32)
-
-    def test_block_width(self):
-        program = FleetProgram([m.coupling for m in fleet_models()])
-        assert program.block_width(1, 0) == 32   # n=40: full first block
-        assert program.block_width(1, 32) == 8   # ...8-row tail
-        assert program.block_width(4, 0) == 5    # n=5 fits the first block
-        assert program.block_width(4, 32) == 0   # ...and owns no tail rows
-
-    def test_scan_stacks_group_equal_shapes(self):
-        models = fleet_models(REPEATED_SIZES)
-        program = FleetProgram([m.coupling for m in models])
-        sub_rows, col_groups = program.scan_stacks_for((0, 1, 2, 3, 4, 5))
-        assert [s.shape for s in sub_rows] == [(32, 32, 6, 1)] * 2
-        np.testing.assert_array_equal(
-            sub_rows[1][:, :, 3, 0], program.sub_stacks[1][3]
-        )
-        groups = [
-            [(list(members), cols.shape) for members, cols in block]
-            for block in col_groups
-        ]
-        assert groups == [
-            [([0, 1, 3], (3, 40, 32)), ([2, 4], (2, 17, 17)),
-             ([5], (1, 5, 5))],
-            [([0, 1, 3], (3, 40, 8))],   # n=17 and n=5 own no rows here
-        ]
-        # An active subset regroups by position in the subset.
-        _, col_groups = program.scan_stacks_for((1, 4, 3))
-        assert [list(members) for members, _ in col_groups[0]] == [[0, 2], [1]]
-        np.testing.assert_array_equal(
-            col_groups[0][0][1][1], program.programs[3].col_blocks[0]
-        )
-
     def test_empty_fleet_rejected(self):
         with pytest.raises(ValueError, match="at least one instance"):
             FleetProgram([])
@@ -169,6 +125,7 @@ class TestFleetMachineValidation:
             result.instance(1)
 
 
+@pytest.mark.usefixtures("kernel")
 class TestFleetBitIdentity:
     """Fused per-instance chains == standalone machines, bit for bit."""
 
@@ -193,7 +150,7 @@ class TestFleetBitIdentity:
 
     @pytest.mark.parametrize(
         "sizes, active",
-        # The repeated fleet's subset splits both multi-member groups.
+        # The repeated fleet's subset splits equal-shape instances.
         [(SIZES, [1, 3]), (REPEATED_SIZES, [1, 3, 4])],
         ids=["ragged", "repeated"],
     )

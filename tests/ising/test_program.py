@@ -1,15 +1,16 @@
-"""Tests for the program/run split of the lock-step kernel.
+"""Tests for the program/run split of the p-bit kernels.
 
 Three guarantees of the solve-resident annealing design:
 
-- **programming happens once** — the O(N^2) coupling preparation (cast +
-  ``col_blocks``/``sub_blocks`` decomposition) is built exactly once per
-  machine, however many ``set_fields`` + ``anneal_many`` cycles follow;
-- **R = 1 runs the lock-step kernel** — the default p-bit path is the
-  block kernel in threshold form, consuming the same noise stream in the
-  same order as the retired pure-python scan (``kernel="serial"``), so the
-  two produce the *same samples* (parity is asserted bit-for-bit on the
-  spins; energies agree to accumulation rounding);
+- **programming happens once** — the O(N^2) coupling preparation (cast,
+  plus the numpy scan's ``col_blocks``/``sub_blocks`` decomposition) is
+  built exactly once per machine, however many ``set_fields`` +
+  ``anneal_many`` cycles follow;
+- **R = 1 runs the threshold-form kernel** — the default p-bit path, on
+  either sweep kernel, consumes the same noise stream in the same order as
+  the pure-python scan (``kernel="serial"``), so the two produce the *same
+  samples* (parity is asserted bit-for-bit on the spins; energies agree to
+  accumulation rounding);
 - **warm restarts are solve-resident** — a run starting from the previous
   run's final spins reuses the cached ``J @ s`` instead of recomputing the
   start-of-run matmul, and produces the same annealing results as a cold
@@ -143,7 +144,7 @@ class TestSerialKernelParity:
     """R=1 via lock-step == the retired pure-python scan (same samples)."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_pbit_trajectory_parity(self, seed):
+    def test_pbit_trajectory_parity(self, seed, kernel):
         model = random_ising(50, rng=seed)
         schedule = linear_beta_schedule(4.0, 100)
         fast = PBitMachine(model, rng=seed).anneal(

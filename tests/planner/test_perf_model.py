@@ -56,6 +56,22 @@ class TestFitAndPredict:
             "pbit:lockstep:float64", n=96, r=8, terms=400)
         assert predicted == pytest.approx(seconds(96, 8, 400), rel=1e-6)
 
+    def test_fit_weights_are_non_negative(self):
+        """Noisy timings whose least-squares slope in ``n`` is negative:
+        the fit must not extrapolate to the prediction floor at a larger
+        size (a floored config would beat every real one)."""
+        rows = [(n, 1, n, seconds) for n, seconds in
+                ((10, 3.0e-4), (20, 1.0e-4), (40, 1.2e-4), (80, 0.5e-4))]
+        matrix = np.array([[1.0, n, n, n, n] for n, *_ in rows])
+        target = np.array([row[3] for row in rows])
+        least_squares, *_ = np.linalg.lstsq(matrix, target, rcond=None)
+        assert least_squares[1:].sum() < 0  # the unconstrained slope
+        weights = fit_weights(rows)
+        assert min(weights) >= 0.0
+        model = PerfModel({"pbit:lockstep:float64": weights})
+        assert model.predict_sweep_seconds(
+            "pbit:lockstep:float64", n=1000, r=1, terms=1000) > 1e-6
+
     def test_fit_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one sample"):
             fit_weights([])

@@ -174,6 +174,17 @@ class TestServicePool:
         assert handle.status == "done"
         assert handle.report() == repro.solve(instance, rng=7, **FAST)
 
+    def test_finished_job_releases_its_request(self):
+        """Finished handles stay listed, so they must not keep the decoded
+        request alive; status and report still work."""
+        instance = generate_qkp(16, 0.5, rng=5)
+        with ServicePool(num_workers=1) as pool:
+            handle = pool.solve_payload(wire_job(instance, 7), timeout=60)
+            assert pool.handle(handle.id) is handle
+        assert handle.payload is None
+        assert handle.status == "done"
+        assert handle.report() == repro.solve(instance, rng=7, **FAST)
+
     def test_process_mode_bit_identical(self):
         instance = generate_qkp(16, 0.5, rng=5)
         with ServicePool(num_workers=1, mode="process") as pool:
