@@ -15,7 +15,7 @@ import numpy as np
 from repro.analysis.experiments import current_scale, qkp_saim_config
 from repro.analysis.tables import format_percent, render_table
 from repro.baselines.exact_qkp import reference_qkp_optimum
-from repro.core.saim import SelfAdaptiveIsingMachine
+from repro.core.engine import SaimEngine
 from repro.problems.generators import paper_qkp_instance
 
 from _common import archive, run_once
@@ -36,7 +36,7 @@ def test_ablation_schedule(benchmark):
         reference = reference_qkp_optimum(instance, rng=0)
         raw = {}
         for label, config in variants.items():
-            result = SelfAdaptiveIsingMachine(config).solve(
+            result = SaimEngine(config).solve(
                 instance.to_problem(), rng=11
             )
             if result.found_feasible:

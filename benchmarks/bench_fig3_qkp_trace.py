@@ -13,7 +13,7 @@ import numpy as np
 from repro.analysis.experiments import current_scale, qkp_saim_config
 from repro.analysis.figures import FigureSeries, ascii_plot, write_csv
 from repro.baselines.exact_qkp import reference_qkp_optimum
-from repro.core.saim import SelfAdaptiveIsingMachine
+from repro.core.engine import SaimEngine
 from repro.problems.generators import paper_qkp_instance
 
 from _common import OUTPUT_DIR, archive, run_once
@@ -28,7 +28,7 @@ def test_fig3_qkp_trace(benchmark):
     config = replace(qkp_saim_config(scale), eta_decay="sqrt")
 
     def experiment():
-        result = SelfAdaptiveIsingMachine(config).solve(
+        result = SaimEngine(config).solve(
             instance.to_problem(), rng=38
         )
         reference = reference_qkp_optimum(instance, rng=0)

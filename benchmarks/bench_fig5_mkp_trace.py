@@ -11,7 +11,7 @@ import numpy as np
 from repro.analysis.experiments import current_scale, mkp_saim_config
 from repro.analysis.figures import FigureSeries, ascii_plot, write_csv
 from repro.baselines.milp import solve_mkp_exact
-from repro.core.saim import SelfAdaptiveIsingMachine
+from repro.core.engine import SaimEngine
 from repro.problems.generators import paper_mkp_instance
 
 from _common import OUTPUT_DIR, archive, run_once
@@ -24,7 +24,7 @@ def test_fig5_mkp_trace(benchmark):
 
     def experiment():
         exact = solve_mkp_exact(instance)
-        result = SelfAdaptiveIsingMachine(config).solve(
+        result = SaimEngine(config).solve(
             instance.to_problem(), rng=58
         )
         return result, exact

@@ -12,7 +12,7 @@ Run:  python examples/conflict_free_scheduling.py
 
 import numpy as np
 
-from repro import SaimConfig, SelfAdaptiveIsingMachine
+from repro import SaimConfig, solve
 from repro.problems.mis import random_mis
 
 
@@ -33,7 +33,7 @@ def main():
         num_iterations=250, mcs_per_run=400,
         eta=1.0, eta_decay="sqrt", normalize_step=True, alpha=2.0,
     )
-    result = SelfAdaptiveIsingMachine(config).solve(instance.to_problem(), rng=3)
+    result = solve(instance, config=config, rng=3)
 
     if not result.found_feasible:
         print("SAIM found no conflict-free subset - increase the budget")

@@ -56,7 +56,6 @@ Usage::
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, fields, replace
 
 from repro.core.report import SolveReport, coerce_report
@@ -531,30 +530,10 @@ def _chromatic_builder(dtype: str | None = None, storage: str | None = None):
     return factory
 
 
-def _pt_builder(num_chains: int | None = None, beta_min: float = 0.1,
-                read_out: str = "cold", num_replicas: int | None = None,
-                dtype: str | None = None):
+def _pt_builder(num_chains: int = 8, beta_min: float = 0.1,
+                read_out: str = "cold", dtype: str | None = None):
     # `num_chains` is the number of parallel-tempering chains inside ONE
-    # machine; the historical builder knob `num_replicas` collided in
-    # meaning with the engine-level replica batch (independent annealing
-    # runs per SAIM iteration) and survives only as a deprecated alias.
-    if num_replicas is not None:
-        warnings.warn(
-            "backend_options={'num_replicas': ...} for the 'pt' backend is "
-            "deprecated; the knob is the per-machine chain count - use "
-            "'num_chains' (engine-level replicas stay the num_replicas "
-            "argument of repro.solve)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if num_chains is not None and num_chains != num_replicas:
-            raise ValueError(
-                f"conflicting pt chain counts: num_chains={num_chains} vs "
-                f"deprecated num_replicas={num_replicas}; pass num_chains only"
-            )
-        num_chains = num_replicas
-    if num_chains is None:
-        num_chains = 8
+    # machine, not the engine-level replica batch (`num_replicas`).
     if num_chains < 1:
         raise ValueError(f"num_chains must be >= 1, got {num_chains}")
     from repro.ising.pt_machine import PTMachine

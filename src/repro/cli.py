@@ -4,7 +4,7 @@ Usage (after ``pip install -e .`` / ``python setup.py develop``)::
 
     python -m repro.cli info
     python -m repro.cli generate-qkp out.qkp --items 50 --density 0.5 --seed 1
-    python -m repro.cli solve out.qkp --method saim --iterations 150
+    python -m repro.cli solve out.qkp --iterations 150
     python -m repro.cli solve out.qkp --replicas 8 --backend quantized
     python -m repro.cli solve out.qkp --replicas 128 --dtype float32
     python -m repro.cli solve out.qkp --method greedy
@@ -23,14 +23,24 @@ that decision without solving.  ``export-qubo`` writes the penalized
 slack-encoded QUBO in qbsolv format, and ``solve``/``plan`` accept
 ``.qubo`` files back as unconstrained quadratic instances.
 
-``--method`` accepts any registered front-door method (``repro info``
-lists them with one-line descriptions) and always prints the uniform
-:class:`repro.core.report.SolveReport` digest; backend knobs
+``--method`` (default ``saim``) accepts any registered front-door method
+(``repro info`` lists them with one-line descriptions) and always prints
+the uniform :class:`repro.core.report.SolveReport` digest; backend knobs
 (``--backend`` / ``--replicas``) apply to annealing methods only.  The
-older ``--solver`` spellings (``saim-pt``, ``parallel-saim``, ``exact``,
-the tuned ``penalty``) are still accepted.  ``sweep`` runs the method ×
-backend × replica grid through the sharded :func:`repro.solve_many`
-executor and prints one comparison table.
+spellings of the retired solver-selection flag map onto it as follows:
+
+- ``saim-pt`` -> ``--backend pt``;
+- ``parallel-saim`` -> ``--replicas 4``, which no longer divides
+  ``--iterations``;
+- ``exact`` -> ``--method milp`` for MKP, or ``--method exhaustive`` for
+  QKP up to 24 items;
+- ``greedy`` / ``ga`` -> ``--method greedy`` / ``--method ga``;
+- ``penalty`` -> ``--method penalty``, which anneals at one fixed ``P``
+  (the escalation loop :func:`repro.core.penalty.tune_penalty` remains a
+  library function).
+
+``sweep`` runs the method × backend × replica grid through the sharded
+:func:`repro.solve_many` executor and prints one comparison table.
 
 Formats are auto-detected from the extension (``.qkp`` / ``.mkp``, or
 ``.json`` for any family with a registered wire codec — e.g. the
@@ -97,16 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve an instance file")
     solve.add_argument("path", type=Path)
     solve.add_argument(
-        "--method", default=None,
-        help="registered front-door method (see `repro info`); mutually "
-             "exclusive with --solver",
-    )
-    solve.add_argument(
-        "--solver",
-        choices=("saim", "saim-pt", "parallel-saim", "penalty", "greedy",
-                 "exact", "ga"),
-        default=None,
-        help="legacy solver spellings (default: saim)",
+        "--method", default="saim",
+        help="registered front-door method (see `repro info`; default saim)",
     )
     solve.add_argument(
         "--backend", default=None,
@@ -115,9 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--replicas", type=int, default=None,
         help="annealing replicas per SAIM iteration, run at the full "
-             "--iterations count (default 1; --solver parallel-saim "
-             "defaults to 4 and divides --iterations by the replica "
-             "count to keep the total MCS budget matched)",
+             "--iterations count (default 1)",
     )
     solve.add_argument(
         "--dtype", choices=("float64", "float32"), default=None,
@@ -256,39 +256,39 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_instance(path: Path):
+    """Read an instance file; an unreadable one exits with one clean line."""
     import json
 
     from repro.problems.io import problem_from_json, read_mkp, read_qkp
 
     suffix = path.suffix.lower()
-    if suffix == ".qkp":
-        return read_qkp(path), "qkp"
-    if suffix == ".mkp":
-        instance, _ = read_mkp(path)
-        return instance, "mkp"
-    if suffix == ".qubo":
-        from repro.core.problem import ConstrainedProblem
-        from repro.ising.qubo_io import read_qubo
+    try:
+        if suffix == ".qkp":
+            return read_qkp(path), "qkp"
+        if suffix == ".mkp":
+            instance, _ = read_mkp(path)
+            return instance, "mkp"
+        if suffix == ".qubo":
+            from repro.core.problem import ConstrainedProblem
+            from repro.ising.qubo_io import read_qubo
 
-        try:
             model = read_qubo(path)
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from None
-        # An external QUBO is an unconstrained quadratic minimization;
-        # read_qubo already delivers the symmetric zero-diagonal layout
-        # ConstrainedProblem requires.
-        problem = ConstrainedProblem(
-            model.quadratic, model.linear, model.offset, name=path.stem
-        )
-        return problem, "qubo"
-    if suffix == ".json":
-        payload = json.loads(path.read_text())
-        if not isinstance(payload, dict) or "kind" not in payload:
-            raise SystemExit(f"{path} is not a problem JSON (missing 'kind' tag)")
-        try:
-            return problem_from_json(payload), str(payload["kind"])
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from None
+            # An external QUBO is an unconstrained quadratic minimization;
+            # read_qubo already delivers the symmetric zero-diagonal layout
+            # ConstrainedProblem requires.
+            problem = ConstrainedProblem(
+                model.quadratic, model.linear, model.offset, name=path.stem
+            )
+            return problem, "qubo"
+        if suffix == ".json":
+            payload = json.loads(path.read_text())
+            try:
+                return problem_from_json(payload), str(payload["kind"])
+            except (KeyError, TypeError) as exc:
+                # A known kind with missing or mistyped fields.
+                raise ValueError(f"bad {payload['kind']!r} payload: {exc!r}") from None
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"cannot load {path}: {exc}") from None
     raise SystemExit(
         f"unknown instance format {suffix!r} (use .qkp, .mkp, .qubo, or .json)"
     )
@@ -439,10 +439,13 @@ def _sweep(args) -> int:
     return 0
 
 
-def _solve_method(args, instance, kind) -> int:
-    """The uniform --method path: any registered method, one report shape."""
+def _solve(args) -> int:
+    """Solve an instance file with any registered method; one report shape."""
     import repro
 
+    instance, kind = _load_instance(args.path)
+    print(f"Loaded {kind.upper()} instance {instance.name!r} "
+          f"({_describe_instance(instance)})")
     method = args.method
     if method not in repro.available_methods():
         raise SystemExit(
@@ -542,167 +545,6 @@ def _solve_method(args, instance, kind) -> int:
     else:
         print("no feasible sample found - the instance has no feasible "
               "assignment for this method")
-    return 1
-
-
-def _solve(args) -> int:
-    if args.method is not None and args.solver is not None:
-        raise SystemExit("--method and --solver are mutually exclusive")
-
-    instance, kind = _load_instance(args.path)
-    print(f"Loaded {kind.upper()} instance {instance.name!r} "
-          f"({_describe_instance(instance)})")
-
-    if args.method is not None:
-        return _solve_method(args, instance, kind)
-    if args.model_path is not None:
-        raise SystemExit("--model-path applies to --method auto only")
-    if args.solver is None:
-        args.solver = "saim"
-    if kind not in ("qkp", "mkp") and args.solver in ("greedy", "exact", "ga",
-                                                     "penalty"):
-        raise SystemExit(
-            f"--solver {args.solver} supports .qkp/.mkp instances only; "
-            f"use --method for {kind} instances"
-        )
-    if args.iterations is None:
-        args.iterations = 150
-    if args.mcs is None:
-        args.mcs = 400
-    if args.dtype is not None and args.solver in ("greedy", "exact", "ga",
-                                                  "penalty"):
-        raise SystemExit(
-            f"--dtype selects an annealing-machine precision; "
-            f"--solver {args.solver} does not take it"
-        )
-    if args.restart is not None and args.solver in ("greedy", "exact", "ga",
-                                                    "penalty"):
-        raise SystemExit(
-            f"--restart selects a SAIM annealing restart policy; "
-            f"--solver {args.solver} does not take it"
-        )
-
-    if args.solver == "greedy":
-        from repro.baselines.greedy import (
-            greedy_mkp,
-            greedy_qkp,
-            local_improve_mkp,
-            local_improve_qkp,
-        )
-
-        if kind == "qkp":
-            x = local_improve_qkp(instance, greedy_qkp(instance))
-        else:
-            x = local_improve_mkp(instance, greedy_mkp(instance))
-        print(f"greedy profit: {instance.profit(x):.0f}")
-        return 0
-
-    if args.solver == "exact":
-        if kind != "mkp":
-            from repro.baselines.exact_qkp import exact_qkp_bruteforce
-
-            if instance.num_items > 24:
-                raise SystemExit("exact QKP limited to 24 items; use --solver saim")
-            _, profit = exact_qkp_bruteforce(instance)
-            print(f"exact optimum profit: {profit:.0f}")
-            return 0
-        from repro.baselines.milp import solve_mkp_exact
-
-        result = solve_mkp_exact(instance)
-        print(f"exact optimum profit: {result.profit:.0f} "
-              f"({result.solve_seconds:.2f}s)")
-        return 0
-
-    if args.solver == "ga":
-        if kind != "mkp":
-            raise SystemExit("the GA baseline is defined for MKP instances")
-        from repro.baselines.ga import GaConfig, chu_beasley_ga
-
-        result = chu_beasley_ga(
-            instance,
-            GaConfig(population_size=50, num_children=20 * args.iterations),
-            rng=args.seed,
-        )
-        print(f"GA best profit: {result.best_profit:.0f}")
-        return 0
-
-    if args.solver == "penalty":
-        from repro.core.encoding import encode_with_slacks
-        from repro.core.penalty import tune_penalty
-
-        encoded = encode_with_slacks(instance.to_problem())
-        tuned = tune_penalty(
-            encoded, num_runs=args.iterations, mcs_per_run=args.mcs, rng=args.seed
-        )
-        result = tuned.result
-        print(f"tuned penalty P = {tuned.tuned_penalty:.1f}, "
-              f"feasible {100 * result.feasible_ratio:.0f}%")
-        if result.best_x is not None:
-            print(f"best profit: {-result.best_cost:.0f}")
-        else:
-            print("no feasible sample found")
-        return 0
-
-    # SAIM variants — all routed through the repro.solve front door.
-    import repro
-    from dataclasses import replace
-
-    config = _scaled_config(kind, args.iterations, args.mcs)
-    if args.dtype is not None:
-        config = replace(config, dtype=args.dtype)
-
-    if args.backend is not None:
-        backend = args.backend
-    elif args.solver == "saim-pt":
-        backend = "pt"
-    elif hasattr(instance, "clauses"):
-        # Polynomial-objective families need the higher-order machine.
-        backend = "higher_order"
-    else:
-        backend = "pbit"
-    if backend not in repro.available_backends():
-        raise SystemExit(
-            f"unknown backend {backend!r}; choose from "
-            f"{', '.join(repro.available_backends())}"
-        )
-    replicas = args.replicas
-    if replicas is None:
-        replicas = 4 if args.solver == "parallel-saim" else 1
-    if replicas < 1:
-        raise SystemExit(f"--replicas must be >= 1, got {replicas}")
-    if args.solver == "parallel-saim" and replicas > 1:
-        # Legacy matched-budget convention for this solver: replicas buy
-        # down the iteration count so the total MCS stays comparable.
-        config = replace(
-            config, num_iterations=max(2, config.num_iterations // replicas)
-        )
-
-    try:
-        result = repro.solve(
-            instance,
-            method="saim",
-            backend=backend,
-            config=config,
-            num_replicas=replicas,
-            restart=args.restart if args.restart is not None else "random",
-            rng=args.seed,
-        )
-    except ValueError as exc:
-        # e.g. a quadratic-only backend asked to solve a polynomial family.
-        raise SystemExit(str(exc)) from None
-    print(f"SAIM penalty P = {result.penalty:.2f}, "
-          f"feasible {100 * result.feasible_ratio:.0f}% "
-          f"({result.total_mcs} MCS total)")
-    if result.found_feasible:
-        if hasattr(instance, "count_satisfied"):
-            satisfied = instance.count_satisfied(result.best_x)
-            print(f"satisfied clauses: {satisfied}/{instance.num_clauses}")
-        else:
-            print(f"best profit: {-result.best_cost:.0f}")
-        selected = [int(i) for i in np.nonzero(result.best_x)[0]]
-        print(f"selected items: {selected}")
-        return 0
-    print("no feasible sample found - increase --iterations")
     return 1
 
 

@@ -10,8 +10,8 @@ Pipeline (Fig. 1 of the paper):
    ``E = f + P ||g||^2`` as a QUBO (and the tuning-loop baseline).
 4. :mod:`~repro.core.lagrangian` — adds the relaxation ``L = E + lambda^T g``
    with cheap field-only updates when ``lambda`` moves.
-5. :class:`~repro.core.saim.SelfAdaptiveIsingMachine` — Algorithm 1:
-   alternate Ising-machine minimization with subgradient multiplier ascent.
+5. :class:`~repro.core.engine.SaimEngine` — Algorithm 1: alternate
+   Ising-machine minimization with subgradient multiplier ascent.
 """
 
 from repro.core.problem import ConstrainedProblem, LinearConstraints
@@ -30,7 +30,7 @@ from repro.core.schedule import (
     geometric_beta_schedule,
     constant_beta_schedule,
 )
-from repro.core.saim import SelfAdaptiveIsingMachine, SaimConfig, SaimResult
+from repro.core.saim import SaimConfig, SaimResult
 from repro.core.engine import SaimEngine
 from repro.core.fleet_engine import FleetEngine
 from repro.core.report import SolveReport, coerce_report
@@ -82,7 +82,6 @@ __all__ = [
     "linear_beta_schedule",
     "geometric_beta_schedule",
     "constant_beta_schedule",
-    "SelfAdaptiveIsingMachine",
     "SaimEngine",
     "FleetEngine",
     "SaimConfig",

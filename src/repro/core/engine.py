@@ -21,8 +21,7 @@ Three solvers run it and own only the machines around it:
 - :class:`SaimEngine` builds one machine and makes one batched
   ``anneal_many`` call per iteration, optionally warm-restarted.  With
   ``num_replicas=1`` it reproduces the paper's serial Algorithm 1
-  bit-for-bit (:class:`repro.core.saim.SelfAdaptiveIsingMachine` is a thin
-  shim over it).
+  bit-for-bit.
 - :class:`repro.core.fleet_engine.FleetEngine` advances ``B`` runs through
   one fused fleet kernel call per iteration.
 - :class:`repro.core.adaptive_penalty.AdaptivePenaltySaim` escalates its

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.validation import check_binary_vector
+from repro.utils.validation import check_binary_vector, check_finite
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,8 @@ class LinearConstraints:
             raise ValueError(
                 f"constraint count mismatch: A has {a.shape[0]} rows, b has {b.size}"
             )
+        check_finite(a, "coefficients")
+        check_finite(b, "bounds")
         object.__setattr__(self, "coefficients", a)
         object.__setattr__(self, "bounds", b)
 
@@ -90,6 +92,9 @@ class ConstrainedProblem:
             raise ValueError(f"Q must be square, got shape {quad.shape}")
         if lin.ndim != 1 or lin.size != quad.shape[0]:
             raise ValueError(f"c must have length {quad.shape[0]}, got {lin.shape}")
+        check_finite(quad, "quadratic")
+        check_finite(lin, "linear")
+        check_finite(float(self.offset), "offset")
         if not np.allclose(quad, quad.T):
             raise ValueError("Q must be symmetric")
         if np.any(np.diag(quad) != 0):

@@ -28,7 +28,7 @@ from repro.ising.energy import (
     qubo_energies,
 )
 from repro.ising.pbit import PBitMachine, AnnealResult
-from repro.ising.sa import simulated_annealing, SAResult, MetropolisMachine
+from repro.ising.sa import simulated_annealing, MetropolisMachine
 from repro.ising.parallel_tempering import parallel_tempering
 from repro.ising.exhaustive import brute_force_ground_state, enumerate_energies
 from repro.ising.quantization import (
@@ -81,7 +81,6 @@ __all__ = [
     "PBitMachine",
     "AnnealResult",
     "simulated_annealing",
-    "SAResult",
     "MetropolisMachine",
     "parallel_tempering",
     "brute_force_ground_state",

@@ -380,10 +380,6 @@ class PBitMachine:
             beta_schedule, 1, initial=initial, record_energy=record_energy
         ).per_run(0)
 
-    def anneal_batch(self, beta_schedule, num_runs: int, initial=None) -> list[AnnealResult]:
-        """Legacy list-shaped view of :meth:`anneal_many` (kept for compat)."""
-        return self.anneal_many(beta_schedule, num_runs, initial=initial).as_list()
-
     def _anneal_serial(
         self, betas: np.ndarray, spins: np.ndarray, record_energy: bool
     ) -> AnnealResult:

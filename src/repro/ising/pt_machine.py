@@ -4,7 +4,7 @@ Combining the paper's two worlds: SAIM's outer multiplier loop with a
 replica-exchange sampler as the inner minimizer (what "SAIM on a Digital
 Annealer in PT mode" would look like).  ``PTMachine`` adapts
 :func:`repro.ising.parallel_tempering.parallel_tempering` to the
-``set_fields`` / ``anneal`` surface that :class:`SelfAdaptiveIsingMachine`
+``set_fields`` / ``anneal`` surface that :class:`repro.core.engine.SaimEngine`
 drives, reading out the coldest replica's state as the per-iteration sample.
 """
 

@@ -10,27 +10,14 @@ the validation problems — they differ only in acceptance rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.ising._lockstep import AnnealProgram, lockstep_anneal
-from repro.ising.backend import BatchAnnealResult, batch_from_runs, resolve_dtype
+from repro.ising.backend import AnnealResult, BatchAnnealResult, batch_from_runs, resolve_dtype
 from repro.ising.energy import ising_energy
 from repro.ising.model import IsingModel
 from repro.utils.rng import ensure_rng
-
-
-@dataclass
-class SAResult:
-    """Outcome of one simulated-annealing run (same fields as AnnealResult)."""
-
-    last_sample: np.ndarray
-    last_energy: float
-    best_sample: np.ndarray
-    best_energy: float
-    num_sweeps: int
-    energy_trace: np.ndarray | None = None
 
 
 class MetropolisMachine:
@@ -41,8 +28,8 @@ class MetropolisMachine:
     :class:`repro.ising.backend.AnnealingBackend` protocol as
     :class:`repro.ising.pbit.PBitMachine` but runs single-flip Metropolis
     instead of Gibbs sampling.  Pass it to
-    ``SelfAdaptiveIsingMachine(config, machine_factory=MetropolisMachine)``
-    or select it as ``repro.solve(..., backend="metropolis")``.
+    ``SaimEngine(config, machine_factory=MetropolisMachine)`` or select it
+    as ``repro.solve(..., backend="metropolis")``.
 
     The serial path uses random-scan sweeps (one spin permutation per
     sweep); the vectorized ``R > 1`` path uses systematic scan order shared
@@ -120,7 +107,7 @@ class MetropolisMachine:
             self._offset = float(offset)
 
     def anneal(self, beta_schedule, initial=None, record_energy: bool = False):
-        """One Metropolis annealing run (an ``SAResult``, AnnealResult-alike)."""
+        """One Metropolis annealing run (the random-scan reference chain)."""
         return simulated_annealing(
             self.model,
             beta_schedule,
@@ -207,7 +194,7 @@ def simulated_annealing(
     rng=None,
     initial=None,
     record_energy: bool = False,
-) -> SAResult:
+) -> AnnealResult:
     """Anneal ``model`` with single-flip Metropolis sweeps.
 
     Parameters
@@ -260,7 +247,7 @@ def simulated_annealing(
             best_sample = spins.copy()
         if record_energy:
             trace[sweep] = energy
-    return SAResult(
+    return AnnealResult(
         last_sample=spins,
         last_energy=energy,
         best_sample=best_sample,

@@ -51,26 +51,36 @@ def write_qkp(instance: QkpInstance, path) -> None:
 
 
 def read_qkp(path) -> QkpInstance:
-    """Read an instance written by :func:`write_qkp`."""
+    """Read an instance written by :func:`write_qkp`.
+
+    Raises ``ValueError`` when the file does not follow that layout.
+    """
     raw = [line.strip() for line in Path(path).read_text().splitlines()]
-    name = raw[0]
-    n = int(raw[1])
-    values = np.array([float(v) for v in raw[2].split()])
-    pair_values = np.zeros((n, n))
-    for i in range(n - 1):
-        row = np.array([float(v) for v in raw[3 + i].split()])
-        if row.size != n - 1 - i:
-            raise ValueError(f"row {i} of {path} has {row.size} entries, expected {n - 1 - i}")
-        pair_values[i, i + 1 :] = row
-    pair_values = pair_values + pair_values.T
-    cursor = 3 + (n - 1)
-    while raw[cursor] == "":
-        cursor += 1
-    constraint_type = int(raw[cursor])
-    if constraint_type != 0:
-        raise ValueError(f"unsupported constraint type {constraint_type} in {path}")
-    capacity = float(raw[cursor + 1])
-    weights = np.array([float(v) for v in raw[cursor + 2].split()])
+    try:
+        name = raw[0]
+        n = int(raw[1])
+        if not 1 <= n <= len(raw):
+            raise ValueError(f"item count {n} does not fit a {len(raw)}-line file")
+        values = np.array([float(v) for v in raw[2].split()])
+        pair_values = np.zeros((n, n))
+        for i in range(n - 1):
+            row = np.array([float(v) for v in raw[3 + i].split()])
+            if row.size != n - 1 - i:
+                raise ValueError(
+                    f"row {i} of {path} has {row.size} entries, expected {n - 1 - i}"
+                )
+            pair_values[i, i + 1 :] = row
+        pair_values = pair_values + pair_values.T
+        cursor = 3 + (n - 1)
+        while raw[cursor] == "":
+            cursor += 1
+        constraint_type = int(raw[cursor])
+        if constraint_type != 0:
+            raise ValueError(f"unsupported constraint type {constraint_type} in {path}")
+        capacity = float(raw[cursor + 1])
+        weights = np.array([float(v) for v in raw[cursor + 2].split()])
+    except IndexError:
+        raise ValueError(f"{path} ends before its QKP layout is complete") from None
     return QkpInstance(values, pair_values, weights, capacity, name=name)
 
 
@@ -134,16 +144,20 @@ def read_mkp(path) -> tuple[MkpInstance, float]:
     """Read an instance written by :func:`write_mkp`.
 
     Returns ``(instance, recorded_optimum)`` — the optimum field is 0 when
-    unknown, mirroring the OR-Library convention.
+    unknown, mirroring the OR-Library convention.  Raises ``ValueError``
+    when the file does not follow that layout.
     """
     raw = [line.strip() for line in Path(path).read_text().splitlines() if line.strip()]
-    header = raw[0].split()
-    n, m, optimum = int(header[0]), int(header[1]), float(header[2])
-    values = np.array([float(v) for v in raw[1].split()])
-    if values.size != n:
-        raise ValueError(f"expected {n} values, got {values.size}")
-    weights = np.array([[float(v) for v in raw[2 + i].split()] for i in range(m)])
-    capacities = np.array([float(v) for v in raw[2 + m].split()])
+    try:
+        header = raw[0].split()
+        n, m, optimum = int(header[0]), int(header[1]), float(header[2])
+        values = np.array([float(v) for v in raw[1].split()])
+        if values.size != n:
+            raise ValueError(f"expected {n} values, got {values.size}")
+        weights = np.array([[float(v) for v in raw[2 + i].split()] for i in range(m)])
+        capacities = np.array([float(v) for v in raw[2 + m].split()])
+    except IndexError:
+        raise ValueError(f"{path} ends before its MKP layout is complete") from None
     name = ""
     if len(raw) > 3 + m and raw[3 + m].startswith("#"):
         name = raw[3 + m].lstrip("# ").strip()

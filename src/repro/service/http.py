@@ -13,7 +13,8 @@ runtime dependencies.  The surface is deliberately small:
 - ``GET /v1/stats`` — queue depth, per-worker cache counters
   (``warm_hits`` / ``cold_starts`` / evictions), jobs/sec.
 
-Failure mapping is part of the contract: a malformed body is ``400``
+Failure mapping is part of the contract: a malformed body (including
+``NaN`` / ``Infinity`` tokens, which strict JSON lacks) is ``400``
 with the codec's message, a queue above its high-water mark is ``429``
 with a structured ``queue_full`` payload (depth, high-water, and a
 ``retry`` hint) plus a ``Retry-After`` header derived from the queue
@@ -39,6 +40,12 @@ from repro.service.queue import QueueFullError
 __all__ = ["SolverService"]
 
 _SYNC_TIMEOUT_SECONDS = 600.0
+
+
+def _reject_constant(token: str):
+    """``json.loads`` hook: the wire format is strict JSON, so the
+    ``NaN`` / ``Infinity`` / ``-Infinity`` extensions are refused."""
+    raise CodecError(f"{token} is not a JSON number")
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -85,7 +92,7 @@ class _Handler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0))
         raw = self.rfile.read(length) if length else b""
         try:
-            return json.loads(raw.decode("utf-8"))
+            return json.loads(raw.decode("utf-8"), parse_constant=_reject_constant)
         except (ValueError, UnicodeDecodeError) as exc:
             raise CodecError(f"request body is not valid JSON: {exc}") from exc
 

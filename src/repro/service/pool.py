@@ -52,6 +52,11 @@ from repro.service.queue import PriorityJobQueue, QueueClosedError, resolve_prio
 
 __all__ = ["JobHandle", "ProgramCache", "ServicePool", "WorkerRuntime"]
 
+#: Per-worker bound on resident solver sessions (one per distinct solver
+#: configuration); beyond it the least recently used session is dropped,
+#: together with its cached multipliers.
+MAX_SESSIONS = 64
+
 
 class ProgramCache:
     """LRU cache of prepared :class:`AnnealProgram` objects.
@@ -126,7 +131,7 @@ class WorkerRuntime:
     wire-format jobs.  Sessions are keyed by the full pinned solver
     surface (method, backend, replicas, aggregate, config, options), so
     two requests only share a multiplier cache when their solves are
-    actually comparable.
+    actually comparable; at most :data:`MAX_SESSIONS` stay resident (LRU).
     """
 
     def __init__(self, worker_id: int = 0, *,
@@ -135,7 +140,11 @@ class WorkerRuntime:
         self.worker_id = worker_id
         self.program_cache = ProgramCache(program_max_entries)
         self._session_max_entries = session_max_entries
-        self._sessions: dict[tuple, object] = {}
+        self._sessions: OrderedDict[tuple, object] = OrderedDict()
+        # Counters of sessions already dropped, so the totals in stats()
+        # never go backwards.
+        self._dropped_warm_starts = 0
+        self._dropped_lambda_evictions = 0
         self._jobs_done = 0
         self._planned = 0
         self._errors = 0
@@ -199,6 +208,11 @@ class WorkerRuntime:
                 **job.config_overrides,
             )
             self._sessions[key] = session
+            if len(self._sessions) > MAX_SESSIONS:
+                _, dropped = self._sessions.popitem(last=False)
+                self._dropped_warm_starts += dropped.num_warm_starts
+                self._dropped_lambda_evictions += dropped.num_evictions
+        self._sessions.move_to_end(key)
         return session
 
     def execute(self, payload: dict) -> dict:
@@ -281,10 +295,11 @@ class WorkerRuntime:
             "program_entries": len(self.program_cache),
             "program_evictions": self.program_cache.evictions,
             "sessions": len(sessions),
-            "session_warm_starts":
-                sum(s.num_warm_starts for s in sessions),
+            "session_warm_starts": self._dropped_warm_starts
+                + sum(s.num_warm_starts for s in sessions),
             "lambda_entries": sum(s.num_cached for s in sessions),
-            "lambda_evictions": sum(s.num_evictions for s in sessions),
+            "lambda_evictions": self._dropped_lambda_evictions
+                + sum(s.num_evictions for s in sessions),
         }
 
 

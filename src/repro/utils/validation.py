@@ -32,6 +32,12 @@ def check_square_symmetric(matrix, name: str = "J", atol: float = 1e-9) -> np.nd
     return arr
 
 
+def check_finite(values, name: str) -> None:
+    """Raise unless every entry of ``values`` is finite (no NaN or inf)."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite (no NaN or infinity)")
+
+
 def check_positive(value: float, name: str) -> float:
     """Raise unless ``value`` is strictly positive."""
     if not value > 0:

@@ -317,12 +317,13 @@ class TestMethodAxis:
 class TestSweepWithSolver:
     def test_saim_eta_sweep(self):
         """End-to-end: sweep SAIM's eta on a tiny problem."""
-        from repro.core.saim import SaimConfig, SelfAdaptiveIsingMachine
+        from repro.core.engine import SaimEngine
+        from repro.core.saim import SaimConfig
         from tests.helpers import tiny_knapsack_problem
 
         def runner(eta):
             config = SaimConfig(num_iterations=15, mcs_per_run=60, eta=eta)
-            result = SelfAdaptiveIsingMachine(config).solve(
+            result = SaimEngine(config).solve(
                 tiny_knapsack_problem(), rng=0
             )
             return {

@@ -9,7 +9,8 @@ from repro.analysis.tts import (
     success_probability,
     time_to_solution,
 )
-from repro.core.saim import SaimConfig, SelfAdaptiveIsingMachine
+from repro.core.engine import SaimEngine
+from repro.core.saim import SaimConfig
 from tests.helpers import tiny_knapsack_problem
 
 
@@ -58,7 +59,7 @@ class TestTimeToSolution:
 class TestSaimTts:
     def test_from_trace(self):
         config = SaimConfig(num_iterations=30, mcs_per_run=100)
-        result = SelfAdaptiveIsingMachine(config).solve(
+        result = SaimEngine(config).solve(
             tiny_knapsack_problem(), rng=0
         )
         estimate = saim_tts_from_trace(result, target_cost=-8.0)
@@ -69,7 +70,7 @@ class TestSaimTts:
 
     def test_infeasible_iterations_never_count(self):
         config = SaimConfig(num_iterations=10, mcs_per_run=50)
-        result = SelfAdaptiveIsingMachine(config).solve(
+        result = SaimEngine(config).solve(
             tiny_knapsack_problem(), rng=1
         )
         estimate = saim_tts_from_trace(result, target_cost=-8.0)
@@ -77,7 +78,7 @@ class TestSaimTts:
 
     def test_requires_trace(self):
         config = SaimConfig(num_iterations=5, mcs_per_run=30, record_trace=False)
-        result = SelfAdaptiveIsingMachine(config).solve(
+        result = SaimEngine(config).solve(
             tiny_knapsack_problem(), rng=0
         )
         with pytest.raises(ValueError, match="trace"):

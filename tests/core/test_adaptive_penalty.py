@@ -89,9 +89,8 @@ class TestAdaptivePenaltySaim:
         static_cfg = SaimConfig(num_iterations=80, mcs_per_run=100,
                                 eta=2.0, eta_decay="sqrt",
                                 normalize_step=True, penalty=0.05)
-        from repro.core.saim import SelfAdaptiveIsingMachine
 
-        static = SelfAdaptiveIsingMachine(static_cfg).solve(
+        static = SaimEngine(static_cfg).solve(
             instance.to_problem(), rng=3
         )
         adaptive = AdaptivePenaltySaim(

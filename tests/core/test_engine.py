@@ -2,8 +2,8 @@
 
 The load-bearing guarantee: ``SaimEngine`` with ``num_replicas=1``
 reproduces the pre-engine serial solver bit-for-bit (the golden values below
-were captured from the legacy ``SelfAdaptiveIsingMachine`` loop before the
-refactor), and every config feature works identically at any replica count.
+were captured from the legacy serial loop before the refactor), and every
+config feature works identically at any replica count.
 """
 
 import numpy as np
@@ -11,7 +11,7 @@ import pytest
 
 from repro.baselines.exact_qkp import exact_qkp_bruteforce
 from repro.core.engine import SaimEngine
-from repro.core.saim import SaimConfig, SelfAdaptiveIsingMachine
+from repro.core.saim import SaimConfig
 from repro.ising.pt_machine import PTMachine
 from repro.problems.generators import generate_qkp
 from tests.helpers import tiny_knapsack_problem
@@ -41,7 +41,7 @@ class TestSerialGoldenParity:
     """Pinned against the legacy serial solver on a fixed seed.
 
     The cost/lambda/feasibility values were produced by the pre-engine
-    ``SelfAdaptiveIsingMachine`` loop on this instance/seed, and the
+    serial loop on this instance/seed, and the
     engine's ``num_replicas=1`` path — now the prepared-program lock-step
     kernel — must keep reproducing them bit-for-bit (same noise stream,
     same Gibbs chain).  The *energy* pin is the one value allowed to move
@@ -78,17 +78,6 @@ class TestSerialGoldenParity:
         assert result.num_iterations == 20
         assert result.num_replicas == 1
         assert result.total_mcs == 20 * 80
-
-    def test_legacy_shim_matches_engine(self, result):
-        instance = generate_qkp(14, 0.5, rng=3)
-        shim = SelfAdaptiveIsingMachine(GOLDEN_CONFIG).solve(
-            instance.to_problem(), rng=7
-        )
-        assert shim.best_cost == result.best_cost
-        np.testing.assert_array_equal(shim.final_lambdas, result.final_lambdas)
-        np.testing.assert_array_equal(
-            shim.trace.sample_costs, result.trace.sample_costs
-        )
 
 
 class TestReplicaFeatureParity:

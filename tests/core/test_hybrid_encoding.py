@@ -10,7 +10,8 @@ from repro.core.hybrid_encoding import (
     hybrid_slack_weights,
     max_coefficient_ratio,
 )
-from repro.core.saim import SaimConfig, SelfAdaptiveIsingMachine
+from repro.core.engine import SaimEngine
+from repro.core.saim import SaimConfig
 from repro.problems.generators import generate_qkp
 from tests.helpers import all_binary_vectors, tiny_knapsack_problem
 
@@ -100,7 +101,7 @@ class TestEncodeWithHybridSlacks:
         encoded = encode_with_hybrid_slacks(instance.to_problem(), unary_bits=4)
         config = SaimConfig(num_iterations=40, mcs_per_run=150,
                             eta=80.0, eta_decay="sqrt", normalize_step=True)
-        result = SelfAdaptiveIsingMachine(config).solve_encoded(encoded, rng=0)
+        result = SaimEngine(config).solve_encoded(encoded, rng=0)
         assert result.found_feasible
         assert instance.is_feasible(result.best_x)
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.saim import SaimConfig, SelfAdaptiveIsingMachine
+from repro.core.engine import SaimEngine
+from repro.core.saim import SaimConfig
 from repro.ising.pbit import PBitMachine
 from repro.ising.quantization import QuantizedPBitMachine
 from repro.ising.sa import MetropolisMachine
@@ -33,7 +34,7 @@ class TestMetropolisMachine:
 
 class TestSaimWithAlternativeMachines:
     def test_metropolis_machine_solves_knapsack(self):
-        saim = SelfAdaptiveIsingMachine(FAST, machine_factory=MetropolisMachine)
+        saim = SaimEngine(FAST, machine_factory=MetropolisMachine)
         result = saim.solve(tiny_knapsack_problem(), rng=0)
         assert result.found_feasible
         assert result.best_cost == pytest.approx(-8.0)
@@ -42,7 +43,7 @@ class TestSaimWithAlternativeMachines:
         def factory(model, rng):
             return QuantizedPBitMachine(model, bits=12, rng=rng)
 
-        saim = SelfAdaptiveIsingMachine(FAST, machine_factory=factory)
+        saim = SaimEngine(FAST, machine_factory=factory)
         result = saim.solve(tiny_knapsack_problem(), rng=0)
         assert result.found_feasible
         assert result.best_cost == pytest.approx(-8.0)
@@ -51,8 +52,8 @@ class TestSaimWithAlternativeMachines:
         instance = generate_qkp(15, 0.5, rng=4)
         config = SaimConfig(num_iterations=60, mcs_per_run=200,
                             eta=80.0, eta_decay="sqrt", normalize_step=True)
-        gibbs = SelfAdaptiveIsingMachine(config).solve(instance.to_problem(), rng=2)
-        metro = SelfAdaptiveIsingMachine(
+        gibbs = SaimEngine(config).solve(instance.to_problem(), rng=2)
+        metro = SaimEngine(
             config, machine_factory=MetropolisMachine
         ).solve(instance.to_problem(), rng=2)
         assert gibbs.found_feasible and metro.found_feasible
@@ -72,14 +73,14 @@ class TestSaimWithAlternativeMachines:
                 super().set_fields(fields, offset)
 
         config = SaimConfig(num_iterations=7, mcs_per_run=30)
-        SelfAdaptiveIsingMachine(config, machine_factory=SpyMachine).solve(
+        SaimEngine(config, machine_factory=SpyMachine).solve(
             tiny_knapsack_problem(), rng=0
         )
         assert calls["constructed"] == 1
         assert calls["reprogrammed"] == 7  # once per iteration
 
     def test_default_factory_is_pbit(self):
-        saim = SelfAdaptiveIsingMachine(FAST)
+        saim = SaimEngine(FAST)
         assert saim.machine_factory is PBitMachine
 
     def test_minimal_legacy_contract_still_drives_saim(self):
@@ -101,7 +102,7 @@ class TestSaimWithAlternativeMachines:
             def anneal(self, beta_schedule):
                 return self._inner.anneal(beta_schedule)
 
-        saim = SelfAdaptiveIsingMachine(FAST, machine_factory=MinimalMachine)
+        saim = SaimEngine(FAST, machine_factory=MinimalMachine)
         result = saim.solve(tiny_knapsack_problem(), rng=0)
         assert result.found_feasible
         assert result.best_cost == pytest.approx(-8.0)

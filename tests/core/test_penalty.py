@@ -108,6 +108,22 @@ class TestPenaltyMethodSolve:
         assert result.best_cost == pytest.approx(-8.0)
         assert result.feasible_ratio > 0
 
+    @pytest.mark.parametrize("read_best, costs", [
+        (False, [-1848.0, -1848.0, -2765.0, -1848.0, -1848.0]),
+        (True, [-2264.0, -1848.0, -2765.0, -1848.0, -1848.0]),
+    ])
+    def test_seeded_result_pinned(self, read_best, costs):
+        """Golden values: the runs are the rows of one seeded p-bit batch,
+        read in replica order."""
+        encoded = encode_with_slacks(generate_qkp(16, 0.5, rng=4).to_problem())
+        result = penalty_method_solve(
+            encoded, penalty=200.0, num_runs=12, mcs_per_run=100, rng=9,
+            read_best=read_best,
+        )
+        assert result.best_cost == -2765.0
+        assert result.feasible_ratio == 5 / 12
+        assert result.costs == costs
+
     def test_total_mcs_accounting(self):
         encoded = encode_with_slacks(tiny_knapsack_problem())
         result = penalty_method_solve(encoded, 10.0, num_runs=5, mcs_per_run=20, rng=0)

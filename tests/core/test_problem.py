@@ -100,3 +100,46 @@ class TestConstrainedProblem:
     def test_check_solution_rejects_non_binary(self):
         with pytest.raises(ValueError):
             tiny_knapsack_problem().check_solution([2, 0, 0])
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+class TestNonFiniteRejected:
+    """Every coefficient, bound and offset must be finite."""
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("field", ["coefficients", "bounds"])
+    def test_linear_constraints(self, field, value):
+        arrays = {"coefficients": np.ones((1, 3)), "bounds": np.ones(1)}
+        arrays[field][0] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            LinearConstraints(**arrays)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("field", ["quadratic", "linear", "offset"])
+    def test_constrained_problem(self, field, value):
+        base = tiny_knapsack_problem()
+        arrays = {"quadratic": base.quadratic.copy(),
+                  "linear": base.linear.copy(), "offset": base.offset}
+        if field == "offset":
+            arrays["offset"] = value
+        elif field == "quadratic":
+            arrays["quadratic"][0, 1] = arrays["quadratic"][1, 0] = value
+        else:
+            arrays["linear"][0] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ConstrainedProblem(**arrays, inequalities=base.inequalities)
+
+    @pytest.mark.parametrize("field", ["values", "weights"])
+    def test_front_door_rejects_nan_qkp(self, field):
+        import dataclasses
+
+        import repro
+
+        instance = repro.generate_qkp(12, 0.5, rng=1)
+        broken = getattr(instance, field).copy()
+        broken[0] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            repro.solve(dataclasses.replace(instance, **{field: broken}),
+                        num_iterations=5, mcs_per_run=20)

@@ -5,7 +5,7 @@ import pytest
 import repro
 from repro import (
     SaimConfig,
-    SelfAdaptiveIsingMachine,
+    SaimEngine,
     encode_with_slacks,
     generate_mkp,
     generate_qkp,
@@ -28,7 +28,7 @@ class TestPublicApi:
 class TestQkpPipeline:
     def test_docstring_quickstart(self):
         instance = generate_qkp(num_items=40, density=0.5, rng=1)
-        saim = SelfAdaptiveIsingMachine(
+        saim = SaimEngine(
             SaimConfig(num_iterations=30, mcs_per_run=150)
         )
         result = saim.solve(instance.to_problem(), rng=7)
@@ -50,7 +50,7 @@ class TestQkpPipeline:
         penalty = penalty_method_solve(
             encoded, small_p, num_runs=60, mcs_per_run=200, rng=5
         )
-        saim = SelfAdaptiveIsingMachine(
+        saim = SaimEngine(
             SaimConfig(num_iterations=60, mcs_per_run=200)
         ).solve(problem, rng=5)
 
@@ -75,14 +75,14 @@ class TestMkpPipeline:
         config = SaimConfig.mkp_paper().scaled(
             80 / 5000, 200 / 1000, compensate_eta=True
         )
-        result = SelfAdaptiveIsingMachine(config).solve(instance.to_problem(), rng=2)
+        result = SaimEngine(config).solve(instance.to_problem(), rng=2)
         assert result.found_feasible
         assert -result.best_cost >= 0.9 * exact.profit
 
     def test_multiple_lambdas_tracked(self):
         instance = generate_mkp(15, 4, rng=1)
         config = SaimConfig.mkp_paper(num_iterations=20, mcs_per_run=100)
-        result = SelfAdaptiveIsingMachine(config).solve(instance.to_problem(), rng=0)
+        result = SaimEngine(config).solve(instance.to_problem(), rng=0)
         assert result.trace.lambdas.shape == (20, 4)
         assert result.final_lambdas.shape == (4,)
 
@@ -92,14 +92,14 @@ class TestCrossSolverConsistency:
         instance = generate_qkp(14, 0.5, rng=6)
         _, opt = exact_qkp_bruteforce(instance)
         config = SaimConfig(num_iterations=50, mcs_per_run=150)
-        result = SelfAdaptiveIsingMachine(config).solve(instance.to_problem(), rng=1)
+        result = SaimEngine(config).solve(instance.to_problem(), rng=1)
         if result.found_feasible:
             assert -result.best_cost <= opt + 1e-9
 
     def test_feasible_records_verified_against_instance(self):
         instance = generate_qkp(16, 0.5, rng=7)
         config = SaimConfig(num_iterations=40, mcs_per_run=150)
-        result = SelfAdaptiveIsingMachine(config).solve(instance.to_problem(), rng=2)
+        result = SaimEngine(config).solve(instance.to_problem(), rng=2)
         for record in result.feasible_records:
             assert instance.is_feasible(record.x)
             assert instance.cost(record.x) == pytest.approx(record.cost)

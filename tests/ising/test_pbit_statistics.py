@@ -18,10 +18,8 @@ class TestBatchSequentialEquivalence:
             PBitMachine(model, rng=100 + trial).anneal(schedule).last_energy
             for trial in range(40)
         ]
-        batched = [
-            run.last_energy
-            for run in PBitMachine(model, rng=999).anneal_batch(schedule, 40)
-        ]
+        batch = PBitMachine(model, rng=999).anneal_many(schedule, 40)
+        batched = [batch.per_run(r).last_energy for r in range(40)]
         seq_mean = np.mean(sequential)
         bat_mean = np.mean(batched)
         spread = np.std(sequential) + np.std(batched) + 1e-9
@@ -36,10 +34,8 @@ class TestBatchSequentialEquivalence:
             PBitMachine(model, rng=200 + t).anneal(schedule).last_sample
             for t in range(120)
         ])
-        batched_states = np.array([
-            run.last_sample
-            for run in PBitMachine(model, rng=7).anneal_batch(schedule, 120)
-        ])
+        batch = PBitMachine(model, rng=7).anneal_many(schedule, 120)
+        batched_states = np.array([batch.per_run(r).last_sample for r in range(120)])
         seq_mag = sequential_states.mean(axis=0)
         bat_mag = batched_states.mean(axis=0)
         np.testing.assert_allclose(seq_mag, bat_mag, atol=0.3)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.saim import SaimConfig, SelfAdaptiveIsingMachine
+from repro.core.engine import SaimEngine
+from repro.core.saim import SaimConfig
 from repro.problems.mis import MisInstance, random_mis
 
 
@@ -97,7 +98,7 @@ class TestSaimOnMis:
             num_iterations=100, mcs_per_run=250,
             eta=1.0, eta_decay="sqrt", normalize_step=True, alpha=2.0,
         )
-        result = SelfAdaptiveIsingMachine(config).solve(instance.to_problem(), rng=2)
+        result = SaimEngine(config).solve(instance.to_problem(), rng=2)
         assert result.found_feasible
         assert instance.is_independent(result.best_x)
         assert -result.best_cost >= 0.9 * optimum
@@ -105,5 +106,5 @@ class TestSaimOnMis:
     def test_multiplier_vector_matches_edge_count(self):
         instance = random_mis(10, edge_probability=0.4, rng=5)
         config = SaimConfig(num_iterations=15, mcs_per_run=80)
-        result = SelfAdaptiveIsingMachine(config).solve(instance.to_problem(), rng=0)
+        result = SaimEngine(config).solve(instance.to_problem(), rng=0)
         assert result.final_lambdas.size == instance.num_edges

@@ -145,6 +145,28 @@ class TestSolveEndpoint:
         assert body["error"]["type"] == "bad_request"
         assert "problem" in body["error"]["message"]
 
+    def test_non_finite_json_token_is_400(self, service):
+        """Strict JSON at the door: NaN/Infinity never reach admission."""
+        _, base = service
+        instance = generate_qkp(12, 0.5, rng=8)
+        payload = wire_job(instance, 1)
+        payload["problem"]["capacity"] = float("nan")
+        body = json.dumps(payload).encode("utf-8")  # emits a bare NaN token
+        request = urllib.request.Request(
+            base + "/v1/solve", data=body,
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=60.0)
+        assert excinfo.value.code == 400
+        error = json.loads(excinfo.value.read())["error"]
+        assert error["type"] == "bad_request"
+        assert "NaN" in error["message"]
+        status, _ = http_json(base, "/v1/solve", wire_job(instance, 1))
+        assert status == 200
+        stats = http_json(base, "/v1/stats")[1]
+        assert stats["queue"]["enqueued"] == 1
+
     def test_unknown_route_is_404(self, service):
         _, base = service
         assert http_json(base, "/v1/nope", {})[0] == 404
@@ -284,6 +306,18 @@ class TestObservability:
         assert body["version"] == repro.__version__
         assert body["workers"] == 1
         assert body["mode"] == "thread"
+
+    def test_stats_sessions_stay_bounded(self, service):
+        from repro.service.pool import MAX_SESSIONS
+
+        _, base = service
+        instance = generate_qkp(8, 0.5, rng=8)
+        for k in range(MAX_SESSIONS + 3):
+            job = SolveJob(instance, rng=1, config_overrides=dict(
+                num_iterations=2, mcs_per_run=5, eta=1.0 + k))
+            assert http_json(base, "/v1/solve", job_to_wire(job))[0] == 200
+        stats = http_json(base, "/v1/stats")[1]
+        assert stats["workers"][0]["sessions"] <= MAX_SESSIONS
 
     def test_stats_exposes_queue_and_worker_caches(self, service):
         _, base = service

@@ -133,6 +133,42 @@ class TestWorkerRuntime:
         assert stats["session_warm_starts"] == 1
         assert stats["lambda_entries"] >= 1
 
+    def test_session_map_is_a_bounded_lru(self):
+        """A client sweeping a config knob cannot grow a worker without
+        bound: sessions past MAX_SESSIONS drop least recently used first."""
+        from repro.service.pool import MAX_SESSIONS
+
+        instance = generate_qkp(8, 0.5, rng=3)
+        runtime = WorkerRuntime()
+
+        def execute(eta, warm_start=False):
+            job = SolveJob(instance, rng=1, config_overrides=dict(
+                num_iterations=2, mcs_per_run=5, eta=eta))
+            response = runtime.execute(job_to_wire(job, warm_start=warm_start))
+            assert response["ok"], response.get("error")
+            return response["stats"]
+
+        etas = [1.0 + k for k in range(3 * MAX_SESSIONS)]
+        for eta in etas:
+            execute(eta)
+        assert len(runtime._sessions) == MAX_SESSIONS
+        assert runtime.stats()["sessions"] == MAX_SESSIONS
+        # The most recent configuration is resident and warm-starts ...
+        assert execute(etas[-1], warm_start=True)["session_warm_starts"] == 1
+        # ... a hit refreshes recency, so the oldest resident, once touched,
+        # outlives one more new configuration ...
+        oldest = etas[-MAX_SESSIONS]
+        execute(oldest)
+        execute(0.5)
+        assert execute(oldest, warm_start=True)["session_warm_starts"] == 2
+        # ... and the first configuration was dropped: it starts cold.
+        assert execute(etas[0], warm_start=True)["session_warm_starts"] == 2
+        assert len(runtime._sessions) == MAX_SESSIONS
+        # Dropping the warm-started sessions keeps their counts in the total.
+        for eta in etas[:MAX_SESSIONS]:
+            execute(eta)
+        assert runtime.stats()["session_warm_starts"] == 2
+
     def test_warm_start_conflicts_are_errors(self):
         instance = generate_qkp(10, 0.5, rng=3)
         runtime = WorkerRuntime()
