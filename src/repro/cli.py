@@ -282,12 +282,9 @@ def _load_instance(path: Path):
             return problem, "qubo"
         if suffix == ".json":
             payload = json.loads(path.read_text())
-            try:
-                return problem_from_json(payload), str(payload["kind"])
-            except (KeyError, TypeError) as exc:
-                # A known kind with missing or mistyped fields.
-                raise ValueError(f"bad {payload['kind']!r} payload: {exc!r}") from None
-    except (OSError, ValueError) as exc:
+            return problem_from_json(payload), str(payload["kind"])
+    # KeyError/TypeError: a known kind with missing or mistyped fields.
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise SystemExit(f"cannot load {path}: {exc}") from None
     raise SystemExit(
         f"unknown instance format {suffix!r} (use .qkp, .mkp, .qubo, or .json)"

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core.problem import LinearConstraints
 from repro.ising.higher_order import PolyIsingModel
-from repro.utils.validation import check_binary_vector
+from repro.utils.validation import check_binary_vector, check_finite
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,8 @@ class PolyProblem:
             if not all(0 <= i < n for i in key):
                 raise ValueError(f"term {indices} out of range for {n} variables")
             merged[key] = merged.get(key, 0.0) + float(coefficient)
+        check_finite(list(merged.values()), "terms")
+        check_finite(float(self.offset), "offset")
         cleaned = {key: c for key, c in merged.items() if c != 0.0}
         eq = self.equalities if self.equalities is not None else LinearConstraints.empty(n)
         ineq = self.inequalities if self.inequalities is not None else LinearConstraints.empty(n)

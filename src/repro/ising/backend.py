@@ -154,12 +154,6 @@ class BatchAnnealResult:
             energy_trace=trace,
         )
 
-    def __len__(self) -> int:
-        return self.num_replicas
-
-    def __iter__(self):
-        return (self.per_run(r) for r in range(self.num_replicas))
-
 
 @runtime_checkable
 class AnnealingBackend(Protocol):

@@ -131,6 +131,19 @@ class TestNonFiniteRejected:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             ConstrainedProblem(**arrays, inequalities=base.inequalities)
 
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("field", ["terms", "offset"])
+    def test_poly_problem(self, field, value):
+        from repro.core.poly import PolyProblem
+
+        fields = {"terms": {(0, 1, 2): -1.0, (1,): 0.5}, "offset": 0.0}
+        if field == "terms":
+            fields["terms"][(0, 1, 2)] = value
+        else:
+            fields["offset"] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            PolyProblem(3, **fields)
+
     @pytest.mark.parametrize("field", ["values", "weights"])
     def test_front_door_rejects_nan_qkp(self, field):
         import dataclasses

@@ -64,13 +64,28 @@ class TestSolve:
         with pytest.raises(SystemExit):
             main(["solve", str(bad)])
 
-    def test_explicit_replicas_keep_requested_iterations(self, qkp_file, capsys):
-        """--replicas must not silently divide the user's --iterations."""
+    def test_explicit_replicas_keep_requested_iterations(self, qkp_file, capsys,
+                                                         monkeypatch):
+        """--replicas reaches the solve and does not silently divide the
+        user's --iterations."""
+        import repro
+
+        reports = []
+        solve = repro.solve
+
+        def recording_solve(*args, **kwargs):
+            reports.append(solve(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(repro, "solve", recording_solve)
         code = main(["solve", str(qkp_file), "--replicas", "4",
                      "--iterations", "40", "--mcs", "120"])
         out = capsys.readouterr().out
         assert code in (0, 1)
         assert "in 40 iterations" in out
+        (report,) = reports
+        assert report.num_iterations == 40
+        assert report.total_mcs == 40 * 4 * 120
 
     def test_solve_backend_option(self, qkp_file, capsys):
         code = main(["solve", str(qkp_file), "--backend", "metropolis",
