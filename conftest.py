@@ -5,17 +5,9 @@ The environment used for grading has an old setuptools without `wheel`, so
 this shim makes `pytest` work even with no install at all.
 """
 
-import os
 import sys
 from pathlib import Path
 
 _SRC = Path(__file__).parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
-
-# Hermeticity: a host-calibrated perf model under ~/.cache/repro would make
-# `method="auto"` plans (and everything pinned to them) vary by machine.
-# An empty REPRO_PERF_MODEL disables the default model path, so the suite
-# always exercises the deterministic heuristic ladder; tests that want a
-# model pass `method_options={"model_path": ...}` explicitly.
-os.environ.setdefault("REPRO_PERF_MODEL", "")

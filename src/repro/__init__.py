@@ -15,8 +15,7 @@ Quickstart::
     print(report.best_cost, report.feasible, report.detail.feasible_ratio)
 
 ``repro.solve`` is the registry-backed front door: ``method`` selects the
-solver loop (``"saim"``, ``"auto"`` — the instance-aware planner —
-``"penalty"``, or a classical baseline:
+solver loop (``"saim"``, ``"penalty"``, or a classical baseline:
 ``"greedy"``, ``"ga"``, ``"milp"``, ``"bnb"``, ``"exhaustive"``),
 ``backend`` the annealing machine (``"pbit"``, ``"metropolis"``,
 ``"quantized"``, ``"chromatic"``, ``"pt"``, ``"higher_order"``), and
@@ -104,13 +103,9 @@ __version__ = "2.7.0"
 # the whole experiment harness; resolve them lazily so `import repro` (and
 # every executor worker process) stays light.  The service layer is lazy
 # for the same reason: solver workers must not drag the HTTP stack in.
-# The planner rides the same pattern: method="auto" already resolves it
-# lazily inside the front door.
 _SWEEP_EXPORTS = ("ParameterSweep", "BackendSweep", "BackendSweepReport",
                   "sweep_backends")
 _SERVICE_EXPORTS = ("SolverService", "ServicePool", "RequestLogger")
-_PLANNER_EXPORTS = ("InstanceFeatures", "PerfModel", "SolvePlan",
-                    "extract_features", "plan_solve")
 
 
 def __getattr__(name):
@@ -124,12 +119,6 @@ def __getattr__(name):
         from repro import service as _service
 
         value = getattr(_service, name)
-        globals()[name] = value
-        return value
-    if name in _PLANNER_EXPORTS:
-        from repro import planner as _planner
-
-        value = getattr(_planner, name)
         globals()[name] = value
         return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -155,11 +144,6 @@ __all__ = [
     "BackendSweep",
     "BackendSweepReport",
     "sweep_backends",
-    "InstanceFeatures",
-    "PerfModel",
-    "SolvePlan",
-    "extract_features",
-    "plan_solve",
     "available_backends",
     "available_methods",
     "backend_info",

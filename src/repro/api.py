@@ -77,10 +77,6 @@ class MethodSpec:
     uses_backend: bool = True
     uses_config: bool = True
     uses_lambdas: bool = False
-    #: ``None`` means the method resolves its own backend per solve (the
-    #: planner behind ``method="auto"``); the front door then passes the
-    #: caller's ``backend`` argument through un-defaulted.
-    default_backend: str | None = "pbit"
 
 
 @dataclass(frozen=True)
@@ -95,6 +91,9 @@ class BackendSpec:
 _METHODS: dict[str, MethodSpec] = {}
 _BACKENDS: dict[str, BackendSpec] = {}
 
+#: The machine an annealing method runs on when the caller names none.
+DEFAULT_BACKEND = "pbit"
+
 
 def register_method(
     name: str,
@@ -104,7 +103,6 @@ def register_method(
     uses_backend: bool = True,
     uses_config: bool = True,
     uses_lambdas: bool = False,
-    default_backend: str | None = "pbit",
 ) -> None:
     """Register a solver method.
 
@@ -129,7 +127,6 @@ def register_method(
         uses_backend=uses_backend,
         uses_config=uses_config,
         uses_lambdas=uses_lambdas,
-        default_backend=default_backend,
     )
 
 
@@ -283,7 +280,7 @@ def solve(
     backend:
         Registered annealing machine for annealing methods (``"pbit"``,
         ``"metropolis"``, ``"quantized"``, ``"chromatic"``, ``"pt"``,
-        ``"higher_order"``); ``None`` selects the method's default.
+        ``"higher_order"``); ``None`` selects ``"pbit"``.
         Backend-free methods reject an explicit backend.
     config:
         A :class:`~repro.core.saim.SaimConfig`, a dict of its fields, or
@@ -320,9 +317,8 @@ def solve(
         problem = problem.to_problem()
 
     if spec.uses_backend:
-        backend_name = backend if backend is not None else spec.default_backend
-        if backend_name is not None:
-            backend_info(backend_name)  # raises with the available list
+        backend_name = backend if backend is not None else DEFAULT_BACKEND
+        backend_info(backend_name)  # raises with the available list
     else:
         _reject_backend_knobs(
             method, backend, num_replicas, aggregate, backend_options,
@@ -632,58 +628,6 @@ def _saim_report(result, backend) -> SolveReport:
     )
 
 
-def _run_auto(problem, *, config, backend, num_replicas, aggregate, restart,
-              rng, initial_lambdas, backend_options, method_options, **_):
-    # The planner picks the machine half of the solve — backend, kernel /
-    # storage, dtype — by predicted wall time, then delegates to the SAIM
-    # runner with the plan's backend_options.  With no persisted perf
-    # model the plan degrades to today's front-door defaults, so the
-    # delegated solve is bit-identical to method="saim" on the same seed.
-    from repro.planner import AutoSolveDetail, extract_features, load_default_model, load_model, plan_solve
-
-    options = dict(method_options or {})
-    model_path = options.pop("model_path", None)
-    if options:
-        raise ValueError(
-            f"unknown method_options for 'auto': {sorted(options)}; "
-            f"valid options: ['model_path']"
-        )
-    if backend_options:
-        raise ValueError(
-            "method 'auto' plans the machine knobs itself; pin a dtype "
-            "through SaimConfig(dtype=...) or a backend through backend=, "
-            f"not backend_options (got {sorted(backend_options)})"
-        )
-    features = extract_features(problem)
-    model = (load_model(model_path) if model_path is not None
-             else load_default_model())
-    plan, prediction = plan_solve(
-        features, model=model, config=config, num_replicas=num_replicas,
-        restart=restart, backend=backend,
-    )
-    report = _run_saim(
-        problem, config=config, backend=plan.backend,
-        num_replicas=plan.num_replicas, aggregate=aggregate,
-        restart=plan.restart, rng=rng, initial_lambdas=initial_lambdas,
-        backend_options=plan.backend_options(), method_options={},
-    )
-    detail = AutoSolveDetail(
-        plan=plan, features=features, prediction=prediction,
-        result=report.detail,
-    )
-    return SolveReport(
-        method="auto",
-        backend=report.backend,
-        best_x=report.best_x,
-        best_cost=report.best_cost,
-        feasible=report.feasible,
-        num_iterations=report.num_iterations,
-        detail=detail,
-        num_replicas=report.num_replicas,
-        total_mcs=report.total_mcs,
-    )
-
-
 def _run_penalty(problem, *, config, backend, num_replicas, aggregate,
                  restart, rng, initial_lambdas, backend_options,
                  method_options, **_):
@@ -930,14 +874,6 @@ register_method(
     "saim", _run_saim,
     description="self-adaptive Ising machine, Algorithm 1 (any backend)",
     uses_backend=True, uses_config=True, uses_lambdas=True,
-)
-register_method(
-    "auto", _run_auto,
-    description="instance-aware SAIM: plans backend/kernel/storage/dtype by "
-                "predicted wall time (persisted perf model, heuristic "
-                "fallback) and echoes the plan in detail['plan']",
-    uses_backend=True, uses_config=True, uses_lambdas=True,
-    default_backend=None,
 )
 register_method(
     "penalty", _run_penalty,

@@ -9,19 +9,14 @@ Usage (after ``pip install -e .`` / ``python setup.py develop``)::
     python -m repro.cli solve out.qkp --replicas 128 --dtype float32
     python -m repro.cli solve out.qkp --method greedy
     python -m repro.cli solve instance.mkp --method milp
-    python -m repro.cli solve out.qkp --method auto
-    python -m repro.cli plan out.qkp
     python -m repro.cli export-qubo out.qkp out.qubo --penalty 25
+    python -m repro.cli solve out.qubo
     python -m repro.cli sweep out.qkp --methods saim,greedy,bnb \
         --backends pbit,quantized --replicas 1,8 --workers 4
 
-``--method auto`` routes through the instance-aware planner
-(:mod:`repro.planner`): it extracts cheap features, prices the candidate
-machine configurations with the host's persisted perf model (heuristic
-fallback when none exists), and echoes the chosen plan; ``plan`` prints
-that decision without solving.  ``export-qubo`` writes the penalized
-slack-encoded QUBO in qbsolv format, and ``solve``/``plan`` accept
-``.qubo`` files back as unconstrained quadratic instances.
+``export-qubo`` writes the penalized slack-encoded QUBO in qbsolv format,
+and ``solve`` accepts ``.qubo`` files back as unconstrained quadratic
+instances.
 
 ``--method`` (default ``saim``) accepts any registered front-door method
 (``repro info`` lists them with one-line descriptions) and always prints
@@ -137,39 +132,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="MCS per run (default 400; annealing methods "
                             "only)")
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--model-path", type=Path, default=None,
-                       help="perf-model JSON for --method auto (default: "
-                            "the host model under ~/.cache/repro; see "
-                            "`repro plan`)")
-
-    plan = sub.add_parser(
-        "plan",
-        help="print the method='auto' solve plan for an instance without "
-             "solving it: extracted features, the chosen machine "
-             "configuration, and the per-candidate prediction",
-    )
-    plan.add_argument("path", type=Path)
-    plan.add_argument(
-        "--backend", default=None,
-        help="pin the backend and let the planner choose only its knobs",
-    )
-    plan.add_argument("--replicas", type=int, default=1,
-                      help="annealing replicas the plan is priced at "
-                           "(default 1)")
-    plan.add_argument("--dtype", choices=("float64", "float32"), default=None,
-                      help="pin the machine precision (otherwise the "
-                           "planner chooses)")
-    plan.add_argument("--restart", choices=("random", "warm"),
-                      default="random",
-                      help="restart policy carried into the plan")
-    plan.add_argument("--iterations", type=int, default=150,
-                      help="SAIM iterations the prediction is priced at")
-    plan.add_argument("--mcs", type=int, default=400,
-                      help="MCS per run the prediction is priced at")
-    plan.add_argument("--model-path", type=Path, default=None,
-                      help="perf-model JSON (default: the host model under "
-                           "~/.cache/repro; set REPRO_PERF_MODEL= to "
-                           "disable)")
 
     export = sub.add_parser(
         "export-qubo",
@@ -458,11 +420,8 @@ def _solve(args) -> int:
                 f"unknown backend {backend!r}; choose from "
                 f"{', '.join(repro.available_backends())}"
             )
-        if (backend is None and hasattr(instance, "clauses")
-                and spec.default_backend is not None):
-            # Polynomial-objective families need the higher-order machine;
-            # planner-driven methods (default_backend None) work that out
-            # themselves from the instance features.
+        if backend is None and hasattr(instance, "clauses"):
+            # Polynomial-objective families need the higher-order machine.
             backend = "higher_order"
         replicas = args.replicas if args.replicas is not None else 1
         if replicas < 1:
@@ -501,31 +460,13 @@ def _solve(args) -> int:
             config = replace(config, dtype=args.dtype)
         kwargs.update(config=config)
     kwargs.update(rng=args.seed)
-    if args.model_path is not None:
-        if method != "auto":
-            raise SystemExit(
-                "--model-path applies to --method auto only"
-            )
-        kwargs.update(method_options={"model_path": str(args.model_path)})
 
     try:
         report = repro.solve(instance, method=method, **kwargs)
-    except (ValueError, OSError) as exc:
-        # e.g. a quadratic-only backend asked to solve a polynomial family,
-        # or a missing --model-path file.
+    except ValueError as exc:
+        # e.g. a quadratic-only backend asked to solve a polynomial family.
         raise SystemExit(str(exc)) from None
     print(report.summary())
-    if method == "auto":
-        plan = report.detail["plan"]
-        prediction = report.detail["prediction"]
-        knobs = " ".join(
-            f"{name}={value}" for name, value in (
-                ("backend", plan["backend"]), ("kernel", plan["kernel"]),
-                ("storage", plan["storage"]),
-                ("dtype", plan["dtype"] or "default"),
-            ) if value is not None
-        )
-        print(f"plan: {knobs} (source: {prediction['source']})")
     if report.feasible:
         if hasattr(instance, "count_satisfied"):
             satisfied = instance.count_satisfied(report.best_x)
@@ -545,69 +486,6 @@ def _solve(args) -> int:
     return 1
 
 
-def _plan(args) -> int:
-    """Print the ``method="auto"`` decision for an instance, no solve."""
-    from dataclasses import replace
-
-    from repro.planner import (
-        extract_features,
-        load_default_model,
-        load_model,
-        plan_solve,
-    )
-
-    instance, kind = _load_instance(args.path)
-    problem = (instance.to_problem() if hasattr(instance, "to_problem")
-               else instance)
-    features = extract_features(problem)
-    try:
-        model = (load_model(args.model_path) if args.model_path is not None
-                 else load_default_model())
-    except (OSError, ValueError) as exc:
-        raise SystemExit(str(exc)) from None
-    if args.replicas < 1:
-        raise SystemExit(f"--replicas must be >= 1, got {args.replicas}")
-    config = _scaled_config(kind, args.iterations, args.mcs)
-    if args.dtype is not None:
-        config = replace(config, dtype=args.dtype)
-    try:
-        plan, prediction = plan_solve(
-            features, model=model, config=config,
-            num_replicas=args.replicas, restart=args.restart,
-            backend=args.backend,
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
-    name = getattr(instance, "name", "") or args.path.stem
-    print(f"instance: {name} ({kind}, {_describe_instance(instance)})")
-    print(f"features: kind={features.kind} n={features.num_variables} "
-          f"terms={features.num_terms} "
-          f"density={features.coupling_density:.3f} "
-          f"constraints={features.num_constraints} "
-          f"degree={features.poly_degree} "
-          f"fingerprint={features.fingerprint()}")
-    knobs = " ".join(
-        f"{label}={value}" for label, value in (
-            ("backend", plan.backend), ("kernel", plan.kernel),
-            ("storage", plan.storage), ("dtype", plan.dtype or "default"),
-            ("replicas", plan.num_replicas), ("restart", plan.restart),
-        ) if value is not None
-    )
-    print(f"plan: {knobs}")
-    if prediction["source"] == "model":
-        print(f"prediction (model: {prediction['model_source']}, "
-              f"{prediction['num_sweeps']} sweeps):")
-        for key, seconds in sorted(prediction["candidates"].items(),
-                                   key=lambda item: item[1]):
-            marker = "  <- chosen" if key == prediction["chosen"] else ""
-            print(f"  {key:<32} {seconds:.4f}s{marker}")
-    else:
-        print("prediction: heuristic fallback (no perf model covers this "
-              "shape; run benchmarks/bench_autotune_calibrate.py to "
-              "calibrate this host)")
-    return 0
-
-
 def _export_qubo(args) -> int:
     """Encode an instance to its penalized QUBO and write qbsolv format."""
     from repro.core.encoding import encode_with_slacks
@@ -622,7 +500,8 @@ def _export_qubo(args) -> int:
     if hasattr(problem, "terms"):
         raise SystemExit(
             "export-qubo is quadratic-only; polynomial instances have no "
-            "QUBO form (solve them with --method auto instead)"
+            "QUBO form (solve them with `repro solve`, which runs them on "
+            "backend='higher_order')"
         )
     try:
         encoded = encode_with_slacks(problem)
@@ -734,9 +613,6 @@ def main(argv=None) -> int:
 
     if args.command == "serve":
         return _serve(args)
-
-    if args.command == "plan":
-        return _plan(args)
 
     if args.command == "export-qubo":
         return _export_qubo(args)

@@ -1,10 +1,9 @@
 """Build-on-first-use loader for the compiled p-bit sweep (``_sweep.c``).
 
 The C source ships beside this module.  The first anneal compiles it with
-the system ``cc`` into the per-user cache ``~/.cache/repro/kernels``
-(the perf model's cache root), under a file name keyed by a hash of the
-source and the flags, and loads it through :mod:`ctypes`, so nothing is
-installed.  Later processes find the cached library and pay one
+the system ``cc`` into the per-user cache ``~/.cache/repro/kernels``,
+under a file name keyed by a hash of the source and the flags, and loads
+it through :mod:`ctypes`, so nothing is installed.  Later processes find the cached library and pay one
 ``dlopen``; only a compile imports :mod:`subprocess` and :mod:`tempfile`.
 
 The flags are ``-O3 -ffp-contract=off``, with no ``-march`` and no

@@ -27,8 +27,8 @@ from repro.ising.backend import resolve_dtype
 # Coupling-graph density (off-diagonal nonzeros / possible off-diagonal
 # entries) at and above which the chromatic machine auto-selects dense
 # per-color row blocks.  The measured cutover lives with the platform's
-# other tunables (the solve planner consults the same number); re-exported
-# here because this module is where the auto-selection happens.
+# other tunables; re-exported here because this module is where the
+# auto-selection happens.
 from repro.planner.tunables import DENSE_STORAGE_DENSITY
 from repro.utils.rng import ensure_rng
 

@@ -1,43 +1,12 @@
-"""Instance-aware solve planning (``method="auto"``).
+"""Pinned performance tunables and the executor's batch rule.
 
-Three layers, consumed together by the front door:
-
-- :mod:`repro.planner.features` — cheap deterministic instance features
-  with a stable fingerprint;
-- :mod:`repro.planner.model` — the persisted, host-calibrated perf model
-  (``~/.cache/repro/perf_model.json``, ``REPRO_PERF_MODEL`` override),
-  bootstrappable offline from the committed ``BENCH_*.json`` grids and
-  re-fit per host by ``benchmarks/bench_autotune_calibrate.py``;
-- :mod:`repro.planner.plan` — candidate enumeration + predicted-wall-time
-  argmin, falling back to the pinned heuristics
-  (:mod:`repro.planner.tunables`) when no model exists.
-
-``repro.solve(problem, method="auto")`` plans, delegates to the SAIM
-engine, and echoes the plan in ``SolveReport.detail["plan"]``.
+- :mod:`repro.planner.tunables` — the measured cutover constants (chromatic
+  storage density, fused-fleet size cap and minimum batch);
+- :mod:`repro.planner.plan` — :func:`plan_batch_strategy`, which resolves
+  ``solve_many(strategy="auto")`` from the batch alone.
 """
 
-from repro.planner.features import (
-    BatchFeatures,
-    InstanceFeatures,
-    extract_batch_features,
-    extract_features,
-)
-from repro.planner.model import (
-    PerfModel,
-    bootstrap_model,
-    config_key,
-    default_model_path,
-    fit_weights,
-    load_default_model,
-    load_model,
-)
-from repro.planner.plan import (
-    AutoSolveDetail,
-    SolvePlan,
-    fused_fleet_cap,
-    plan_batch_strategy,
-    plan_solve,
-)
+from repro.planner.plan import plan_batch_strategy
 from repro.planner.tunables import (
     AUTO_FUSED_MAX_VARIABLES,
     AUTO_FUSED_MIN_JOBS,
@@ -47,21 +16,6 @@ from repro.planner.tunables import (
 __all__ = [
     "AUTO_FUSED_MAX_VARIABLES",
     "AUTO_FUSED_MIN_JOBS",
-    "AutoSolveDetail",
-    "BatchFeatures",
     "DENSE_STORAGE_DENSITY",
-    "InstanceFeatures",
-    "PerfModel",
-    "SolvePlan",
-    "bootstrap_model",
-    "config_key",
-    "default_model_path",
-    "extract_batch_features",
-    "extract_features",
-    "fit_weights",
-    "fused_fleet_cap",
-    "load_default_model",
-    "load_model",
     "plan_batch_strategy",
-    "plan_solve",
 ]

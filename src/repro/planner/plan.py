@@ -1,243 +1,20 @@
-"""Instance-aware solve planning: features + perf model -> :class:`SolvePlan`.
+"""The executor's batch rule: what ``solve_many(strategy="auto")`` runs.
 
-The plan is the machine half of a solve — backend, kernel or storage
-variant, dtype, replica width, restart policy, and (for batches) the
-executor strategy.  :func:`plan_solve` enumerates the candidate
-configurations a :class:`~repro.planner.features.InstanceFeatures` shape
-can legally run on, prices each with the persisted
-:class:`~repro.planner.model.PerfModel`, and picks the cheapest; with no
-model (or no coverage) it falls back to the pinned heuristics, choosing
-exactly what today's front-door defaults choose — ``method="auto"``
-without a model is bit-identical to ``method="saim"``.
-
-The chosen plan, the features it was chosen from, and the prediction that
-chose it are emitted verbatim into ``SolveReport.detail["plan"]`` (via
-:class:`AutoSolveDetail`) so every auto solve is auditable.
+A batch fuses into one in-process fleet when it is shareable, has
+company, and every instance is small; everything else runs as
+independent solves.  The rule reads only the batch, so the same batch
+resolves the same way on every host.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from repro.planner.tunables import AUTO_FUSED_MAX_VARIABLES, AUTO_FUSED_MIN_JOBS
 
-from repro.planner.features import InstanceFeatures, extract_batch_features
-from repro.planner.model import PerfModel, config_key, load_default_model
-from repro.planner.tunables import AUTO_FUSED_MIN_JOBS, AUTO_FUSED_MAX_VARIABLES
-
-__all__ = [
-    "AutoSolveDetail",
-    "SolvePlan",
-    "fused_fleet_cap",
-    "plan_batch_strategy",
-    "plan_solve",
-]
-
-_DTYPES = ("float64", "float32")
+__all__ = ["plan_batch_strategy"]
 
 
-@dataclass(frozen=True)
-class SolvePlan:
-    """One planned machine configuration for a solve.
-
-    ``kernel`` / ``storage`` / ``dtype`` are ``None`` when the backend's
-    own default applies (the heuristic fallback pins nothing, so its
-    delegated solve is bit-identical to the un-planned front door).
-    ``strategy`` is ``"single"`` for one solve; batch plans carry the
-    resolved executor strategy (``"process"`` / ``"fused"``).
-    """
-
-    backend: str
-    kernel: str | None = None
-    storage: str | None = None
-    dtype: str | None = None
-    num_replicas: int = 1
-    restart: str = "random"
-    strategy: str = "single"
-
-    def backend_options(self) -> dict:
-        """The ``backend_options`` dict realizing this plan (no Nones)."""
-        options = {}
-        if self.kernel is not None:
-            options["kernel"] = self.kernel
-        if self.storage is not None:
-            options["storage"] = self.storage
-        if self.dtype is not None:
-            options["dtype"] = self.dtype
-        return options
-
-    def config_key(self) -> str:
-        """The perf-model :func:`~repro.planner.model.config_key`."""
-        return config_key(self.backend, kernel=self.kernel,
-                          storage=self.storage, dtype=self.dtype)
-
-    def as_dict(self) -> dict:
-        """Plain-JSON form (what ``detail["plan"]`` and the wire carry)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SolvePlan":
-        """Inverse of :meth:`as_dict`."""
-        return cls(
-            backend=str(payload["backend"]),
-            kernel=payload.get("kernel"),
-            storage=payload.get("storage"),
-            dtype=payload.get("dtype"),
-            num_replicas=int(payload.get("num_replicas", 1)),
-            restart=str(payload.get("restart", "random")),
-            strategy=str(payload.get("strategy", "single")),
-        )
-
-
-def _canonical_dtype(dtype) -> str | None:
-    if dtype is None:
-        return None
-    from repro.ising.backend import resolve_dtype
-
-    import numpy as np
-
-    return np.dtype(resolve_dtype(dtype)).name
-
-
-def _candidates(features: InstanceFeatures, *, backend: str | None,
-                dtype: str | None, num_replicas: int,
-                restart: str) -> list[SolvePlan]:
-    """Legal configurations for this shape, heuristic-first order.
-
-    The first entry is always the heuristic fallback choice, so a model
-    that prices nothing (or ties everywhere) degrades to today's
-    defaults.  ``higher_order`` is never offered for quadratic shapes
-    (its Python-per-spin sweep cannot win there) and is the only machine
-    offered for polynomial ones.
-    """
-    dtypes = (dtype,) if dtype is not None else (None,) + _DTYPES
-    plans: list[SolvePlan] = []
-
-    def add(backend_name, *, kernel=None, storage=None):
-        for candidate_dtype in dtypes:
-            plans.append(SolvePlan(
-                backend=backend_name, kernel=kernel, storage=storage,
-                dtype=candidate_dtype, num_replicas=num_replicas,
-                restart=restart,
-            ))
-
-    if features.poly_degree > 2 or features.kind == "poly":
-        if backend not in (None, "higher_order"):
-            raise ValueError(
-                f"backend {backend!r} cannot anneal a polynomial "
-                f"(degree {features.poly_degree}) model; method='auto' "
-                f"plans polynomial shapes on 'higher_order' only"
-            )
-        add("higher_order")
-        return plans
-
-    if backend in (None, "pbit"):
-        add("pbit", kernel="lockstep")
-        if num_replicas == 1:
-            add("pbit", kernel="serial")
-    if backend in (None, "chromatic"):
-        add("chromatic", storage="csr")
-        add("chromatic", storage="dense")
-    if not plans:
-        # An explicitly pinned backend outside the modeled set (pt,
-        # metropolis, quantized, higher_order-on-quadratic): nothing to
-        # choose between — the plan is the pin.
-        plans.append(SolvePlan(
-            backend=backend, dtype=dtype, num_replicas=num_replicas,
-            restart=restart,
-        ))
-    return plans
-
-
-def _price_key(plan: SolvePlan) -> str:
-    """Model key: an unpinned dtype prices as the float64 default."""
-    return config_key(plan.backend, kernel=plan.kernel, storage=plan.storage,
-                      dtype=plan.dtype or "float64")
-
-
-def _num_sweeps(config) -> int:
-    if config is None:
-        from repro.core.saim import SaimConfig
-
-        config = SaimConfig()
-    return int(config.num_iterations) * int(config.mcs_per_run)
-
-
-def plan_solve(features: InstanceFeatures, *, model: PerfModel | None = None,
-               config=None, num_replicas: int = 1, restart: str = "random",
-               backend: str | None = None) -> tuple[SolvePlan, dict]:
-    """Choose a :class:`SolvePlan` for one instance shape.
-
-    Returns ``(plan, prediction)`` where ``prediction`` records the
-    provenance (``"model"`` with per-candidate predicted seconds, or
-    ``"heuristic"`` when no model covers the shape), ready for
-    ``detail["prediction"]``.  ``backend`` narrows the candidate set when
-    the caller pinned one; ``config`` supplies the pinned dtype and the
-    sweep budget the prediction is priced at; ``num_replicas`` and
-    ``restart`` are quality knobs the planner passes through (they scale
-    every candidate alike).
-    """
-    dtype = _canonical_dtype(getattr(config, "dtype", None))
-    candidates = _candidates(
-        features, backend=backend, dtype=dtype, num_replicas=num_replicas,
-        restart=restart,
-    )
-    num_sweeps = _num_sweeps(config)
-    priced: dict[str, float] = {}
-    if model is not None:
-        for plan in candidates:
-            key = _price_key(plan)
-            if key in priced:
-                continue
-            seconds = model.predict_solve_seconds(
-                key, n=features.num_variables, r=num_replicas,
-                terms=features.num_terms, num_sweeps=num_sweeps,
-            )
-            if seconds is not None:
-                priced[key] = seconds
-    if priced:
-        chosen = min(
-            (plan for plan in candidates if _price_key(plan) in priced),
-            key=lambda plan: (priced[_price_key(plan)], candidates.index(plan)),
-        )
-        prediction = {
-            "source": "model",
-            "model_source": model.source,
-            "chosen": _price_key(chosen),
-            "predicted_seconds": priced[_price_key(chosen)],
-            "candidates": dict(sorted(priced.items())),
-            "num_sweeps": num_sweeps,
-        }
-        return chosen, prediction
-    # Fallback ladder, last rung: the pinned heuristics.  candidates[0]
-    # is today's front-door default for the shape by construction.
-    chosen = candidates[0]
-    prediction = {
-        "source": "heuristic",
-        "model_source": None if model is None else model.source,
-        "chosen": _price_key(chosen),
-        "predicted_seconds": None,
-        "candidates": {},
-        "num_sweeps": num_sweeps,
-    }
-    return chosen, prediction
-
-
-def fused_fleet_cap(model: PerfModel | None = None) -> int:
-    """Largest per-instance variable count ``strategy="auto"`` will fuse.
-
-    The host model's calibrated ``fused_max_variables`` tunable when one
-    is persisted, the pinned :data:`~repro.planner.tunables.AUTO_FUSED_MAX_VARIABLES`
-    otherwise.
-    """
-    if model is None:
-        model = load_default_model()
-    if model is None:
-        return AUTO_FUSED_MAX_VARIABLES
-    return model.fused_max_variables()
-
-
-def plan_batch_strategy(sizes, *, shareable: bool,
-                        model: PerfModel | None = None) -> str:
-    """Collapse executor ``strategy="auto"`` from batch-level features.
+def plan_batch_strategy(sizes, *, shareable: bool) -> str:
+    """Collapse executor ``strategy="auto"`` to ``"fused"`` or ``"process"``.
 
     ``sizes`` are the per-job decision-variable counts (``None`` entries
     mean unknown — unknown sizes never fuse); ``shareable`` is the
@@ -245,54 +22,11 @@ def plan_batch_strategy(sizes, *, shareable: bool,
     """
     if not shareable:
         return "process"
-    known = [size for size in sizes if size is not None]
-    if len(known) != len(list(sizes)):
+    sizes = list(sizes)
+    if any(size is None for size in sizes):
         return "process"
-    batch = extract_batch_features(known)
-    if batch.num_jobs < AUTO_FUSED_MIN_JOBS:
+    if len(sizes) < AUTO_FUSED_MIN_JOBS:
         return "process"
-    if batch.max_variables > fused_fleet_cap(model):
+    if max(sizes, default=0) > AUTO_FUSED_MAX_VARIABLES:
         return "process"
     return "fused"
-
-
-class AutoSolveDetail:
-    """``detail`` payload of a ``method="auto"`` report.
-
-    Carries the audit trail (``plan`` / ``features`` / ``prediction``,
-    reachable by item access as plain dicts) wrapped around the delegated
-    solve's own ``result`` payload; attribute access falls through to the
-    inner result, so ``report.final_lambdas`` / ``report.trace`` keep
-    resolving exactly as on a ``method="saim"`` report.
-    """
-
-    def __init__(self, *, plan: SolvePlan, features: InstanceFeatures,
-                 prediction: dict, result):
-        self.plan = plan
-        self.features = features
-        self.prediction = dict(prediction)
-        self.result = result
-
-    def __getitem__(self, key: str):
-        if key == "plan":
-            return self.plan.as_dict()
-        if key == "features":
-            return self.features.as_dict()
-        if key == "prediction":
-            return dict(self.prediction)
-        raise KeyError(
-            f"{key!r}; AutoSolveDetail carries 'plan', 'features', and "
-            f"'prediction'"
-        )
-
-    def __getattr__(self, name: str):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        result = self.__dict__.get("result")
-        if result is None:
-            raise AttributeError(name)
-        return getattr(result, name)
-
-    def __repr__(self) -> str:
-        return (f"AutoSolveDetail(plan={self.plan!r}, "
-                f"prediction_source={self.prediction.get('source')!r})")

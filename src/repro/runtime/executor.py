@@ -371,9 +371,9 @@ def _resolve_strategy(jobs, strategy: str) -> str:
     if strategy == "auto":
         from repro.planner.plan import plan_batch_strategy
 
-        # The size-cap check is the expensive-free one, so the planner
-        # only runs once the batch is known shareable; the fused cap is
-        # the host model's calibrated tunable when one is persisted.
+        # The size-cap check is the expensive-free one, so the batch
+        # rule only runs once the batch is known shareable; the fused cap
+        # is the pinned AUTO_FUSED_MAX_VARIABLES on every host.
         shareable = (
             len(jobs) >= AUTO_FUSED_MIN_JOBS and not fused_blockers(jobs)
         )

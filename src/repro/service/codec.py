@@ -11,9 +11,10 @@ layout, so ``job_to_wire(job_from_wire(w)) == w`` for any canonical wire
 dict and identical jobs serialize to identical bytes (after
 ``json.dumps(..., sort_keys=True)``).
 
-Strictness is a feature — the codec rejects unknown keys, non-seed RNGs
-(only ``null``/ints travel; live generator state does not), and exotic
-config objects, so a malformed request dies at the front door with a
+Strictness is a feature — the codec rejects unknown keys, method and
+backend names the registry does not know, non-seed RNGs (only
+``null``/ints travel; live generator state does not), and exotic config
+objects, so a malformed request dies at the front door with a
 :class:`CodecError` (HTTP 400) instead of deep inside a worker.
 """
 
@@ -24,6 +25,7 @@ from dataclasses import asdict, fields as dataclass_fields
 
 import numpy as np
 
+from repro.api import backend_info, method_info
 from repro.core.report import SolveReport
 from repro.core.saim import SaimConfig
 from repro.problems.io import array_from_json, array_to_json, problem_from_json, problem_to_json
@@ -147,6 +149,18 @@ def job_from_wire(payload: dict) -> tuple[SolveJob, bool]:
         raise CodecError(f"unknown request fields: {', '.join(unknown)}")
     if "problem" not in payload:
         raise CodecError("request is missing the required 'problem' field")
+    method = payload.get("method", "saim")
+    backend = payload.get("backend")
+    for field, name in (("method", method), ("backend", backend)):
+        if name is not None and not isinstance(name, str):
+            raise CodecError(f"{field} must be a string, got "
+                             f"{type(name).__name__}")
+    try:
+        method_info(method)
+        if backend is not None:
+            backend_info(backend)
+    except ValueError as exc:
+        raise CodecError(str(exc)) from None
     try:
         problem = problem_from_json(payload["problem"])
     except (ValueError, TypeError, KeyError) as exc:
@@ -157,8 +171,8 @@ def job_from_wire(payload: dict) -> tuple[SolveJob, bool]:
     )
     job = SolveJob(
         problem=problem,
-        method=payload.get("method", "saim"),
-        backend=payload.get("backend"),
+        method=method,
+        backend=backend,
         config=config_from_wire(payload.get("config")),
         num_replicas=int(payload.get("num_replicas", 1)),
         aggregate=payload.get("aggregate", "best"),
@@ -190,37 +204,13 @@ def _cost_from_wire(value) -> float:
     return float(value)
 
 
-def _plan_to_wire(detail) -> dict | None:
-    """The planner echo (``method="auto"``) as plain JSON, else None.
-
-    Accepts both live :class:`repro.planner.AutoSolveDetail` objects
-    (dataclass-backed plan/features) and already-decoded ``_WireDetail``
-    stand-ins (plain dicts), so re-encoding a decoded report is the
-    identity — the canonical round-trip contract.
-    """
-    plan = getattr(detail, "plan", None)
-    if plan is None:
-        return None
-    features = getattr(detail, "features", None)
-    prediction = getattr(detail, "prediction", None)
-    return {
-        "plan": dict(plan) if isinstance(plan, dict) else plan.as_dict(),
-        "features": (None if features is None
-                     else dict(features) if isinstance(features, dict)
-                     else features.as_dict()),
-        "prediction": None if prediction is None else dict(prediction),
-    }
-
-
 def report_to_wire(report: SolveReport) -> dict:
     """Encode a :class:`SolveReport` as a canonical wire dict.
 
     The identity fields (everything the report's own ``==`` compares,
     ``best_x`` included) travel exactly; of the free-form ``detail``
-    payload only ``final_lambdas`` and the ``method="auto"`` planner echo
-    (``plan``/``features``/``prediction``) cross the wire — the lambdas
-    are what a client needs to chain warm solves, the plan is the
-    planner's audit trail — and the rest stays server-side.
+    payload only ``final_lambdas`` crosses the wire — it is what a client
+    needs to chain warm solves — and the rest stays server-side.
     """
     final_lambdas = getattr(report.detail, "final_lambdas", None)
     return {
@@ -236,31 +226,15 @@ def report_to_wire(report: SolveReport) -> dict:
         "total_mcs": int(report.total_mcs),
         "final_lambdas":
             None if final_lambdas is None else array_to_json(final_lambdas),
-        "plan": _plan_to_wire(report.detail),
     }
 
 
 class _WireDetail:
-    """Detail stand-in for decoded reports.
+    """Detail stand-in for decoded reports: the one ``detail`` field the
+    wire carries, reachable by attribute as on the server-side result."""
 
-    Attribute access mirrors the server-side detail objects; the
-    planner echo is additionally reachable by key (``detail["plan"]``)
-    to match :class:`repro.planner.AutoSolveDetail`.
-    """
-
-    def __init__(self, final_lambdas=None, *, plan=None, features=None,
-                 prediction=None):
+    def __init__(self, final_lambdas=None):
         self.final_lambdas = final_lambdas
-        self.plan = plan
-        self.features = features
-        self.prediction = prediction
-
-    def __getitem__(self, key):
-        if key in ("plan", "features", "prediction"):
-            value = getattr(self, key)
-            if value is not None:
-                return value
-        raise KeyError(key)
 
 
 def report_from_wire(payload: dict) -> SolveReport:
@@ -274,16 +248,8 @@ def report_from_wire(payload: dict) -> SolveReport:
                          f"{type(payload).__name__}")
     best_x = payload.get("best_x")
     final_lambdas = payload.get("final_lambdas")
-    plan_payload = payload.get("plan")
-    detail = None
-    if final_lambdas is not None or plan_payload is not None:
-        plan_payload = plan_payload or {}
-        detail = _WireDetail(
-            None if final_lambdas is None else array_from_json(final_lambdas),
-            plan=plan_payload.get("plan"),
-            features=plan_payload.get("features"),
-            prediction=plan_payload.get("prediction"),
-        )
+    detail = (None if final_lambdas is None
+              else _WireDetail(array_from_json(final_lambdas)))
     return SolveReport(
         method=payload["method"],
         backend=payload.get("backend"),

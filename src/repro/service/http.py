@@ -11,16 +11,24 @@ runtime dependencies.  The surface is deliberately small:
   submission.
 - ``GET /v1/health`` — liveness + version.
 - ``GET /v1/stats`` — queue depth, per-worker cache counters
-  (``warm_hits`` / ``cold_starts`` / evictions), jobs/sec.
+  (``warm_hits`` / ``cold_starts`` / evictions), jobs/sec, and
+  ``worker_restarts``.
 
-Failure mapping is part of the contract: a malformed body (including
-``NaN`` / ``Infinity`` tokens, which strict JSON lacks) is ``400``
-with the codec's message, a queue above its high-water mark is ``429``
-with a structured ``queue_full`` payload (depth, high-water, and a
-``retry`` hint) plus a ``Retry-After`` header derived from the queue
-depth and measured service rate — backpressure is an *answer*, never a
-hang — and a
-solver error inside a worker is ``500`` carrying the worker's traceback.
+Failure mapping is part of the contract:
+
+- a malformed body (including ``NaN`` / ``Infinity`` tokens, which
+  strict JSON lacks, and a method or backend the registry does not know)
+  is ``400`` with the codec's message;
+- a ``Content-Length`` that is negative or not a number is ``400``, and
+  one above :data:`MAX_BODY_BYTES` is ``413``; both are answered without
+  reading the body, and the connection is closed;
+- a queue above its high-water mark is ``429`` with a structured
+  ``queue_full`` payload (depth, high-water, and a ``retry`` hint) plus a
+  ``Retry-After`` header derived from the queue depth and measured
+  service rate — backpressure is an *answer*, never a hang;
+- a solver error inside a worker is ``500`` carrying the worker's
+  traceback (type ``WorkerLost`` when a process worker died during the
+  job).
 
 Binding ``port=0`` lets the OS pick an ephemeral port (tests); the
 chosen address is ``service.address`` after :meth:`SolverService.start`.
@@ -41,11 +49,24 @@ __all__ = ["SolverService"]
 
 _SYNC_TIMEOUT_SECONDS = 600.0
 
+#: Largest request body the door reads (a dense QKP-1000 request is about
+#: 5.7 MiB); a larger ``Content-Length`` is answered 413 unread.
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
 
 def _reject_constant(token: str):
     """``json.loads`` hook: the wire format is strict JSON, so the
     ``NaN`` / ``Infinity`` / ``-Infinity`` extensions are refused."""
     raise CodecError(f"{token} is not a JSON number")
+
+
+class _UnreadBody(Exception):
+    """A request refused on its headers alone; its body stays unread."""
+
+    def __init__(self, status: int, kind: str, message: str):
+        super().__init__(message)
+        self.status = status
+        self.kind = kind
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -89,7 +110,20 @@ class _Handler(BaseHTTPRequestHandler):
         return max(1, min(600, math.ceil(wait)))
 
     def _read_json(self):
-        length = int(self.headers.get("Content-Length", 0))
+        header = self.headers.get("Content-Length", "0")
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _UnreadBody(400, "bad_request",
+                              f"bad Content-Length {header!r}")
+        if length > MAX_BODY_BYTES:
+            raise _UnreadBody(
+                413, "payload_too_large",
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+            )
         raw = self.rfile.read(length) if length else b""
         try:
             return json.loads(raw.decode("utf-8"), parse_constant=_reject_constant)
@@ -112,6 +146,13 @@ class _Handler(BaseHTTPRequestHandler):
             if mode not in ("sync", "async"):
                 raise CodecError(f"mode must be 'sync' or 'async', got {mode!r}")
             handle = self.service.pool.submit(body, priority=priority)
+        except _UnreadBody as exc:
+            # The unread body would be parsed as the next request on this
+            # connection, so the answer closes it.
+            self._send_json(exc.status, {"error": {"type": exc.kind,
+                                                   "message": str(exc)}},
+                            headers={"Connection": "close"})
+            return
         except QueueFullError as exc:
             self._send_json(429, {
                 "error": {

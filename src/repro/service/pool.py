@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
+import queue
 import sys
 import threading
 import time
@@ -56,6 +57,11 @@ __all__ = ["JobHandle", "ProgramCache", "ServicePool", "WorkerRuntime"]
 #: configuration); beyond it the least recently used session is dropped,
 #: together with its cached multipliers.
 MAX_SESSIONS = 64
+
+#: How often a dispatcher waiting on a process worker's answer checks that
+#: the child is still alive; a dead child fails its job as ``WorkerLost``
+#: within about this long.
+WORKER_POLL_SECONDS = 0.5
 
 
 class ProgramCache:
@@ -146,7 +152,6 @@ class WorkerRuntime:
         self._dropped_warm_starts = 0
         self._dropped_lambda_evictions = 0
         self._jobs_done = 0
-        self._planned = 0
         self._errors = 0
 
     def _backend_options_with_cache(self, job) -> dict | None:
@@ -160,7 +165,7 @@ class WorkerRuntime:
         """
         import inspect
 
-        from repro.api import backend_info, method_info
+        from repro.api import DEFAULT_BACKEND, backend_info, method_info
 
         options = job.backend_options
         if options is not None and "program_cache" in options:
@@ -171,14 +176,7 @@ class WorkerRuntime:
         spec = method_info(job.method)
         if not (spec.uses_backend and spec.uses_lambdas):
             return options
-        if spec.default_backend is None:
-            # Planner-driven methods (``auto``) choose their own backend
-            # and kernel knobs per instance — there is no fixed builder
-            # to introspect here, and they reject caller-supplied
-            # backend_options by contract, so the resident program cache
-            # stays out of their way.
-            return options
-        backend = job.backend if job.backend is not None else spec.default_backend
+        backend = job.backend if job.backend is not None else DEFAULT_BACKEND
         builder = backend_info(backend).builder
         if "program_cache" not in inspect.signature(builder).parameters:
             return options
@@ -272,8 +270,6 @@ class WorkerRuntime:
         from repro.service.codec import report_to_wire
 
         self._jobs_done += 1
-        if job.method == "auto":
-            self._planned += 1
         return {
             "ok": True,
             "report": report_to_wire(report),
@@ -288,7 +284,6 @@ class WorkerRuntime:
         sessions = list(self._sessions.values())
         return {
             "jobs_done": self._jobs_done,
-            "planned": self._planned,
             "errors": self._errors,
             "warm_hits": self.program_cache.warm_hits,
             "cold_starts": self.program_cache.cold_starts,
@@ -311,6 +306,7 @@ class _ThreadWorker:
     """Runtime executed directly in the dispatcher thread."""
 
     mode = "thread"
+    restarts = 0
 
     def __init__(self, worker_id: int, runtime_kwargs: dict):
         self.runtime = WorkerRuntime(worker_id, **runtime_kwargs)
@@ -343,7 +339,10 @@ class _ProcessWorker:
 
     The dispatcher owns this worker exclusively, so the protocol is a
     strict request/response lockstep over a pair of queues; payloads are
-    wire-format dicts (JSON-shaped, trivially picklable).
+    wire-format dicts (JSON-shaped, trivially picklable).  A child that
+    dies mid-job fails that job as ``WorkerLost`` and is replaced by a
+    fresh child (with fresh queues and empty caches); ``restarts`` counts
+    the replacements.
     """
 
     mode = "process"
@@ -352,22 +351,65 @@ class _ProcessWorker:
         # Prefer fork (instant start, inherits sys.path) where the
         # platform offers it; fall back to spawn elsewhere.
         methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
+        self._context = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn"
         )
-        self._requests = context.Queue()
-        self._responses = context.Queue()
-        self._process = context.Process(
+        self._worker_id = worker_id
+        self._runtime_kwargs = runtime_kwargs
+        self.restarts = 0
+        self._spawn()
+
+    def _spawn(self) -> None:
+        self._requests = self._context.Queue()
+        self._responses = self._context.Queue()
+        self._process = self._context.Process(
             target=_process_worker_main,
-            args=(worker_id, runtime_kwargs, list(sys.path),
+            args=(self._worker_id, self._runtime_kwargs, list(sys.path),
                   self._requests, self._responses),
             daemon=True,
         )
         self._process.start()
 
+    def _replace(self) -> None:
+        """Swap the dead child for a fresh one with fresh queues."""
+        self._process.join(timeout=1.0)
+        for channel in (self._requests, self._responses):
+            # Nothing reads these pipes any more: never block on them,
+            # not even at interpreter exit.
+            channel.cancel_join_thread()
+            channel.close()
+        self._spawn()
+        self.restarts += 1
+
     def execute(self, payload: dict) -> dict:
+        if not self._process.is_alive():
+            self._replace()  # died between jobs: nothing in flight to fail
+        start = time.perf_counter()
         self._requests.put(payload)
-        return self._responses.get()
+        while True:
+            # Liveness is sampled before the wait, so an answer the child
+            # wrote just before dying is still collected.
+            alive = self._process.is_alive()
+            try:
+                return self._responses.get(timeout=WORKER_POLL_SECONDS)
+            except queue.Empty:
+                if not alive:
+                    break
+        exitcode = self._process.exitcode
+        self._replace()
+        return {
+            "ok": False,
+            "error": {
+                "type": "WorkerLost",
+                "message": f"worker {self._worker_id} process exited "
+                           f"(code {exitcode}) during the job; a fresh "
+                           f"worker replaced it",
+                "traceback": "",
+            },
+            "fingerprint": "",
+            "warm_start": bool(payload.get("warm_start", False)),
+            "solve_seconds": time.perf_counter() - start,
+        }
 
     def close(self) -> None:
         try:
@@ -626,20 +668,18 @@ class ServicePool:
         queue = self.queue
         workers = []
         jobs_done = 0
-        jobs_planned = 0
         for worker_id in range(self.num_workers):
             stats = dict(self._worker_stats.get(worker_id, {}))
             stats["id"] = worker_id
             stats["mode"] = self.mode
             workers.append(stats)
             jobs_done += stats.get("jobs_done", 0)
-            jobs_planned += stats.get("planned", 0)
         uptime = (time.perf_counter() - self._started_at
                   if self._started_at is not None else 0.0)
         return {
             "uptime_seconds": uptime,
             "jobs_done": jobs_done,
-            "jobs_planned": jobs_planned,
+            "worker_restarts": sum(worker.restarts for worker in self._workers),
             "jobs_per_second": jobs_done / uptime if uptime > 0 else 0.0,
             "paused": not self._gate.is_set(),
             "queue": {

@@ -186,9 +186,22 @@ class TestSolve:
             main(["solve", str(qkp_file), retired, "saim"])
         assert excinfo.value.code == 2  # argparse: unrecognized argument
 
+    def test_retired_planner_surface_is_a_usage_error(self, qkp_file):
+        # The retired flag is spelled in two parts, as above.
+        retired = "--model" + "-path"
+        for argv in (["plan", str(qkp_file)],
+                     ["solve", str(qkp_file), retired, "m.json"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2  # argparse: not a known choice
+
     def test_unknown_method_rejected(self, qkp_file):
         with pytest.raises(SystemExit, match="unknown method"):
             main(["solve", str(qkp_file), "--method", "quantum"])
+
+    def test_method_auto_is_unknown(self, qkp_file):
+        with pytest.raises(SystemExit, match="unknown method 'auto'"):
+            main(["solve", str(qkp_file), "--method", "auto"])
 
     def test_backend_free_method_rejects_backend_flags(self, qkp_file):
         with pytest.raises(SystemExit, match="backend-free"):
@@ -207,6 +220,16 @@ class TestSolve:
         with pytest.raises(SystemExit, match="--mcs does not apply"):
             main(["solve", str(qkp_file), "--method", "milp",
                   "--mcs", "200"])
+
+    def test_max3sat_file_solves_on_higher_order(self, tmp_path, capsys):
+        sat_path = tmp_path / "inst.json"
+        main(["generate-max3sat", str(sat_path), "--variables", "12",
+              "--clauses", "40", "--seed", "2"])
+        code = main(["solve", str(sat_path), "--iterations", "10",
+                     "--mcs", "40"])
+        out = capsys.readouterr().out
+        assert code in (0, 1)
+        assert "saim[higher_order]" in out
 
     def test_solve_saim_mkp(self, mkp_file, capsys):
         code = main(["solve", str(mkp_file),
@@ -261,7 +284,7 @@ class TestUnreadableInstance:
             path.write_text(content)
         return path
 
-    @pytest.mark.parametrize("command", ["solve", "plan", "sweep"])
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
     def test_clean_exit(self, bad_file, command):
         with pytest.raises(SystemExit, match=re.escape(f"cannot load {bad_file}: ")):
             main([command, str(bad_file)])
@@ -296,63 +319,14 @@ class TestSweepStrategyFlag:
         assert "Solver sweep" in capsys.readouterr().out
 
 
-class TestPlannerCommands:
-    """`plan`, `solve --method auto`, `export-qubo`, and `.qubo` loading."""
+class TestQuboCommands:
+    """`export-qubo` and `.qubo` loading."""
 
     @pytest.fixture
     def qkp_file(self, tmp_path):
         path = tmp_path / "small.qkp"
         main(["generate-qkp", str(path), "--items", "14", "--seed", "5"])
         return path
-
-    def test_plan_heuristic_fallback(self, qkp_file, capsys):
-        # The suite env disables the host model (REPRO_PERF_MODEL=""), so
-        # the decision degrades to the heuristic ladder rung.
-        assert main(["plan", str(qkp_file)]) == 0
-        out = capsys.readouterr().out
-        assert "features: kind=quadratic n=" in out
-        assert "fingerprint=" in out
-        assert "plan: backend=pbit kernel=lockstep" in out
-        assert "heuristic fallback" in out
-
-    def test_plan_with_model_prints_candidate_table(self, qkp_file, tmp_path,
-                                                    capsys):
-        from repro.planner import PerfModel
-
-        model_path = tmp_path / "perf_model.json"
-        PerfModel({
-            "pbit:lockstep:float64": [1.0, 0, 0, 0, 0],
-            "chromatic:csr:float64": [1e-9, 0, 0, 0, 0],
-        }).save(model_path)
-        assert main(["plan", str(qkp_file), "--model-path",
-                     str(model_path)]) == 0
-        out = capsys.readouterr().out
-        assert "plan: backend=chromatic storage=csr" in out
-        assert "<- chosen" in out
-        assert "chromatic:csr:float64" in out
-
-    def test_plan_missing_model_rejected(self, qkp_file, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["plan", str(qkp_file), "--model-path",
-                  str(tmp_path / "absent.json")])
-
-    def test_solve_method_auto(self, qkp_file, capsys):
-        code = main(["solve", str(qkp_file), "--method", "auto",
-                     "--iterations", "30", "--mcs", "100"])
-        out = capsys.readouterr().out
-        assert code in (0, 1)
-        assert "auto[" in out
-        assert "plan: backend=pbit kernel=lockstep" in out
-        assert "(source: heuristic)" in out
-
-    def test_model_path_requires_method_auto(self, qkp_file, tmp_path):
-        with pytest.raises(SystemExit, match="--method auto only"):
-            main(["solve", str(qkp_file), "--model-path",
-                  str(tmp_path / "model.json")])
-        with pytest.raises(SystemExit, match="--method auto only"):
-            main(["solve", str(qkp_file), "--method", "saim",
-                  "--model-path", str(tmp_path / "model.json"),
-                  "--iterations", "10", "--mcs", "50"])
 
     def test_export_qubo_then_solve_round_trip(self, qkp_file, tmp_path,
                                                capsys):
@@ -367,7 +341,7 @@ class TestPlannerCommands:
         model = read_qubo(qubo_path)
         assert model.num_variables > 14  # decision + slack bits
 
-        code = main(["solve", str(qubo_path), "--method", "auto",
+        code = main(["solve", str(qubo_path),
                      "--iterations", "30", "--mcs", "100"])
         out = capsys.readouterr().out
         assert code in (0, 1)
@@ -377,5 +351,8 @@ class TestPlannerCommands:
         sat_path = tmp_path / "inst.json"
         main(["generate-max3sat", str(sat_path), "--variables", "12",
               "--clauses", "40", "--seed", "2"])
-        with pytest.raises(SystemExit, match="quadratic-only"):
+        with pytest.raises(SystemExit, match="quadratic-only") as excinfo:
             main(["export-qubo", str(sat_path), str(tmp_path / "out.qubo")])
+        # The refusal names the route that does solve the file.
+        assert "repro solve" in str(excinfo.value)
+        assert "higher_order" in str(excinfo.value)

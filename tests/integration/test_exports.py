@@ -12,6 +12,9 @@ PACKAGES = [
     "repro.baselines",
     "repro.analysis",
     "repro.utils",
+    "repro.planner",
+    "repro.runtime",
+    "repro.service",
 ]
 
 

@@ -37,21 +37,6 @@ class TestReadme:
         assert 0 <= instance.count_satisfied(report.best_x) <= instance.num_clauses
         assert namespace["cubic"].num_iterations > 0
 
-    def test_auto_snippet_executes(self):
-        text = README.read_text()
-        blocks = re.findall(r"```python\n(.*?)```", text, flags=re.DOTALL)
-        snippets = [b for b in blocks if 'method="auto"' in b]
-        assert snippets, "README has no method=auto python block"
-        namespace = {}
-        exec(compile(snippets[0], "README.md", "exec"), namespace)
-        auto_report = namespace["auto_report"]
-        assert auto_report.method == "auto"
-        assert namespace["plan"]["backend"] == auto_report.backend
-        assert namespace["prediction"]["source"] in ("model", "heuristic")
-        # Planning without solving returns the same schema.
-        assert namespace["chosen"].backend
-        assert namespace["pricing"]["source"] in ("model", "heuristic")
-
     def test_mentions_all_deliverable_paths(self):
         text = README.read_text()
         for token in ("examples/", "tests/", "benchmarks/", "DESIGN.md",

@@ -25,8 +25,11 @@ class TestRegistry:
             assert name in repro.available_backends()
 
     def test_unknown_method_lists_available(self):
-        with pytest.raises(ValueError, match="unknown method"):
-            repro.solve(tiny_knapsack_problem(), method="quantum")
+        # "auto" (the retired perf-model planner) is unknown like any other.
+        for name in ("quantum", "auto"):
+            with pytest.raises(ValueError,
+                               match=f"unknown method '{name}'; available"):
+                repro.solve(tiny_knapsack_problem(), method=name)
 
     def test_unknown_backend_lists_available(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -47,6 +50,25 @@ class TestRegistry:
             spec = repro.method_info(name)
             assert not spec.uses_backend
             assert not spec.uses_config
+
+    @pytest.mark.parametrize("method", ["penalty", "saim"])
+    def test_annealing_methods_default_to_pbit(self, method):
+        # The default is the p-bit machine itself, not just its label:
+        # naming it changes nothing.
+        problem = generate_qkp(12, 0.5, rng=6)
+        implicit = repro.solve(problem, method=method, rng=4, **FAST)
+        explicit = repro.solve(problem, method=method, backend="pbit",
+                               rng=4, **FAST)
+        assert implicit.backend == "pbit"
+        assert implicit == explicit
+
+    def test_register_method_takes_no_default_backend(self):
+        # Every annealing method runs on the same default machine, so the
+        # registry has no per-method default to declare.
+        with pytest.raises(TypeError, match="default_backend"):
+            repro.register_method("sentinel-method", lambda problem, **_: None,
+                                  default_backend="pbit")
+        assert "sentinel-method" not in repro.available_methods()
 
     def test_custom_registration_round_trip(self):
         def runner(problem, **kwargs):
@@ -184,6 +206,14 @@ class TestBackendFreeRejections:
     def test_rejects_explicit_backend(self, qkp):
         with pytest.raises(ValueError, match="backend-free"):
             repro.solve(qkp, method="greedy", backend="pbit")
+
+    @pytest.mark.parametrize("method", ["bnb", "exhaustive", "ga", "greedy",
+                                        "milp"])
+    def test_every_backend_free_method_rejects_a_backend(self, qkp, method):
+        assert not repro.method_info(method).uses_backend
+        with pytest.raises(ValueError, match=f"method {method!r} is "
+                                             "backend-free"):
+            repro.solve(qkp, method=method, backend="pbit")
 
     def test_rejects_replicas(self, qkp):
         with pytest.raises(ValueError, match="no replica loop"):

@@ -1,5 +1,6 @@
 """Tests for the sharded solve_many executor (repro.runtime.executor)."""
 
+import json
 import pickle
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 import repro
 from repro.core.saim import SaimConfig
+from repro.planner.plan import plan_batch_strategy
+from repro.planner.tunables import AUTO_FUSED_MAX_VARIABLES, AUTO_FUSED_MIN_JOBS
 from repro.problems.generators import generate_qkp
 from repro.problems.max3sat import generate_max3sat
 from repro.runtime import (
@@ -253,6 +256,18 @@ class TestMethodJobs:
         exact = report.outcomes[2].result.best_cost
         assert report.stats.best_cost == pytest.approx(exact)
 
+    def test_unknown_method_fails_only_its_own_job(self):
+        instance = generate_qkp(10, 0.5, rng=3)
+        jobs = [
+            SolveJob(problem=instance, method="auto"),
+            SolveJob(problem=instance, method="greedy"),
+        ]
+        report = solve_many(jobs, raise_on_error=False)
+        lost, done = report.outcomes
+        assert not lost.ok
+        assert "unknown method 'auto'; available" in lost.error
+        assert done.ok and done.result.method == "greedy"
+
     def test_reports_equal_serial_solves(self):
         """Acceptance: max_workers=1 report == the direct solve, under
         SolveReport equality (which ignores wall time)."""
@@ -425,12 +440,75 @@ class TestAutoStrategy:
             jobs, strategy="auto"
         ).stats.strategy == "process"
 
+    def test_instances_at_the_cap_fuse(self):
+        problems = [generate_qkp(AUTO_FUSED_MAX_VARIABLES, 0.3, rng=index)
+                    for index in range(AUTO_FUSED_MIN_JOBS)]
+        jobs = fleet_jobs(
+            problems, rng=0, config=FAST,
+            config_overrides={"num_iterations": 1, "mcs_per_run": 2},
+        )
+        assert solve_many(jobs, strategy="auto").stats.strategy == "fused"
+
     def test_stats_summary_names_strategy(self):
         problems = [generate_qkp(10, 0.5, rng=index) for index in range(2)]
         report = solve_many(fleet_jobs(problems, rng=0, config=FAST),
                             strategy="fused")
         assert "[fused]" in report.stats.summary()
         assert "jobs/s" in report.stats.summary()
+
+    def test_host_cache_files_do_not_steer_the_rule(self, monkeypatch,
+                                                    tmp_path):
+        """The batch alone decides: a perf-model file in the user cache
+        asking for a zero fused cap changes nothing."""
+        cache = tmp_path / ".cache" / "repro"
+        cache.mkdir(parents=True)
+        (cache / "perf_model.json").write_text(json.dumps(
+            {"version": 1, "tunables": {"fused_max_variables": 0}}
+        ))
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.delenv("REPRO_PERF_MODEL", raising=False)
+        problems = [generate_qkp(40, 0.5, rng=index) for index in range(30)]
+        jobs = fleet_jobs(
+            problems, rng=0, config=FAST,
+            config_overrides={"num_iterations": 1, "mcs_per_run": 2},
+        )
+        assert solve_many(jobs, strategy="auto").stats.strategy == "fused"
+
+
+class TestBatchStrategy:
+    """``plan_batch_strategy``: the rule behind ``strategy="auto"``."""
+
+    def test_fused_when_small_shareable_and_enough_jobs(self):
+        sizes = [24] * max(AUTO_FUSED_MIN_JOBS, 2)
+        assert plan_batch_strategy(sizes, shareable=True) == "fused"
+
+    def test_not_shareable_forces_process(self):
+        assert plan_batch_strategy([24, 24, 24], shareable=False) == "process"
+
+    def test_unknown_size_forces_process(self):
+        sizes = [24, None, 24]
+        assert plan_batch_strategy(sizes, shareable=True) == "process"
+
+    def test_too_few_jobs_forces_process(self):
+        sizes = [24] * (AUTO_FUSED_MIN_JOBS - 1)
+        assert plan_batch_strategy(sizes, shareable=True) == "process"
+
+    def test_oversized_instance_forces_process(self):
+        sizes = [AUTO_FUSED_MAX_VARIABLES + 1] * max(AUTO_FUSED_MIN_JOBS, 2)
+        assert plan_batch_strategy(sizes, shareable=True) == "process"
+
+    @pytest.mark.parametrize("sizes, expected", [
+        pytest.param([AUTO_FUSED_MAX_VARIABLES] * AUTO_FUSED_MIN_JOBS,
+                     "fused", id="at-the-cap"),
+        pytest.param([1] * AUTO_FUSED_MIN_JOBS, "fused", id="minimum-batch"),
+        pytest.param([8] * 10 + [AUTO_FUSED_MAX_VARIABLES + 1], "process",
+                     id="one-oversized-among-many"),
+        pytest.param([], "process", id="empty"),
+        pytest.param([None] * 3, "process", id="all-unknown"),
+        pytest.param(iter([16, 16, 16]), "fused", id="one-shot-iterator"),
+    ])
+    def test_boundaries(self, sizes, expected):
+        assert plan_batch_strategy(sizes, shareable=True) == expected
 
 
 class TestPolynomialBatch:
@@ -450,3 +528,21 @@ class TestPolynomialBatch:
             assert "ValueError: " in outcome.error
             assert ("the 'pbit' backend only handles quadratic models — "
                     "solve with backend='higher_order'") in outcome.error
+
+    @pytest.mark.parametrize("strategy", ["process", "auto"])
+    def test_pubo_on_higher_order_runs_as_independent_solves(self, strategy):
+        """The polynomial route: ``backend="higher_order"`` is not the
+        fused p-bit kernel, so "auto" keeps the batch as independent
+        solves, each equal to the direct front-door call."""
+        problems = [generate_max3sat(8, 20, rng=index) for index in range(3)]
+        jobs = [
+            SolveJob(problem=problem, backend="higher_order", config=FAST,
+                     rng=index)
+            for index, problem in enumerate(problems)
+        ]
+        report = solve_many(jobs, strategy=strategy)
+        assert report.stats.strategy == "process"
+        for job, result in zip(jobs, report.results):
+            assert result.backend == "higher_order"
+            assert result == repro.solve(job.problem, backend="higher_order",
+                                         config=FAST, rng=job.rng)

@@ -7,7 +7,11 @@ program residency across requests, and structured (never-hanging)
 backpressure.
 """
 
+import http.client
 import json
+import os
+import signal
+import socket
 import threading
 import time
 import urllib.error
@@ -18,10 +22,11 @@ import pytest
 
 import repro
 from repro.ising._lockstep import AnnealProgram
-from repro.problems.generators import generate_qkp
+from repro.problems.generators import generate_mkp, generate_qkp
 from repro.runtime import SolveJob
 from repro.service import SolverService
-from repro.service.codec import job_to_wire, report_from_wire, report_to_wire
+from repro.service.codec import job_to_wire, report_from_wire
+from repro.service.http import MAX_BODY_BYTES
 
 FAST = dict(num_iterations=10, mcs_per_run=60)
 
@@ -58,6 +63,25 @@ def http_json_headers(base, path, payload=None, timeout=60.0):
             return response.status, json.loads(response.read()), response.headers
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read()), error.headers
+
+
+def raw_post(address, content_length):
+    """POST ``/v1/solve`` headers with the given ``Content-Length`` and no
+    body; returns (status, decoded body).
+
+    ``recv`` times out (failing the test) unless the answer arrives
+    within a second and the server then closes the connection.
+    """
+    head = (f"POST /v1/solve HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {content_length}\r\n\r\n")
+    reply = b""
+    with socket.create_connection(address, timeout=1.0) as conn:
+        conn.sendall(head.encode("ascii"))
+        while chunk := conn.recv(65536):
+            reply += chunk
+    headers, _, body = reply.partition(b"\r\n\r\n")
+    return int(headers.split()[1]), json.loads(body)
 
 
 def wire_job(instance, seed, **kwargs):
@@ -167,10 +191,91 @@ class TestSolveEndpoint:
         stats = http_json(base, "/v1/stats")[1]
         assert stats["queue"]["enqueued"] == 1
 
+    def test_unknown_method_or_backend_is_400(self, service):
+        """Names the registry does not know are refused before admission
+        ("auto" included: the perf-model planner is gone)."""
+        _, base = service
+        instance = generate_qkp(12, 0.5, rng=8)
+        for field, name in (("method", "nope"), ("backend", "nope"),
+                            ("method", "auto")):
+            payload = wire_job(instance, 1)
+            payload[field] = name
+            status, body = http_json(base, "/v1/solve", payload)
+            assert status == 400, body
+            assert body["error"]["type"] == "bad_request"
+            assert f"unknown {field} {name!r}" in body["error"]["message"]
+        stats = http_json(base, "/v1/stats")[1]
+        assert stats["queue"]["enqueued"] == 0
+
+    def test_bad_content_length_answered_unread(self, service):
+        """A negative or oversized Content-Length is answered at once from
+        the headers, and the connection is closed behind the answer."""
+        live, base = service
+        for length, status, kind in (
+            ("-1", 400, "bad_request"),
+            (str(MAX_BODY_BYTES + 1), 413, "payload_too_large"),
+        ):
+            answer = raw_post(live.address, length)
+            assert answer[0] == status, answer
+            assert answer[1]["error"]["type"] == kind
+        instance = generate_qkp(12, 0.5, rng=8)
+        assert http_json(base, "/v1/solve", wire_job(instance, 1))[0] == 200
+
+    @pytest.mark.parametrize("length", ["abc", "1.5", "0x10"])
+    def test_unparseable_content_length_is_400_unread(self, service, length):
+        live, base = service
+        status, body = raw_post(live.address, length)
+        assert status == 400
+        assert body["error"]["type"] == "bad_request"
+        assert f"bad Content-Length {length!r}" in body["error"]["message"]
+        assert http_json(base, "/v1/stats")[1]["queue"]["enqueued"] == 0
+
+    def test_missing_content_length_is_an_empty_body(self, service):
+        live, _ = service
+        conn = http.client.HTTPConnection(*live.address, timeout=5.0)
+        try:
+            conn.putrequest("POST", "/v1/solve")
+            conn.endheaders()
+            response = conn.getresponse()
+            error = json.loads(response.read())["error"]
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert error["type"] == "bad_request"
+        assert "not valid JSON" in error["message"]
+
     def test_unknown_route_is_404(self, service):
         _, base = service
         assert http_json(base, "/v1/nope", {})[0] == 404
         assert http_json(base, "/v1/nope")[0] == 404
+
+
+class TestEveryMethod:
+    """Every registered method crosses the door and answers exactly as the
+    in-process front door does."""
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        with SolverService(port=0, num_workers=1) as live:
+            host, port = live.address
+            yield f"http://{host}:{port}"
+
+    @pytest.mark.parametrize("method", repro.available_methods())
+    def test_matches_in_process(self, base, method):
+        instance = generate_mkp(12, 2, rng=3)
+        budget = {}
+        if repro.method_info(method).uses_config:
+            budget = dict(FAST)
+        options = None
+        if method == "ga":
+            options = {"population_size": 10, "num_children": 100}
+        job = SolveJob(instance, method=method, rng=5, method_options=options,
+                       config_overrides=budget)
+        status, body = http_json(base, "/v1/solve", job_to_wire(job))
+        assert status == 200, body
+        expected = repro.solve(instance, method=method, rng=5,
+                               method_options=options, **budget)
+        assert report_from_wire(body["report"]) == expected
 
 
 class TestAsyncJobs:
@@ -257,44 +362,41 @@ class TestBackpressure:
                 assert body["status"] == "done"
 
 
-class TestAutoMethod:
-    """``method="auto"`` through the service: plan survives the wire."""
-
-    def test_auto_solve_round_trips_with_plan(self, service):
-        _, base = service
-        instance = generate_qkp(16, 0.5, rng=8)
-        payload = job_to_wire(SolveJob(
-            instance, method="auto", rng=21, config_overrides=dict(FAST),
+class TestWorkerLoss:
+    def test_killed_process_worker_fails_job_and_is_replaced(self):
+        endless = job_to_wire(SolveJob(
+            generate_qkp(120, 0.5, rng=9), rng=1,
+            config_overrides=dict(num_iterations=100_000, mcs_per_run=1000),
         ))
-        status, body = http_json(base, "/v1/solve", payload)
-        assert status == 200, body
-        wire = body["report"]
-        # The audit trail survives the wire verbatim.
-        assert wire["plan"] is not None
-        assert wire["plan"]["plan"]["backend"] == wire["backend"]
-        assert wire["plan"]["prediction"]["source"] in (
-            "model", "heuristic")
-        served = report_from_wire(wire)
-        assert served.method == "auto"
-        assert served.detail["plan"] == wire["plan"]["plan"]
-        # Canonical codec: decode then re-encode reproduces the wire form.
-        assert report_to_wire(served) == wire
-        # Bit-identity with the in-process front door (no model in the
-        # hermetic test env, so auto == saim on the same seed).
-        direct = repro.solve(instance, method="auto", rng=21, **FAST)
-        assert np.array_equal(served.best_x, direct.best_x)
-        assert served.best_cost == direct.best_cost
-        stats = http_json(base, "/v1/stats")[1]
-        assert stats["jobs_planned"] == 1
-
-    def test_non_auto_report_has_null_plan(self, service):
-        _, base = service
-        instance = generate_qkp(14, 0.5, rng=8)
-        status, body = http_json(base, "/v1/solve", wire_job(instance, 3))
-        assert status == 200
-        assert body["report"]["plan"] is None
-        stats = http_json(base, "/v1/stats")[1]
-        assert stats["jobs_planned"] == 0
+        instance = generate_qkp(12, 0.5, rng=8)
+        with SolverService(port=0, num_workers=1, mode="process") as live:
+            host, port = live.address
+            base = f"http://{host}:{port}"
+            handle = live.pool.submit(endless)
+            deadline = time.monotonic() + 60
+            while handle.status != "running":
+                assert time.monotonic() < deadline, "job never started"
+                time.sleep(0.01)
+            time.sleep(0.3)  # let the child take the job off its queue
+            os.kill(live.pool._workers[0]._process.pid, signal.SIGKILL)
+            assert handle.wait(5.0), "lost job still pending"
+            assert handle.status == "failed"
+            assert handle.response["error"]["type"] == "WorkerLost"
+            status, body = http_json(base, "/v1/solve", wire_job(instance, 1))
+            assert status == 200, body
+            assert (report_from_wire(body["report"])
+                    == repro.solve(instance, rng=1, **FAST))
+            stats = http_json(base, "/v1/stats")[1]
+            assert stats["worker_restarts"] == 1
+            # A child that dies between jobs is replaced before the next
+            # job is sent, so that job still succeeds.
+            idle = live.pool._workers[0]._process
+            os.kill(idle.pid, signal.SIGKILL)
+            idle.join(timeout=5.0)
+            assert not idle.is_alive()
+            status, body = http_json(base, "/v1/solve", wire_job(instance, 2))
+            assert status == 200, body
+            assert http_json(base, "/v1/stats")[1]["worker_restarts"] == 2
 
 
 class TestObservability:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.utils.validation import (
     check_binary_vector,
+    check_finite,
     check_non_negative,
     check_positive,
     check_square_symmetric,
@@ -64,3 +65,16 @@ class TestScalars:
     def test_non_negative_rejects_negative(self):
         with pytest.raises(ValueError):
             check_non_negative(-0.1, "p")
+
+
+class TestFinite:
+    def test_accepts_finite_values(self):
+        check_finite(np.array([[0.0, -1e300], [1e300, 2.5]]), "J")
+        check_finite(3.0, "beta")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        values = np.ones((3, 3))
+        values[1, 2] = bad
+        with pytest.raises(ValueError, match="J must be finite"):
+            check_finite(values, "J")
