@@ -1,27 +1,20 @@
-"""Perf — solver-service request latency: cold vs warm program residency.
+"""Perf — solver-service request latency over live loopback HTTP.
 
-The service's pitch (and this bench's question) is amortisation: a
-persistent worker keeps the O(N^2) ``AnnealProgram`` build resident
-across requests, so a repeat instance pays only the solve, not the
-setup.  The bench drives a live :class:`repro.service.SolverService`
-(real HTTP over an ephemeral loopback port, stdlib ``urllib`` clients)
-through two phases:
+The bench drives a live :class:`repro.service.SolverService` (real HTTP
+over an ephemeral loopback port, stdlib ``urllib`` clients) through one
+timed phase: every instance is submitted once, then re-submitted
+``repeats`` times with fresh seeds.  Each request's machine builds its
+own ``AnnealProgram``, exactly as an in-process ``repro.solve`` does, so
+the latency is the whole request path: HTTP, wire codec, queue, worker
+and solve.
 
-- **cold** — every instance submitted once against an empty cache; each
-  request pays the program build (``cold_starts``);
-- **warm** — the same instances re-submitted ``warm_repeats`` times with
-  fresh seeds; every request adopts the resident program
-  (``warm_hits``).
-
-Both phases run >= 2 concurrent client threads against one worker, so
-the queue and the HTTP front door are exercised under concurrency while
-residency stays deterministic (one worker == one cache).  Per-request
-wall latency is measured at the client; the record reports p50/p99 for
-each phase, sustained jobs/sec over the warm phase, and the exact cache
-counters.  Every cold request plus one warm request per instance is
-re-solved in process and asserted **bit-identical** to the served
-report — the latency numbers are only meaningful if the service returns
-the same answers as ``repro.solve``.
+The phase runs >= 2 concurrent client threads against one worker, so the
+queue and the HTTP front door are exercised under concurrency.
+Per-request wall latency is measured at the client; the record reports
+p50/p99 over the phase and sustained jobs/sec.  Every served report is
+re-solved in process and asserted **bit-identical** to ``repro.solve``
+with the same seed — the latency numbers are only meaningful if the
+service returns the same answers.
 
 Results are archived as ``benchmarks/output/BENCH_service_latency.json``;
 smoke runs also mirror the record to the repo root as the committed perf
@@ -33,9 +26,8 @@ or through pytest-benchmark::
 
     REPRO_SCALE=ci PYTHONPATH=src python -m pytest benchmarks/bench_perf_service_latency.py
 
-The warm-vs-cold p50 comparison needs a quiet multi-core host, so the
-wall-time assertion only arms at non-smoke scale on >= 4 CPUs (the CI
-runners); the cache-counter and bit-identity assertions always arm.
+No wall-time assertion arms: the bench records latency; the bit-identity
+audit always arms.
 """
 
 from __future__ import annotations
@@ -58,14 +50,14 @@ from repro.service import SolverService  # noqa: E402
 from repro.service.codec import job_to_wire, report_from_wire  # noqa: E402
 
 # The solve budget stays small on purpose: the bench isolates the
-# request-path overhead the service amortises (program build + HTTP +
-# queue), which a long anneal would drown out.
+# request-path overhead (program build + HTTP + queue), which a long
+# anneal would drown out.
 _BUDGETS = {
-    "smoke": dict(num_instances=4, warm_repeats=2, num_items=120,
+    "smoke": dict(num_instances=4, repeats=2, num_items=120,
                   iterations=3, mcs=20, clients=2),
-    "ci": dict(num_instances=8, warm_repeats=4, num_items=500,
+    "ci": dict(num_instances=8, repeats=4, num_items=500,
                iterations=3, mcs=15, clients=4),
-    "full": dict(num_instances=16, warm_repeats=6, num_items=800,
+    "full": dict(num_instances=16, repeats=6, num_items=800,
                  iterations=4, mcs=20, clients=4),
 }
 
@@ -145,7 +137,7 @@ def _run_phase(base: str, requests: list[tuple[int, int, dict]],
 
 
 def run_service_latency_bench(scale: str | None = None) -> dict:
-    """Race cold vs warm request latency; archive and return the record."""
+    """Time the request mix; audit it, archive and return the record."""
     scale = scale or _scale_name()
     budget = _BUDGETS[scale]
     overrides = dict(num_iterations=budget["iterations"],
@@ -160,53 +152,32 @@ def run_service_latency_bench(scale: str | None = None) -> dict:
                        config_overrides=dict(overrides))
         return (instance_id, seed, job_to_wire(job))
 
-    # Warm up numpy/BLAS first-call costs outside the timed phases.
+    # Warm up numpy/BLAS first-call costs outside the timed phase.
     repro.solve(instances[0], rng=0, **overrides)
 
-    cold_jobs = [wire(index, 100 + index) for index in instances]
-    warm_jobs = [
+    jobs = [wire(index, 100 + index) for index in instances] + [
         wire(index, 1000 + 97 * repeat + index)
-        for repeat in range(budget["warm_repeats"])
+        for repeat in range(budget["repeats"])
         for index in instances
     ]
 
     with SolverService(port=0, num_workers=1, queue_depth=256) as live:
         host, port = live.address
-        base = f"http://{host}:{port}"
-        cold_records, _ = _run_phase(base, cold_jobs, budget["clients"])
-        warm_records, warm_wall = _run_phase(base, warm_jobs,
-                                             budget["clients"])
-        stats = live.pool.stats()
+        records, wall = _run_phase(f"http://{host}:{port}", jobs,
+                                   budget["clients"])
 
-    worker = stats["workers"][0]
-    if worker["cold_starts"] != len(instances):
-        raise AssertionError(
-            f"expected {len(instances)} cold starts, saw "
-            f"{worker['cold_starts']}"
-        )
-    if worker["warm_hits"] != len(warm_jobs):
-        raise AssertionError(
-            f"expected {len(warm_jobs)} warm hits, saw {worker['warm_hits']}"
-        )
-
-    # Bit-identity audit: every cold request plus the first warm request
-    # per instance, checked against an in-process solve of the same seed.
-    first_warm = {}
-    for record in warm_records:
-        first_warm.setdefault(record["instance"], record)
-    audited = cold_records + list(first_warm.values())
-    for record in audited:
+    # Bit-identity audit: every served report against an in-process solve
+    # of the same seed.
+    for record in records:
         direct = repro.solve(instances[record["instance"]],
                              rng=record["seed"], **overrides)
-        served = report_from_wire(record["report"])
-        if served != direct:
+        if report_from_wire(record["report"]) != direct:
             raise AssertionError(
                 f"service diverged from repro.solve on instance "
                 f"{record['instance']} seed {record['seed']}"
             )
 
-    cold_ms = [r["latency_seconds"] * 1e3 for r in cold_records]
-    warm_ms = [r["latency_seconds"] * 1e3 for r in warm_records]
+    latency_ms = [r["latency_seconds"] * 1e3 for r in records]
     report = {
         "bench": "service_latency",
         "scale": scale,
@@ -215,65 +186,39 @@ def run_service_latency_bench(scale: str | None = None) -> dict:
         "num_instances": budget["num_instances"],
         "num_items": budget["num_items"],
         "clients": budget["clients"],
-        "warm_repeats": budget["warm_repeats"],
+        "repeats": budget["repeats"],
         "iterations": budget["iterations"],
         "mcs_per_run": budget["mcs"],
-        "cold": {
-            "count": len(cold_ms),
-            "p50_ms": _percentile(cold_ms, 50),
-            "p99_ms": _percentile(cold_ms, 99),
+        "requests": {
+            "count": len(latency_ms),
+            "p50_ms": _percentile(latency_ms, 50),
+            "p99_ms": _percentile(latency_ms, 99),
         },
-        "warm": {
-            "count": len(warm_ms),
-            "p50_ms": _percentile(warm_ms, 50),
-            "p99_ms": _percentile(warm_ms, 99),
-        },
-        "warm_speedup_p50":
-            _percentile(cold_ms, 50) / _percentile(warm_ms, 50),
-        "jobs_per_second": len(warm_jobs) / warm_wall,
-        "cache": {
-            "cold_starts": worker["cold_starts"],
-            "warm_hits": worker["warm_hits"],
-            "program_entries": worker["program_entries"],
-        },
-        "bit_identical_audited": len(audited),
+        "jobs_per_second": len(jobs) / wall,
+        "bit_identical_audited": len(records),
     }
     out_path = archive_bench_json("service_latency", report)
 
+    requests = report["requests"]
     print(f"\nservice latency ({scale} scale, {available_cpus()} CPUs, "
           f"{budget['clients']} clients, N={budget['num_items']}):")
-    print(f"  cold  p50 {report['cold']['p50_ms']:8.2f} ms   "
-          f"p99 {report['cold']['p99_ms']:8.2f} ms   "
-          f"({report['cold']['count']} requests)")
-    print(f"  warm  p50 {report['warm']['p50_ms']:8.2f} ms   "
-          f"p99 {report['warm']['p99_ms']:8.2f} ms   "
-          f"({report['warm']['count']} requests)")
-    print(f"  warm speedup (p50) {report['warm_speedup_p50']:.2f}x, "
-          f"sustained {report['jobs_per_second']:.1f} jobs/s, "
+    print(f"  p50 {requests['p50_ms']:8.2f} ms   "
+          f"p99 {requests['p99_ms']:8.2f} ms   "
+          f"({requests['count']} requests)")
+    print(f"  sustained {report['jobs_per_second']:.1f} jobs/s, "
           f"{report['bit_identical_audited']} reports audited bit-identical")
     print(f"archived {out_path}")
     return report
 
 
 def test_perf_service_latency(benchmark):
-    """Warm residency must not lose to cold setup on a quiet host."""
+    """Every request is served, and every served report was audited."""
     report = benchmark.pedantic(
         run_service_latency_bench, rounds=1, iterations=1, warmup_rounds=0
     )
-    # Always-armed: the residency accounting and the audit happened.
-    assert report["cache"]["cold_starts"] == report["num_instances"]
-    assert report["cache"]["warm_hits"] == (
-        report["num_instances"] * report["warm_repeats"]
-    )
-    assert report["bit_identical_audited"] >= 2 * report["num_instances"]
-    if report["scale"] != "smoke" and report["available_cpus"] >= 4:
-        # Wall-clock comparison needs a quiet multi-core host (the CI
-        # runners); small containers report honest numbers without
-        # gating on them.
-        assert report["warm"]["p50_ms"] < report["cold"]["p50_ms"], (
-            f"warm p50 {report['warm']['p50_ms']:.2f} ms did not beat "
-            f"cold p50 {report['cold']['p50_ms']:.2f} ms"
-        )
+    expected = report["num_instances"] * (1 + report["repeats"])
+    assert report["requests"]["count"] == expected
+    assert report["bit_identical_audited"] == expected
 
 
 if __name__ == "__main__":

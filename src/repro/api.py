@@ -462,22 +462,14 @@ def _resolve_builder_dtype(default: str | None):
     return default
 
 
-def _pbit_builder(dtype: str | None = None, kernel: str = "lockstep",
-                  program_cache=None):
+def _pbit_builder(dtype: str | None = None, kernel: str = "lockstep"):
     from repro.ising.pbit import PBitMachine
 
     default = _resolve_builder_dtype(dtype)
 
     def factory(model, rng=None, dtype=None):
-        machine = PBitMachine(model, rng=rng, dtype=dtype or default,
-                              kernel=kernel)
-        if program_cache is not None:
-            # Service warm path: bind the machine to a resident
-            # AnnealProgram keyed by coupling content (see
-            # repro.service.pool.ProgramCache), skipping the O(N^2)
-            # program build on repeat instances.
-            program_cache.bind(machine)
-        return machine
+        return PBitMachine(model, rng=rng, dtype=dtype or default,
+                           kernel=kernel)
 
     return factory
 
@@ -495,20 +487,15 @@ def _metropolis_builder(dtype: str | None = None, kernel: str = "serial"):
 
 
 def _quantized_builder(bits: int = 8, dtype: str | None = None,
-                       kernel: str = "lockstep", program_cache=None):
+                       kernel: str = "lockstep"):
     from repro.ising.quantization import QuantizedPBitMachine
 
     default = _resolve_builder_dtype(dtype)
 
     def factory(model, rng=None, dtype=None):
-        machine = QuantizedPBitMachine(
+        return QuantizedPBitMachine(
             model, bits=bits, rng=rng, dtype=dtype or default, kernel=kernel
         )
-        if program_cache is not None:
-            # Keyed by the quantized coupling content, so different bit
-            # depths of the same instance cache separate programs.
-            program_cache.bind(machine)
-        return machine
 
     return factory
 
@@ -838,8 +825,7 @@ register_backend(
     "pbit", _pbit_builder,
     description="probabilistic-bit machine of paper Section III-B "
                 "(backend_options={'dtype': 'float32'} for the fast scan, "
-                "{'kernel': 'serial'} for the pure-python R=1 reference, "
-                "{'program_cache': ...} for service-resident programs)",
+                "{'kernel': 'serial'} for the pure-python R=1 reference)",
 )
 register_backend(
     "metropolis", _metropolis_builder,
@@ -849,8 +835,7 @@ register_backend(
 )
 register_backend(
     "quantized", _quantized_builder,
-    description="fixed-point p-bit machine (backend_options={'bits': 8}; "
-                "{'program_cache': ...} for service-resident programs)",
+    description="fixed-point p-bit machine (backend_options={'bits': 8})",
 )
 register_backend(
     "chromatic", _chromatic_builder,

@@ -147,9 +147,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="run the solver-as-a-service daemon: a persistent worker "
-             "pool (resident AnnealProgram + multiplier caches) behind "
-             "an HTTP/JSON front end (POST /v1/solve, GET /v1/jobs/<id>, "
-             "/v1/health, /v1/stats)",
+             "pool (resident multiplier caches) behind an HTTP/JSON "
+             "front end (POST /v1/solve, GET /v1/jobs/<id>, /v1/health, "
+             "/v1/stats)",
     )
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
@@ -170,9 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--session-max-entries", type=int, default=1024,
                        help="per-worker LRU bound on cached multiplier "
                             "vectors (default 1024)")
-    serve.add_argument("--program-max-entries", type=int, default=32,
-                       help="per-worker LRU bound on resident "
-                            "AnnealPrograms (default 32)")
     serve.add_argument("--log", default="-", metavar="PATH",
                        help="request log destination: one JSON line per "
                             "request ('-' = stderr, default)")
@@ -533,8 +530,7 @@ def _serve(args) -> int:
               else RequestLogger.open(args.log))
     pool = ServicePool(
         args.workers, mode=args.worker_mode, queue_depth=args.queue_depth,
-        session_max_entries=args.session_max_entries,
-        program_max_entries=args.program_max_entries, logger=logger,
+        session_max_entries=args.session_max_entries, logger=logger,
     )
     service = SolverService(args.host, args.port, pool=pool)
     service.start()

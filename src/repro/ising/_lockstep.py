@@ -121,20 +121,6 @@ class AnnealProgram:
         self.cold_starts += 1
         return self.coupling @ spins + fields[:, None]
 
-    def release_residency(self) -> None:
-        """Drop the solve-resident ``(spins, J @ s)`` state.
-
-        A program that outlives one solve (the service worker keeps
-        programs resident across requests) must not leak one solve's
-        final spins into the next: the warm input path is bit-identical
-        to the cold matmul only on integer-weight couplings, and a new
-        request's first run must match a fresh in-process solve exactly.
-        The ``warm_hits`` / ``cold_starts`` counters keep accumulating —
-        they describe the program's lifetime, not one solve.
-        """
-        self._resident_spins = None
-        self._resident_coupling_inputs = None
-
     def retain(self, spins, inputs, fields) -> None:
         """Keep a run's final ``(spins, J @ spins)`` as solve-resident state.
 

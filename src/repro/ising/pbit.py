@@ -258,35 +258,6 @@ class PBitMachine:
         """Current Hamiltonian (couplings shared, fields copied)."""
         return IsingModel(self._coupling, self._fields.copy(), self._offset)
 
-    def adopt_program(self, program: AnnealProgram) -> None:
-        """Adopt a prepared :class:`AnnealProgram` for this machine's coupling.
-
-        The service-layer warm path: a long-lived worker keys programs by
-        coupling content and hands a cached one to each fresh machine,
-        which skips the O(N^2) coupling preparation.  The program
-        must have been built from a bit-identical coupling at this
-        machine's dtype — verified here, because a silently-wrong program
-        would anneal the wrong Hamiltonian — and its solve-resident spin
-        state is dropped so the adopting solve starts exactly like a
-        machine that built its own program (bit-identical trajectories).
-        """
-        if program.dtype != self._dtype:
-            raise ValueError(
-                f"program dtype {program.dtype} does not match machine "
-                f"dtype {self._dtype}"
-            )
-        if program.coupling.shape != self._coupling.shape or not np.array_equal(
-            program.coupling, self._coupling
-        ):
-            raise ValueError(
-                "program was built for a different coupling matrix"
-            )
-        # Share the program's cast coupling: one contiguous copy serves
-        # every adopter (the values are verified equal above).
-        self._coupling = program.coupling
-        program.release_residency()
-        self._program = program
-
     def set_fields(self, fields, offset: float | None = None) -> None:
         """Reprogram the linear fields ``h`` (and optionally the offset).
 

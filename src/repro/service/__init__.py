@@ -7,7 +7,6 @@ Layering (request path, top to bottom)::
     http.SolverService     stdlib ThreadingHTTPServer; 400/429 mapping
     pool.ServicePool       bounded PriorityJobQueue + dispatcher threads
     pool.WorkerRuntime     persistent (thread/process) solver state:
-                             ProgramCache      resident AnnealPrograms
                              SolverSession(s)  resident multiplier caches
     repro.solve            the unchanged in-process front door
 
@@ -17,9 +16,9 @@ per-request JSON logging in :mod:`repro.service.log`.  The CLI
 entry point is ``repro serve``.
 
 Contract: a default request is **bit-identical** to ``repro.solve`` on
-the same seed — residency buys latency, never different answers.
-``warm_start=true`` is the explicit opt-in that changes multiplier
-trajectories.
+the same seed: each request's machine builds its own program, exactly
+as an in-process solve does.  ``warm_start=true`` is the explicit opt-in
+that changes multiplier trajectories.
 """
 
 from repro.service.codec import (
@@ -31,7 +30,7 @@ from repro.service.codec import (
 )
 from repro.service.http import SolverService
 from repro.service.log import RequestLogger
-from repro.service.pool import JobHandle, ProgramCache, ServicePool, WorkerRuntime
+from repro.service.pool import JobHandle, ServicePool, WorkerRuntime
 from repro.service.queue import (
     PRIORITIES,
     PriorityJobQueue,
@@ -44,7 +43,6 @@ __all__ = [
     "JobHandle",
     "PRIORITIES",
     "PriorityJobQueue",
-    "ProgramCache",
     "QueueClosedError",
     "QueueFullError",
     "RequestLogger",

@@ -12,10 +12,11 @@ dict and identical jobs serialize to identical bytes (after
 ``json.dumps(..., sort_keys=True)``).
 
 Strictness is a feature — the codec rejects unknown keys, method and
-backend names the registry does not know, non-seed RNGs (only
-``null``/ints travel; live generator state does not), and exotic config
-objects, so a malformed request dies at the front door with a
-:class:`CodecError` (HTTP 400) instead of deep inside a worker.
+backend names the registry does not know, backend options their builder
+refuses, non-seed RNGs (only ``null``/ints travel; live generator state
+does not), and exotic config objects, so a malformed request dies at the
+front door with a :class:`CodecError` (HTTP 400) instead of deep inside
+a worker.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import asdict, fields as dataclass_fields
 
 import numpy as np
 
-from repro.api import backend_info, method_info
+from repro.api import DEFAULT_BACKEND, backend_info, make_backend_factory, method_info
 from repro.core.report import SolveReport
 from repro.core.saim import SaimConfig
 from repro.problems.io import array_from_json, array_to_json, problem_from_json, problem_to_json
@@ -48,6 +49,8 @@ _JOB_KEYS = (
     "method_options", "config_overrides", "tag", "warm_start",
 )
 _CONFIG_KEYS = tuple(spec.name for spec in dataclass_fields(SaimConfig))
+# The report fields with no default on the wire.
+_REPORT_REQUIRED = ("method", "best_cost", "feasible", "num_iterations")
 
 
 class CodecError(ValueError):
@@ -77,6 +80,16 @@ def _check_options(name: str, options) -> dict | None:
     return dict(options)
 
 
+def _config(fields: dict) -> SaimConfig:
+    unknown = sorted(str(name) for name in set(fields) - set(_CONFIG_KEYS))
+    if unknown:
+        raise CodecError(f"unknown config fields: {', '.join(unknown)}")
+    try:
+        return SaimConfig(**fields)
+    except (TypeError, ValueError) as exc:
+        raise CodecError(f"bad config: {exc}") from None
+
+
 def config_to_wire(config) -> dict | None:
     """A ``SaimConfig`` (or compatible mapping) as a plain JSON object."""
     if config is None:
@@ -84,7 +97,7 @@ def config_to_wire(config) -> dict | None:
     if isinstance(config, SaimConfig):
         return asdict(config)
     if isinstance(config, dict):
-        return config_to_wire(SaimConfig(**config))
+        return asdict(_config(config))
     raise CodecError(
         f"config must be a SaimConfig or a mapping of its fields, got "
         f"{type(config).__name__}"
@@ -98,10 +111,7 @@ def config_from_wire(payload) -> SaimConfig | None:
     if not isinstance(payload, dict):
         raise CodecError(f"config must be a JSON object, got "
                          f"{type(payload).__name__}")
-    unknown = sorted(set(payload) - set(_CONFIG_KEYS))
-    if unknown:
-        raise CodecError(f"unknown config fields: {', '.join(unknown)}")
-    return SaimConfig(**payload)
+    return _config(payload)
 
 
 def job_to_wire(job: SolveJob, *, warm_start: bool = False) -> dict:
@@ -156,11 +166,23 @@ def job_from_wire(payload: dict) -> tuple[SolveJob, bool]:
             raise CodecError(f"{field} must be a string, got "
                              f"{type(name).__name__}")
     try:
-        method_info(method)
+        uses_backend = method_info(method).uses_backend
         if backend is not None:
             backend_info(backend)
     except ValueError as exc:
         raise CodecError(str(exc)) from None
+    backend_options = _check_options("backend_options",
+                                     payload.get("backend_options"))
+    if uses_backend:
+        # Resolve the options the way the solve will, so a knob the
+        # builder refuses is a 400 here rather than a worker error.
+        name = backend if backend is not None else DEFAULT_BACKEND
+        try:
+            make_backend_factory(name, **(backend_options or {}))
+        except (TypeError, ValueError) as exc:
+            raise CodecError(
+                f"bad backend_options for backend {name!r}: {exc}"
+            ) from None
     try:
         problem = problem_from_json(payload["problem"])
     except (ValueError, TypeError, KeyError) as exc:
@@ -179,8 +201,7 @@ def job_from_wire(payload: dict) -> tuple[SolveJob, bool]:
         restart=payload.get("restart", "random"),
         rng=_check_seed(payload.get("rng")),
         initial_lambdas=None if lambdas is None else array_from_json(lambdas),
-        backend_options=_check_options("backend_options",
-                                       payload.get("backend_options")),
+        backend_options=backend_options,
         method_options=_check_options("method_options",
                                       payload.get("method_options")),
         config_overrides=overrides if overrides is not None else {},
@@ -196,12 +217,6 @@ def _cost_to_wire(cost: float):
     if math.isfinite(cost):
         return cost
     return repr(cost)
-
-
-def _cost_from_wire(value) -> float:
-    if isinstance(value, str):
-        return float(value)
-    return float(value)
 
 
 def report_to_wire(report: SolveReport) -> dict:
@@ -246,20 +261,27 @@ def report_from_wire(payload: dict) -> SolveReport:
     if not isinstance(payload, dict):
         raise CodecError(f"report payload must be a JSON object, got "
                          f"{type(payload).__name__}")
+    missing = [name for name in _REPORT_REQUIRED if name not in payload]
+    if missing:
+        raise CodecError(f"report payload is missing {', '.join(missing)}")
     best_x = payload.get("best_x")
     final_lambdas = payload.get("final_lambdas")
-    detail = (None if final_lambdas is None
-              else _WireDetail(array_from_json(final_lambdas)))
-    return SolveReport(
-        method=payload["method"],
-        backend=payload.get("backend"),
-        best_x=None if best_x is None else array_from_json(best_x),
-        best_cost=_cost_from_wire(payload["best_cost"]),
-        feasible=bool(payload["feasible"]),
-        num_iterations=int(payload["num_iterations"]),
-        wall_seconds=float(payload.get("wall_seconds", 0.0)),
-        detail=detail,
-        problem_name=payload.get("problem_name", ""),
-        num_replicas=int(payload.get("num_replicas", 1)),
-        total_mcs=int(payload.get("total_mcs", 0)),
-    )
+    try:
+        return SolveReport(
+            method=payload["method"],
+            backend=payload.get("backend"),
+            best_x=None if best_x is None else array_from_json(best_x),
+            # Non-finite costs arrive as "inf"/"nan" strings; float()
+            # reads both spellings.
+            best_cost=float(payload["best_cost"]),
+            feasible=bool(payload["feasible"]),
+            num_iterations=int(payload["num_iterations"]),
+            wall_seconds=float(payload.get("wall_seconds", 0.0)),
+            detail=(None if final_lambdas is None
+                    else _WireDetail(array_from_json(final_lambdas))),
+            problem_name=payload.get("problem_name", ""),
+            num_replicas=int(payload.get("num_replicas", 1)),
+            total_mcs=int(payload.get("total_mcs", 0)),
+        )
+    except (TypeError, ValueError, KeyError) as exc:
+        raise CodecError(f"bad report payload: {exc}") from exc

@@ -10,18 +10,19 @@ runtime dependencies.  The surface is deliberately small:
 - ``GET /v1/jobs/<id>`` — status (and report, once done) of an async
   submission.
 - ``GET /v1/health`` — liveness + version.
-- ``GET /v1/stats`` — queue depth, per-worker cache counters
-  (``warm_hits`` / ``cold_starts`` / evictions), jobs/sec, and
-  ``worker_restarts``.
+- ``GET /v1/stats`` — queue depth, per-worker job and multiplier-session
+  counters, jobs/sec, and ``worker_restarts``.
 
 Failure mapping is part of the contract:
 
 - a malformed body (including ``NaN`` / ``Infinity`` tokens, which
-  strict JSON lacks, and a method or backend the registry does not know)
-  is ``400`` with the codec's message;
+  strict JSON lacks, a method or backend the registry does not know, and
+  a backend option its builder refuses) is ``400`` with the codec's
+  message;
 - a ``Content-Length`` that is negative or not a number is ``400``, and
-  one above :data:`MAX_BODY_BYTES` is ``413``; both are answered without
-  reading the body, and the connection is closed;
+  one above :data:`MAX_BODY_BYTES` is ``413``; both, and a ``POST`` to an
+  unknown route (``404``), are answered without reading the body, and
+  the connection is closed;
 - a queue above its high-water mark is ``429`` with a structured
   ``queue_full`` payload (depth, high-water, and a ``retry`` hint) plus a
   ``Retry-After`` header derived from the queue depth and measured
@@ -134,8 +135,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         if self.path != "/v1/solve":
+            # Unread body: close the connection behind the answer, as
+            # for _UnreadBody below.
             self._send_json(404, {"error": {"type": "not_found",
-                                            "message": self.path}})
+                                            "message": self.path}},
+                            headers={"Connection": "close"})
             return
         try:
             body = self._read_json()
@@ -239,11 +243,7 @@ def _job_response(handle) -> tuple[int, dict]:
             "queue_seconds": handle.queue_seconds,
             "solve_seconds": response.get("solve_seconds", 0.0),
         },
-        "cache": {
-            "warm_start": response.get("warm_start", False),
-            "warm_hits": response.get("stats", {}).get("warm_hits", 0),
-            "cold_starts": response.get("stats", {}).get("cold_starts", 0),
-        },
+        "cache": {"warm_start": response.get("warm_start", False)},
         "worker": handle.worker_id,
     }
 

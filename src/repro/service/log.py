@@ -3,7 +3,7 @@
 Every request that enters the service produces exactly one log line —
 completed, failed, or rejected at the queue — with the fields an
 operator greps for: request id, problem fingerprint, queue wait, solve
-wall time, and the warm/cold cache outcome.  Lines are single JSON
+wall time, and whether the request warm-started its multipliers.  Lines are single JSON
 objects with sorted keys (stable field order, machine-parseable,
 ``jq``-friendly) written under a lock so concurrent dispatchers never
 interleave bytes.

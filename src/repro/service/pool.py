@@ -1,44 +1,33 @@
-"""Persistent worker pool: long-lived solvers with resident warm caches.
+"""Persistent worker pool: long-lived solvers with resident multiplier caches.
 
-What the service actually sells is *residency*.  An in-process
-``repro.solve`` pays two setup costs on every call: the O(N^2)
-``AnnealProgram`` build (contiguous cast of the coupling, plus the numpy
-scan's block decomposition when that fallback runs) and the cold
-``lambda = 0`` multiplier ramp.  A pool worker
-lives across requests and keeps both warm:
-
-- a :class:`ProgramCache` keyed by *coupling content* (shape, dtype,
-  SHA-256 of the cast bytes) hands prepared ``AnnealProgram`` objects to
-  each request's fresh machine via ``PBitMachine.adopt_program`` —
-  a repeat instance skips the build entirely (``warm_hits``),
-  a new instance pays it once (``cold_starts``);
-- per-solver :class:`repro.runtime.SolverSession` objects cache final
-  multipliers per problem fingerprint, so a request that opts in with
-  ``warm_start=true`` resumes the learned lambdas of the previous solve
-  of that problem family.
+A pool worker lives across requests.  What it keeps resident is the
+learned multipliers: per-solver :class:`repro.runtime.SolverSession`
+objects cache final lambdas per problem fingerprint, so a request that
+opts in with ``warm_start=true`` resumes the multipliers of the previous
+solve of that problem family instead of the cold ``lambda = 0`` ramp.
+Each request's machine builds its own ``AnnealProgram``, exactly as an
+in-process ``repro.solve`` does; since the p-bit sweep is compiled that
+build is a dtype cast of the coupling, cheaper than hashing the coupling
+to find a cached one.
 
 Bit-identity contract: by default (``warm_start=false``) a service solve
-is **bit-identical** to ``repro.solve`` on the same seed.  The program
-cache preserves this because adoption drops the program's solve-resident
-spin state (:meth:`AnnealProgram.release_residency`) — the preparation
-is deterministic in the coupling, so a cached program is
-indistinguishable from a freshly built one.  ``warm_start=true`` is the
-explicit opt-out: it changes the multiplier trajectory on purpose.
+is **bit-identical** to ``repro.solve`` on the same seed.
+``warm_start=true`` is the explicit opt-out: it changes the multiplier
+trajectory on purpose.
 
-Workers come in two modes.  ``mode="process"`` (the daemon default, and
-what the ISSUE's "long-lived processes" means) runs each
-:class:`WorkerRuntime` in its own long-lived OS process, fed wire-format
-dicts over pipes — true parallelism across CPUs, caches resident in the
-child.  ``mode="thread"`` runs the runtime inside the dispatcher thread
-— zero startup cost, same code path, the right choice for tests and
-latency benches on small hosts.  Either way, one dispatcher thread per
-worker drains the shared :class:`PriorityJobQueue`, so queue ordering
-and backpressure behave identically in both modes.
+Workers come in two modes.  ``mode="process"`` (the daemon default)
+runs each :class:`WorkerRuntime` in its own long-lived OS process, fed
+wire-format dicts over pipes — true parallelism across CPUs, sessions
+resident in the child.  ``mode="thread"`` runs the runtime inside the
+dispatcher thread — zero startup cost, same code path, the right choice
+for tests and latency benches on small hosts.  Either way, one
+dispatcher thread per worker drains the shared
+:class:`PriorityJobQueue`, so queue ordering and backpressure behave
+identically in both modes.
 """
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import queue
 import sys
@@ -51,7 +40,7 @@ from collections import OrderedDict
 from repro.service.codec import CodecError, job_from_wire, report_from_wire
 from repro.service.queue import PriorityJobQueue, QueueClosedError, resolve_priority
 
-__all__ = ["JobHandle", "ProgramCache", "ServicePool", "WorkerRuntime"]
+__all__ = ["JobHandle", "ServicePool", "WorkerRuntime"]
 
 #: Per-worker bound on resident solver sessions (one per distinct solver
 #: configuration); beyond it the least recently used session is dropped,
@@ -64,63 +53,6 @@ MAX_SESSIONS = 64
 WORKER_POLL_SECONDS = 0.5
 
 
-class ProgramCache:
-    """LRU cache of prepared :class:`AnnealProgram` objects.
-
-    Keys are coupling *content* — ``(n, dtype, sha256(bytes))`` — so two
-    requests for the same instance (or the same instance at a different
-    dtype / quantization) hit or miss correctly regardless of object
-    identity.  ``bind(machine)`` either hands the machine a cached
-    program (``warm_hits``) or forces the machine's own build and keeps
-    it (``cold_starts``).
-    """
-
-    def __init__(self, max_entries: int = 32):
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = int(max_entries)
-        self._programs: OrderedDict[tuple, object] = OrderedDict()
-        self.warm_hits = 0
-        self.cold_starts = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._programs)
-
-    @staticmethod
-    def _key(coupling) -> tuple:
-        digest = hashlib.sha256(coupling.tobytes()).hexdigest()
-        return (coupling.shape[0], coupling.dtype.name, digest)
-
-    def bind(self, machine) -> bool:
-        """Attach a resident program to ``machine``; True on a warm hit.
-
-        Machines without the ``adopt_program`` seam (or running the
-        serial reference kernel, which never uses a program) pass
-        through untouched.
-        """
-        if not hasattr(machine, "adopt_program"):
-            return False
-        if getattr(machine, "kernel", None) == "serial":
-            return False
-        coupling = machine.model.coupling
-        key = self._key(coupling)
-        program = self._programs.get(key)
-        if program is not None:
-            machine.adopt_program(program)
-            self._programs.move_to_end(key)
-            self.warm_hits += 1
-            return True
-        # Miss: force the build now and keep the program for the next
-        # request with this coupling.
-        self._programs[key] = machine.program
-        self.cold_starts += 1
-        while len(self._programs) > self.max_entries:
-            self._programs.popitem(last=False)
-            self.evictions += 1
-        return False
-
-
 def _freeze(value):
     """A hashable identity for JSON-shaped option values."""
     if isinstance(value, dict):
@@ -131,7 +63,7 @@ def _freeze(value):
 
 
 class WorkerRuntime:
-    """One worker's resident state: program cache + per-solver sessions.
+    """One worker's resident state: per-solver multiplier sessions.
 
     Lives for the worker's lifetime (thread or process) and executes
     wire-format jobs.  Sessions are keyed by the full pinned solver
@@ -141,10 +73,8 @@ class WorkerRuntime:
     """
 
     def __init__(self, worker_id: int = 0, *,
-                 session_max_entries: int = 1024,
-                 program_max_entries: int = 32):
+                 session_max_entries: int = 1024):
         self.worker_id = worker_id
-        self.program_cache = ProgramCache(program_max_entries)
         self._session_max_entries = session_max_entries
         self._sessions: OrderedDict[tuple, object] = OrderedDict()
         # Counters of sessions already dropped, so the totals in stats()
@@ -154,37 +84,7 @@ class WorkerRuntime:
         self._jobs_done = 0
         self._errors = 0
 
-    def _backend_options_with_cache(self, job) -> dict | None:
-        """Merge the resident program cache into the job's backend options.
-
-        Injected only where it can land: SAIM-family methods (the
-        ``penalty`` runner owns its backend and rejects options) whose
-        resolved backend builder actually declares the ``program_cache``
-        knob — introspected, so third-party backends opt in by adding
-        the parameter.
-        """
-        import inspect
-
-        from repro.api import DEFAULT_BACKEND, backend_info, method_info
-
-        options = job.backend_options
-        if options is not None and "program_cache" in options:
-            raise CodecError(
-                "backend_options['program_cache'] is service-managed and "
-                "cannot be supplied by a request"
-            )
-        spec = method_info(job.method)
-        if not (spec.uses_backend and spec.uses_lambdas):
-            return options
-        backend = job.backend if job.backend is not None else DEFAULT_BACKEND
-        builder = backend_info(backend).builder
-        if "program_cache" not in inspect.signature(builder).parameters:
-            return options
-        merged = dict(options) if options else {}
-        merged["program_cache"] = self.program_cache
-        return merged
-
-    def _session_for(self, job, backend_options):
+    def _session_for(self, job):
         from repro.runtime.session import SolverSession
 
         key = (
@@ -200,7 +100,7 @@ class WorkerRuntime:
             session = SolverSession(
                 job.method, job.backend, job.config,
                 num_replicas=job.num_replicas, aggregate=job.aggregate,
-                backend_options=backend_options,
+                backend_options=job.backend_options,
                 method_options=job.method_options,
                 max_entries=self._session_max_entries,
                 **job.config_overrides,
@@ -231,16 +131,15 @@ class WorkerRuntime:
                 raise CodecError(
                     "warm_start requires the default restart='random'"
                 )
-            backend_options = self._backend_options_with_cache(job)
             if job.restart == "random" and job.initial_lambdas is None:
-                session = self._session_for(job, backend_options)
+                session = self._session_for(job)
                 report = session.resolve(
                     job.problem, rng=job.rng, warm_start=warm_start
                 )
             else:
                 # Off the session path (explicit restart policy or
                 # caller-supplied multipliers): call the front door
-                # directly, still with the resident program cache.
+                # directly.
                 from repro.api import solve
 
                 report = solve(
@@ -248,7 +147,7 @@ class WorkerRuntime:
                     config=job.config, num_replicas=job.num_replicas,
                     aggregate=job.aggregate, restart=job.restart,
                     rng=job.rng, initial_lambdas=job.initial_lambdas,
-                    backend_options=backend_options,
+                    backend_options=job.backend_options,
                     method_options=job.method_options,
                     **job.config_overrides,
                 )
@@ -285,10 +184,6 @@ class WorkerRuntime:
         return {
             "jobs_done": self._jobs_done,
             "errors": self._errors,
-            "warm_hits": self.program_cache.warm_hits,
-            "cold_starts": self.program_cache.cold_starts,
-            "program_entries": len(self.program_cache),
-            "program_evictions": self.program_cache.evictions,
             "sessions": len(sessions),
             "session_warm_starts": self._dropped_warm_starts
                 + sum(s.num_warm_starts for s in sessions),
@@ -492,8 +387,7 @@ class ServicePool:
 
     def __init__(self, num_workers: int = 1, *, mode: str = "thread",
                  queue_depth: int = 64, session_max_entries: int = 1024,
-                 program_max_entries: int = 32, logger=None,
-                 completed_cap: int = 512):
+                 logger=None, completed_cap: int = 512):
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         if mode not in ("thread", "process"):
@@ -502,10 +396,7 @@ class ServicePool:
         self.mode = mode
         self.queue = PriorityJobQueue(high_water=queue_depth)
         self.logger = logger
-        self._runtime_kwargs = dict(
-            session_max_entries=session_max_entries,
-            program_max_entries=program_max_entries,
-        )
+        self._runtime_kwargs = dict(session_max_entries=session_max_entries)
         self._workers: list = []
         self._dispatchers: list[threading.Thread] = []
         self._gate = threading.Event()
@@ -647,7 +538,6 @@ class ServicePool:
                       response: dict) -> None:
         if self.logger is None:
             return
-        stats = response.get("stats", {})
         self.logger.log(
             event="solve", id=handle.id,
             status="ok" if response.get("ok") else "error",
@@ -657,8 +547,6 @@ class ServicePool:
             queue_seconds=round(handle.queue_seconds, 6),
             solve_seconds=round(response.get("solve_seconds", 0.0), 6),
             warm_start=response.get("warm_start", False),
-            warm_hits=stats.get("warm_hits", 0),
-            cold_starts=stats.get("cold_starts", 0),
         )
 
     # -- observability -----------------------------------------------------

@@ -195,6 +195,14 @@ class TestSolve:
                 main(argv)
             assert excinfo.value.code == 2  # argparse: not a known choice
 
+    def test_retired_program_cache_flag_is_a_usage_error(self):
+        # Spelled in two parts, as above.  With "--workers 0" a serve that
+        # still took the flag would exit on the worker count, never bind.
+        retired = "--program" + "-max-entries"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--workers", "0", retired, "4"])
+        assert excinfo.value.code == 2  # argparse: unrecognized argument
+
     def test_unknown_method_rejected(self, qkp_file):
         with pytest.raises(SystemExit, match="unknown method"):
             main(["solve", str(qkp_file), "--method", "quantum"])

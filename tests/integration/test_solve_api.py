@@ -328,6 +328,18 @@ class TestSolveFrontDoor:
                 backend_options={option: 4}, num_iterations=5, mcs_per_run=20,
             )
 
+    @pytest.mark.parametrize("backend", ["pbit", "quantized"])
+    def test_retired_program_cache_option_is_type_error(self, backend):
+        """The service-resident program knob is gone: each machine builds
+        its own program, so the builders refuse it like any typo."""
+        option = "program_" + "cache"  # spelled in two parts, as in test_cli
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{option}'"):
+            repro.solve(
+                tiny_knapsack_problem(), backend=backend,
+                backend_options={option: None}, num_iterations=5,
+                mcs_per_run=20,
+            )
+
     def test_penalty_method(self):
         report = repro.solve(
             tiny_knapsack_problem(), method="penalty",

@@ -196,6 +196,38 @@ class TestRegistryNames:
             job_from_wire(wire_with(**{field: name}))
 
 
+class TestBackendOptions:
+    """Backend options are resolved through the backend's builder at decode
+    time, so an option it refuses never reaches a worker."""
+
+    @pytest.mark.parametrize("backend, options, named", [
+        (None, {"nope": 1}, "nope"),
+        ("pbit", {"dtype": "float16"}, "float16"),
+        ("pt", {"num_chains": 0}, "num_chains"),
+        # The retired program-cache knob, spelled in two parts as in
+        # test_cli: it is one more unknown option.
+        ("quantized", {"program_" + "cache": "mine"}, "program_" + "cache"),
+    ])
+    def test_refused_options_rejected_before_the_problem(
+            self, backend, options, named):
+        # The problem payload is garbage: the options check runs first.
+        with pytest.raises(CodecError, match="bad backend_options") as excinfo:
+            job_from_wire({"problem": "garbage", "backend": backend,
+                           "backend_options": options})
+        assert named in str(excinfo.value)
+
+    @pytest.mark.parametrize("backend, options", [
+        (None, {"dtype": "float32"}),
+        ("quantized", {"bits": 6}),
+        ("pt", {"num_chains": 4}),
+    ])
+    def test_accepted_options_decode_unchanged(self, backend, options):
+        wire = wire_with(backend=backend, backend_options=options)
+        job, _ = job_from_wire(json_cycle(wire))
+        assert job.backend_options == options
+        assert job_to_wire(job) == wire
+
+
 class TestConfigWire:
     def test_round_trip(self):
         config = SaimConfig(num_iterations=20, mcs_per_run=100, eta=5.0)
@@ -218,3 +250,17 @@ class TestConfigWire:
     def test_decoding_rejects_non_objects(self, payload):
         with pytest.raises(CodecError, match="config must be a JSON object"):
             config_from_wire(payload)
+
+
+@pytest.mark.parametrize("codec, payload, field", [
+    (report_from_wire, {}, "method"),
+    (report_from_wire, {"method": "saim", "best_cost": 1.0,
+                        "feasible": True}, "num_iterations"),
+    (config_to_wire, {"temperature": 1}, "temperature"),
+    (config_from_wire, {"eta": float("nan")}, "eta"),
+])
+def test_malformed_payload_is_a_codec_error(codec, payload, field):
+    """A truncated report or a mistyped config is a CodecError naming the
+    field, never a bare KeyError or TypeError."""
+    with pytest.raises(CodecError, match=field):
+        codec(payload)

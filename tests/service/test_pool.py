@@ -7,15 +7,12 @@ import numpy as np
 import pytest
 
 import repro
-from repro.ising._lockstep import AnnealProgram
-from repro.ising.pbit import PBitMachine
 from repro.problems.generators import generate_qkp
 from repro.runtime import SolveJob
 from repro.service.codec import job_to_wire
 from repro.service.log import RequestLogger
-from repro.service.pool import ProgramCache, ServicePool, WorkerRuntime
+from repro.service.pool import ServicePool, WorkerRuntime
 from repro.service.queue import QueueFullError
-from tests.helpers import random_ising
 
 FAST = dict(num_iterations=10, mcs_per_run=60)
 
@@ -23,66 +20,6 @@ FAST = dict(num_iterations=10, mcs_per_run=60)
 def wire_job(instance, seed, *, warm_start=False, **kwargs):
     job = SolveJob(instance, rng=seed, config_overrides=dict(FAST), **kwargs)
     return job_to_wire(job, warm_start=warm_start)
-
-
-def counting_program(monkeypatch):
-    """Spy on AnnealProgram constructions (tests/ising idiom)."""
-    calls = {"count": 0}
-    original = AnnealProgram.__init__
-
-    def counting_init(self, coupling, dtype=None):
-        calls["count"] += 1
-        original(self, coupling, dtype=dtype)
-
-    monkeypatch.setattr(AnnealProgram, "__init__", counting_init)
-    return calls
-
-
-class TestProgramCache:
-    def test_cold_then_warm(self):
-        cache = ProgramCache()
-        model = random_ising(12, rng=0)
-        first = PBitMachine(model)
-        assert cache.bind(first) is False
-        assert cache.cold_starts == 1
-        second = PBitMachine(model)
-        assert cache.bind(second) is True
-        assert cache.warm_hits == 1
-        # Adoption shares the prepared program object outright.
-        assert second.program is first.program
-
-    def test_adoption_builds_no_new_program(self, monkeypatch):
-        cache = ProgramCache()
-        model = random_ising(12, rng=0)
-        calls = counting_program(monkeypatch)
-        cache.bind(PBitMachine(model))
-        cache.bind(PBitMachine(model))
-        cache.bind(PBitMachine(model))
-        assert calls["count"] == 1
-
-    def test_serial_kernel_skipped(self):
-        model = random_ising(12, rng=0)
-        cache = ProgramCache()
-        assert cache.bind(PBitMachine(model, kernel="serial")) is False
-        assert cache.cold_starts == 0
-
-    def test_lru_eviction(self):
-        cache = ProgramCache(max_entries=1)
-        model_a = random_ising(10, rng=1)
-        model_b = random_ising(10, rng=2)
-        cache.bind(PBitMachine(model_a))
-        cache.bind(PBitMachine(model_b))
-        assert cache.evictions == 1
-        assert cache.bind(PBitMachine(model_a)) is False  # evicted: cold again
-
-    def test_adopt_program_rejects_mismatches(self):
-        model_a = random_ising(10, rng=1)
-        model_b = random_ising(10, rng=2)
-        program = PBitMachine(model_a).program
-        with pytest.raises(ValueError, match="coupling"):
-            PBitMachine(model_b).adopt_program(program)
-        with pytest.raises(ValueError, match="dtype"):
-            PBitMachine(model_a, dtype=np.float32).adopt_program(program)
 
 
 class TestWorkerRuntime:
@@ -99,28 +36,18 @@ class TestWorkerRuntime:
         assert np.array_equal(served.best_x, direct.best_x)
 
     def test_warm_repeat_stays_bit_identical(self):
-        """The residency contract: a warm-cache hit changes nothing."""
+        """A repeated request on a live worker is answered exactly as the
+        first: nothing one solve leaves behind changes the next."""
         instance = generate_qkp(16, 0.5, rng=3)
         runtime = WorkerRuntime()
         first = runtime.execute(wire_job(instance, 42))
         second = runtime.execute(wire_job(instance, 42))
-        assert second["stats"]["warm_hits"] >= 1
         from repro.service.codec import report_from_wire
 
         # Wire dicts differ only in wall_seconds; report equality is the
         # contract (identity fields + best_x).
         assert (report_from_wire(second["report"])
                 == report_from_wire(first["report"]))
-
-    def test_program_built_once_across_requests(self, monkeypatch):
-        instance = generate_qkp(16, 0.5, rng=3)
-        runtime = WorkerRuntime()
-        calls = counting_program(monkeypatch)
-        for seed in (1, 2, 3):
-            assert runtime.execute(wire_job(instance, seed))["ok"]
-        assert calls["count"] == 1
-        assert runtime.stats()["warm_hits"] == 2
-        assert runtime.stats()["cold_starts"] == 1
 
     def test_warm_start_resumes_session_lambdas(self):
         instance = generate_qkp(16, 0.5, rng=3)
@@ -182,15 +109,6 @@ class TestWorkerRuntime:
         assert not response["ok"]
         assert "restart='random'" in response["error"]["message"]
 
-    def test_client_program_cache_rejected(self):
-        instance = generate_qkp(10, 0.5, rng=3)
-        runtime = WorkerRuntime()
-        payload = wire_job(instance, 1)
-        payload["backend_options"] = {"program_cache": "mine"}
-        response = runtime.execute(payload)
-        assert not response["ok"]
-        assert "service-managed" in response["error"]["message"]
-
     def test_solver_errors_travel_as_data(self):
         runtime = WorkerRuntime()
         payload = wire_job(generate_qkp(10, 0.5, rng=3), 1)
@@ -227,8 +145,6 @@ class TestServicePool:
             first = pool.solve_payload(wire_job(instance, 7), timeout=120)
             second = pool.solve_payload(wire_job(instance, 7), timeout=120)
         assert first.report() == repro.solve(instance, rng=7, **FAST)
-        # Residency survives in the long-lived child process.
-        assert second.response["stats"]["warm_hits"] >= 1
         assert second.report() == first.report()
 
     def test_backpressure_rejects_above_high_water(self):
