@@ -248,6 +248,65 @@ def _reject_backend_knobs(method, backend, num_replicas, aggregate,
         )
 
 
+def check_solve(
+    problem,
+    method: str = "saim",
+    backend: str | None = None,
+    *,
+    config=None,
+    num_replicas: int = 1,
+    aggregate: str = "best",
+    restart: str = "random",
+    initial_lambdas=None,
+    backend_options: dict | None = None,
+    method_options: dict | None = None,
+    **config_overrides,
+) -> tuple[MethodSpec, str | None, SaimConfig | None]:
+    """Every refusal :func:`solve` makes before its method does any work.
+
+    Takes the arguments of :func:`solve` (less ``rng``) and raises the
+    ``ValueError`` / ``TypeError`` that :func:`solve` would raise for a
+    method, backend, config or knob it refuses, or for an instance type
+    the method cannot take.  :func:`solve` calls it first, and the service
+    codec calls it at admission, so the two doors refuse the same calls
+    with the same messages.  Returns ``(spec, backend, config)``: the
+    method's registry entry, the backend name it runs on (``None`` for
+    backend-free methods) and the resolved :class:`SaimConfig` (``None``
+    for methods without one).
+    """
+    spec = method_info(method)
+    if spec.uses_backend:
+        backend_name = backend if backend is not None else DEFAULT_BACKEND
+        backend_info(backend_name)  # raises with the available list
+    else:
+        _reject_backend_knobs(
+            method, backend, num_replicas, aggregate, backend_options,
+            initial_lambdas, spec.uses_lambdas, restart,
+        )
+        backend_name = None
+
+    if spec.uses_config:
+        resolved = _build_config(config, config_overrides)
+    else:
+        if config is not None or config_overrides:
+            given = sorted(config_overrides) if config_overrides else "config"
+            raise ValueError(
+                f"method {method!r} takes no SaimConfig (got {given}); "
+                f"use method_options for its settings"
+            )
+        resolved = None
+
+    check = _METHOD_CHECKS.get(method)
+    if check is not None:
+        check(
+            problem, method=method, config=resolved, backend=backend_name,
+            num_replicas=num_replicas, aggregate=aggregate, restart=restart,
+            initial_lambdas=initial_lambdas, backend_options=backend_options,
+            method_options=method_options,
+        )
+    return spec, backend_name, resolved
+
+
 def solve(
     problem,
     method: str = "saim",
@@ -311,31 +370,15 @@ def solve(
     Returns a :class:`repro.core.report.SolveReport` whose ``detail`` is
     the method's native result object.
     """
-    spec = method_info(method)
+    spec, backend_name, resolved = check_solve(
+        problem, method, backend, config=config, num_replicas=num_replicas,
+        aggregate=aggregate, restart=restart, initial_lambdas=initial_lambdas,
+        backend_options=backend_options, method_options=method_options,
+        **config_overrides,
+    )
     instance = problem
     if hasattr(problem, "to_problem"):
         problem = problem.to_problem()
-
-    if spec.uses_backend:
-        backend_name = backend if backend is not None else DEFAULT_BACKEND
-        backend_info(backend_name)  # raises with the available list
-    else:
-        _reject_backend_knobs(
-            method, backend, num_replicas, aggregate, backend_options,
-            initial_lambdas, spec.uses_lambdas, restart,
-        )
-        backend_name = None
-
-    if spec.uses_config:
-        resolved = _build_config(config, config_overrides)
-    else:
-        if config is not None or config_overrides:
-            given = sorted(config_overrides) if config_overrides else "config"
-            raise ValueError(
-                f"method {method!r} takes no SaimConfig (got {given}); "
-                f"use method_options for its settings"
-            )
-        resolved = None
 
     start = time.perf_counter()
     raw = spec.runner(
@@ -551,10 +594,12 @@ def _higher_order_builder(dtype: str | None = None):
 # --------------------------------------------------------------------------
 # Annealing methods.
 
-def _run_saim(problem, *, config, backend, num_replicas, aggregate, restart,
-              rng, initial_lambdas, backend_options, method_options, **_):
-    from repro.core.engine import SaimEngine
+def _check_saim(problem, *, config, backend, num_replicas, aggregate,
+                restart, backend_options, method_options, **_):
+    from repro.core.engine import check_loop_knobs
 
+    del problem
+    check_loop_knobs(num_replicas, aggregate, restart)
     if method_options:
         raise ValueError(
             f"the saim method has no method_options (got "
@@ -568,14 +613,20 @@ def _run_saim(problem, *, config, backend, num_replicas, aggregate, restart,
             "restart='warm' is not supported on the 'pt' backend: parallel "
             "tempering re-initializes its own replica ladder every run"
         )
-    options = dict(backend_options or {})
-    _check_dtype_spellings(config, options.get("dtype"))
+    _check_dtype_spellings(config, (backend_options or {}).get("dtype"))
+
+
+def _run_saim(problem, *, config, backend, num_replicas, aggregate, restart,
+              rng, initial_lambdas, backend_options, **_):
+    from repro.core.engine import SaimEngine
+
     engine = SaimEngine(
         config,
         num_replicas=num_replicas,
         aggregate=aggregate,
         restart=restart,
-        machine_factory=make_backend_factory(backend, **options),
+        machine_factory=make_backend_factory(backend,
+                                             **(backend_options or {})),
     )
     result = engine.solve(problem, rng=rng, initial_lambdas=initial_lambdas)
     return _saim_report(result, backend)
@@ -615,14 +666,13 @@ def _saim_report(result, backend) -> SolveReport:
     )
 
 
-def _run_penalty(problem, *, config, backend, num_replicas, aggregate,
-                 restart, rng, initial_lambdas, backend_options,
-                 method_options, **_):
+def _check_penalty(problem, *, config, backend, num_replicas, restart,
+                   initial_lambdas, backend_options, method_options, **_):
     # The classical fixed-penalty baseline: one programmed Hamiltonian,
     # num_iterations independent annealing runs, no multiplier loop.  It
     # is hard-wired to p-bit batch annealing, so reject knobs it would
     # otherwise silently ignore.
-    del aggregate
+    del problem
     if backend != "pbit":
         raise ValueError(
             f"the penalty method runs on the 'pbit' backend only, "
@@ -655,6 +705,9 @@ def _run_penalty(problem, *, config, backend, num_replicas, aggregate,
             "the penalty method runs the float64 reference kernel only "
             f"(got SaimConfig(dtype={config.dtype!r}))"
         )
+
+
+def _run_penalty(problem, *, config, backend, rng, **_):
     from repro.core.encoding import encode_with_slacks, normalize_problem
     from repro.core.penalty import density_heuristic_penalty, penalty_method_solve
     from repro.core.poly import PolyProblem
@@ -706,16 +759,26 @@ def _pop_options(method, options, **defaults):
     return values
 
 
-def _require_instance(method, instance):
+def _require_instance(problem, *, method, **_):
+    """The classical baselines work on the typed QKP/MKP instance."""
     from repro.problems.mkp import MkpInstance
     from repro.problems.qkp import QkpInstance
 
-    if not isinstance(instance, (QkpInstance, MkpInstance)):
+    if not isinstance(problem, (QkpInstance, MkpInstance)):
         raise ValueError(
             f"method {method!r} needs a typed QKP or MKP instance, got "
-            f"{type(instance).__name__}"
+            f"{type(problem).__name__}"
         )
-    return instance
+
+
+def _check_milp(problem, *, method, **_):
+    from repro.baselines.milp import require_linear
+
+    _require_instance(problem, method=method)
+    try:
+        require_linear(problem)
+    except TypeError as error:
+        raise ValueError(str(error)) from None
 
 
 def _run_greedy(problem, *, instance, rng, method_options, **_):
@@ -724,7 +787,7 @@ def _run_greedy(problem, *, instance, rng, method_options, **_):
 
     opts = _pop_options("greedy", method_options, improve=True, max_rounds=50)
     result = greedy_solve(
-        _require_instance("greedy", instance),
+        instance,
         improve=bool(opts["improve"]), max_rounds=int(opts["max_rounds"]),
     )
     return SolveReport(
@@ -746,9 +809,7 @@ def _run_ga(problem, *, instance, rng, method_options, **_):
         "ga", method_options, population_size=100, num_children=20000,
         mutation_bits=2, tournament_size=2,
     )
-    result = chu_beasley_ga(
-        _require_instance("ga", instance), GaConfig(**opts), rng=rng
-    )
+    result = chu_beasley_ga(instance, GaConfig(**opts), rng=rng)
     return SolveReport(
         method="ga",
         backend=None,
@@ -765,12 +826,7 @@ def _run_milp(problem, *, instance, method_options, **_):
     from repro.baselines.milp import milp_solve
 
     opts = _pop_options("milp", method_options, time_limit=None)
-    try:
-        result = milp_solve(
-            _require_instance("milp", instance), time_limit=opts["time_limit"]
-        )
-    except TypeError as error:
-        raise ValueError(str(error)) from None
+    result = milp_solve(instance, time_limit=opts["time_limit"])
     return SolveReport(
         method="milp",
         backend=None,
@@ -787,9 +843,7 @@ def _run_bnb(problem, *, instance, method_options, **_):
     from repro.baselines.branch_and_bound import bnb_solve
 
     opts = _pop_options("bnb", method_options, max_nodes=None)
-    result = bnb_solve(
-        _require_instance("bnb", instance), max_nodes=opts["max_nodes"]
-    )
+    result = bnb_solve(instance, max_nodes=opts["max_nodes"])
     return SolveReport(
         method="bnb",
         backend=None,
@@ -890,3 +944,14 @@ register_method(
     description="exact enumeration of all 2^N assignments (N <= 24)",
     uses_backend=False, uses_config=False,
 )
+
+#: Refusals a built-in method makes before it runs, by method name:
+#: :func:`check_solve` calls them, so both front doors reach them.
+_METHOD_CHECKS = {
+    "saim": _check_saim,
+    "penalty": _check_penalty,
+    "greedy": _require_instance,
+    "ga": _require_instance,
+    "milp": _check_milp,
+    "bnb": _require_instance,
+}

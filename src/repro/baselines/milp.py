@@ -67,13 +67,18 @@ def milp_solve(instance, time_limit: float | None = None) -> MilpResult:
     QKP's quadratic objective gets a pointed redirect to the exact methods
     that do handle it.
     """
-    if isinstance(instance, MkpInstance):
-        return solve_mkp_exact(instance, time_limit=time_limit)
-    raise TypeError(
-        f"the milp method solves linear-objective MKP instances, got "
-        f"{type(instance).__name__} (for QKP use method='bnb' or "
-        f"'exhaustive')"
-    )
+    require_linear(instance)
+    return solve_mkp_exact(instance, time_limit=time_limit)
+
+
+def require_linear(instance) -> None:
+    """Raise ``TypeError`` unless ``instance`` is a linear-objective MKP."""
+    if not isinstance(instance, MkpInstance):
+        raise TypeError(
+            f"the milp method solves linear-objective MKP instances, got "
+            f"{type(instance).__name__} (for QKP use method='bnb' or "
+            f"'exhaustive')"
+        )
 
 
 def mkp_lp_bound(instance: MkpInstance) -> float:

@@ -62,6 +62,34 @@ AGGREGATES = ("best", "mean")
 RESTARTS = ("random", "warm")
 
 
+def check_loop_knobs(num_replicas: int, aggregate: str, restart: str) -> None:
+    """Raise ``ValueError`` unless :class:`SaimEngine` runs this replica
+    count, replica aggregate and restart policy."""
+    if num_replicas < 1:
+        raise ValueError(f"num_replicas must be >= 1, got {num_replicas}")
+    if aggregate not in AGGREGATES:
+        raise ValueError(
+            f"aggregate must be one of {AGGREGATES}, got {aggregate!r}"
+        )
+    if restart not in RESTARTS:
+        raise ValueError(
+            f"restart must be one of {RESTARTS}, got {restart!r}"
+        )
+
+
+def check_initial_lambdas(initial_lambdas, num_multipliers: int) -> np.ndarray:
+    """``initial_lambdas`` as a fresh float vector, raising ``ValueError``
+    unless it is finite with one entry per multiplier (constraint row)."""
+    lambdas = np.array(initial_lambdas, dtype=float)
+    if lambdas.shape != (num_multipliers,) or not np.all(np.isfinite(lambdas)):
+        raise ValueError(
+            f"initial_lambdas must be a finite vector of shape "
+            f"({num_multipliers},), got shape {lambdas.shape} "
+            f"values {lambdas}"
+        )
+    return lambdas
+
+
 class SaimEngine:
     """Replica-parameterized driver of Algorithm 1.
 
@@ -106,16 +134,7 @@ class SaimEngine:
         machine_factory=None,
         restart: str = "random",
     ):
-        if num_replicas < 1:
-            raise ValueError(f"num_replicas must be >= 1, got {num_replicas}")
-        if aggregate not in AGGREGATES:
-            raise ValueError(
-                f"aggregate must be one of {AGGREGATES}, got {aggregate!r}"
-            )
-        if restart not in RESTARTS:
-            raise ValueError(
-                f"restart must be one of {RESTARTS}, got {restart!r}"
-            )
+        check_loop_knobs(num_replicas, aggregate, restart)
         self.config = config if config is not None else SaimConfig()
         self.num_replicas = num_replicas
         self.aggregate = aggregate
@@ -253,15 +272,8 @@ class SaimRun:
         if initial_lambdas is None:
             self.lambdas = np.zeros(num_multipliers)
         else:
-            self.lambdas = np.array(initial_lambdas, dtype=float)
-            if self.lambdas.shape != (num_multipliers,) or not np.all(
-                np.isfinite(self.lambdas)
-            ):
-                raise ValueError(
-                    f"initial_lambdas must be a finite vector of shape "
-                    f"({num_multipliers},), got shape {self.lambdas.shape} "
-                    f"values {self.lambdas}"
-                )
+            self.lambdas = check_initial_lambdas(initial_lambdas,
+                                                 num_multipliers)
         k_total = config.num_iterations
         self.history = SolveTrace(
             sample_costs=np.empty(k_total),

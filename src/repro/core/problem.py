@@ -95,7 +95,8 @@ class ConstrainedProblem:
         check_finite(quad, "quadratic")
         check_finite(lin, "linear")
         check_finite(float(self.offset), "offset")
-        if not np.allclose(quad, quad.T):
+        # Exact compare first, as in check_square_symmetric.
+        if not (np.array_equal(quad, quad.T) or np.allclose(quad, quad.T)):
             raise ValueError("Q must be symmetric")
         if np.any(np.diag(quad) != 0):
             raise ValueError("Q diagonal must be zero; use from_objective to fold it")

@@ -5,7 +5,8 @@ Layering (request path, top to bottom)::
     HTTP client ── POST /v1/solve ──────────────────────────────┐
                                                                 ▼
     http.SolverService     stdlib ThreadingHTTPServer; 400/429 mapping
-    pool.ServicePool       bounded PriorityJobQueue + dispatcher threads
+    pool.ServicePool       decodes each body once (codec.job_from_wire);
+                           bounded PriorityJobQueue + dispatcher threads
     pool.WorkerRuntime     persistent (thread/process) solver state:
                              SolverSession(s)  resident multiplier caches
     repro.solve            the unchanged in-process front door

@@ -13,10 +13,11 @@ dict and identical jobs serialize to identical bytes (after
 
 Strictness is a feature — the codec rejects unknown keys, method and
 backend names the registry does not know, backend options their builder
-refuses, non-seed RNGs (only ``null``/ints travel; live generator state
-does not), and exotic config objects, so a malformed request dies at the
-front door with a :class:`CodecError` (HTTP 400) instead of deep inside
-a worker.
+refuses, every call :func:`repro.solve` refuses before solving (through
+the same :func:`repro.api.check_solve`), non-seed RNGs (only
+``null``/ints travel; live generator state does not), and exotic config
+objects, so a malformed request dies at the front door with a
+:class:`CodecError` (HTTP 400) instead of deep inside a worker.
 """
 
 from __future__ import annotations
@@ -26,7 +27,14 @@ from dataclasses import asdict, fields as dataclass_fields
 
 import numpy as np
 
-from repro.api import DEFAULT_BACKEND, backend_info, make_backend_factory, method_info
+from repro.api import (
+    DEFAULT_BACKEND,
+    backend_info,
+    check_solve,
+    make_backend_factory,
+    method_info,
+)
+from repro.core.engine import check_initial_lambdas
 from repro.core.report import SolveReport
 from repro.core.saim import SaimConfig
 from repro.problems.io import array_from_json, array_to_json, problem_from_json, problem_to_json
@@ -149,7 +157,9 @@ def job_from_wire(payload: dict) -> tuple[SolveJob, bool]:
     """Decode a wire dict to ``(SolveJob, warm_start)``.
 
     Missing keys take the :class:`SolveJob` defaults; unknown keys are a
-    :class:`CodecError` (typos must not silently change a solve).
+    :class:`CodecError` (typos must not silently change a solve), and so
+    is every call :func:`repro.solve` would refuse: the decoded job is
+    one a worker can run.
     """
     if not isinstance(payload, dict):
         raise CodecError(f"request body must be a JSON object, got "
@@ -207,7 +217,38 @@ def job_from_wire(payload: dict) -> tuple[SolveJob, bool]:
         config_overrides=overrides if overrides is not None else {},
         tag=payload.get("tag", ""),
     )
-    return job, bool(payload.get("warm_start", False))
+    warm_start = bool(payload.get("warm_start", False))
+    if warm_start and job.initial_lambdas is not None:
+        raise CodecError(
+            "warm_start and initial_lambdas are mutually exclusive"
+        )
+    if warm_start and job.restart != "random":
+        raise CodecError("warm_start requires the default restart='random'")
+    _check_solve(job)
+    return job, warm_start
+
+
+def _check_solve(job: SolveJob) -> None:
+    """Refuse, as a :class:`CodecError`, every job :func:`repro.solve`
+    would refuse before solving, with the message it would raise."""
+    try:
+        check_solve(
+            job.problem, job.method, job.backend, config=job.config,
+            num_replicas=job.num_replicas, aggregate=job.aggregate,
+            restart=job.restart, initial_lambdas=job.initial_lambdas,
+            backend_options=job.backend_options,
+            method_options=job.method_options, **job.config_overrides,
+        )
+        if job.initial_lambdas is not None:
+            # One multiplier per constraint row of the problem, as the
+            # engine's own check counts them.
+            problem = job.problem
+            if hasattr(problem, "to_problem"):
+                problem = problem.to_problem()
+            check_initial_lambdas(job.initial_lambdas,
+                                  problem.num_constraints)
+    except (TypeError, ValueError) as exc:
+        raise CodecError(str(exc)) from None
 
 
 def _cost_to_wire(cost: float):

@@ -16,9 +16,11 @@ runtime dependencies.  The surface is deliberately small:
 Failure mapping is part of the contract:
 
 - a malformed body (including ``NaN`` / ``Infinity`` tokens, which
-  strict JSON lacks, a method or backend the registry does not know, and
-  a backend option its builder refuses) is ``400`` with the codec's
-  message;
+  strict JSON lacks, a method or backend the registry does not know, a
+  backend option its builder refuses, and any call :func:`repro.solve`
+  refuses before solving, such as ``warm_start`` with
+  ``initial_lambdas``) is ``400`` with the codec's message, before the
+  job is queued;
 - a ``Content-Length`` that is negative or not a number is ``400``, and
   one above :data:`MAX_BODY_BYTES` is ``413``; both, and a ``POST`` to an
   unknown route (``404``), are answered without reading the body, and
@@ -74,6 +76,11 @@ class _Handler(BaseHTTPRequestHandler):
     """Request handler bound to the owning :class:`SolverService`."""
 
     protocol_version = "HTTP/1.1"
+    # An answer leaves in two sends (headers, then body).  With Nagle's
+    # algorithm on, the second waits for the ACK of the first, which a
+    # keep-alive client delays (RFC 1122): about 40 ms per request.
+    disable_nagle_algorithm = True
+
     # The structured RequestLogger owns logging; silence the default
     # per-line stderr chatter.
 

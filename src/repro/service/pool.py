@@ -15,9 +15,13 @@ is **bit-identical** to ``repro.solve`` on the same seed.
 ``warm_start=true`` is the explicit opt-out: it changes the multiplier
 trajectory on purpose.
 
+Each request is decoded once, at admission: :meth:`ServicePool.submit`
+turns the wire dict into a :class:`repro.runtime.SolveJob` (refusing
+anything :func:`repro.solve` would refuse), and workers run that job.
+
 Workers come in two modes.  ``mode="process"`` (the daemon default)
 runs each :class:`WorkerRuntime` in its own long-lived OS process, fed
-wire-format dicts over pipes — true parallelism across CPUs, sessions
+decoded jobs over pipes — true parallelism across CPUs, sessions
 resident in the child.  ``mode="thread"`` runs the runtime inside the
 dispatcher thread — zero startup cost, same code path, the right choice
 for tests and latency benches on small hosts.  Either way, one
@@ -37,7 +41,7 @@ import traceback
 import uuid
 from collections import OrderedDict
 
-from repro.service.codec import CodecError, job_from_wire, report_from_wire
+from repro.service.codec import job_from_wire, report_from_wire
 from repro.service.queue import PriorityJobQueue, QueueClosedError, resolve_priority
 
 __all__ = ["JobHandle", "ServicePool", "WorkerRuntime"]
@@ -66,10 +70,11 @@ class WorkerRuntime:
     """One worker's resident state: per-solver multiplier sessions.
 
     Lives for the worker's lifetime (thread or process) and executes
-    wire-format jobs.  Sessions are keyed by the full pinned solver
-    surface (method, backend, replicas, aggregate, config, options), so
-    two requests only share a multiplier cache when their solves are
-    actually comparable; at most :data:`MAX_SESSIONS` stay resident (LRU).
+    jobs that admission has decoded.  Sessions are keyed by the full
+    pinned solver surface (method, backend, replicas, aggregate, config,
+    options), so two requests only share a multiplier cache when their
+    solves are actually comparable; at most :data:`MAX_SESSIONS` stay
+    resident (LRU).
     """
 
     def __init__(self, worker_id: int = 0, *,
@@ -113,24 +118,17 @@ class WorkerRuntime:
         self._sessions.move_to_end(key)
         return session
 
-    def execute(self, payload: dict) -> dict:
-        """Run one wire-format job; never raises (errors travel as data)."""
+    def execute(self, job, warm_start: bool = False) -> dict:
+        """Run one decoded :class:`~repro.runtime.SolveJob` (as
+        :func:`~repro.service.codec.job_from_wire` returns it, with its
+        ``warm_start`` flag); never raises (errors travel as data)."""
         from repro.runtime.session import problem_fingerprint
 
         start = time.perf_counter()
         fingerprint = ""
         try:
-            job, warm_start = job_from_wire(payload)
             fingerprint = "/".join(str(part) for part in
                                    problem_fingerprint(job.problem))
-            if warm_start and job.initial_lambdas is not None:
-                raise CodecError(
-                    "warm_start and initial_lambdas are mutually exclusive"
-                )
-            if warm_start and job.restart != "random":
-                raise CodecError(
-                    "warm_start requires the default restart='random'"
-                )
             if job.restart == "random" and job.initial_lambdas is None:
                 session = self._session_for(job)
                 report = session.resolve(
@@ -161,8 +159,7 @@ class WorkerRuntime:
                     "traceback": traceback.format_exc(),
                 },
                 "fingerprint": fingerprint,
-                "warm_start": bool(payload.get("warm_start", False))
-                if isinstance(payload, dict) else False,
+                "warm_start": warm_start,
                 "solve_seconds": time.perf_counter() - start,
                 "stats": self.stats(),
             }
@@ -206,8 +203,8 @@ class _ThreadWorker:
     def __init__(self, worker_id: int, runtime_kwargs: dict):
         self.runtime = WorkerRuntime(worker_id, **runtime_kwargs)
 
-    def execute(self, payload: dict) -> dict:
-        return self.runtime.execute(payload)
+    def execute(self, job, warm_start: bool) -> dict:
+        return self.runtime.execute(job, warm_start)
 
     def close(self) -> None:
         pass
@@ -226,18 +223,19 @@ def _process_worker_main(worker_id, runtime_kwargs, extra_path,
         item = requests.get()
         if item is None:
             break
-        responses.put(runtime.execute(item))
+        responses.put(runtime.execute(*item))
 
 
 class _ProcessWorker:
     """Runtime resident in a long-lived child process.
 
     The dispatcher owns this worker exclusively, so the protocol is a
-    strict request/response lockstep over a pair of queues; payloads are
-    wire-format dicts (JSON-shaped, trivially picklable).  A child that
-    dies mid-job fails that job as ``WorkerLost`` and is replaced by a
-    fresh child (with fresh queues and empty caches); ``restarts`` counts
-    the replacements.
+    strict request/response lockstep over a pair of queues; a request is
+    a decoded ``(SolveJob, warm_start)`` pair, which pickles an order of
+    magnitude faster than the wire dict it came from (numpy arrays, not
+    nested lists of floats).  A child that dies mid-job fails that job
+    as ``WorkerLost`` and is replaced by a fresh child (with fresh queues
+    and empty caches); ``restarts`` counts the replacements.
     """
 
     mode = "process"
@@ -276,11 +274,11 @@ class _ProcessWorker:
         self._spawn()
         self.restarts += 1
 
-    def execute(self, payload: dict) -> dict:
+    def execute(self, job, warm_start: bool) -> dict:
         if not self._process.is_alive():
             self._replace()  # died between jobs: nothing in flight to fail
         start = time.perf_counter()
-        self._requests.put(payload)
+        self._requests.put((job, warm_start))
         while True:
             # Liveness is sampled before the wait, so an answer the child
             # wrote just before dying is still collected.
@@ -302,7 +300,7 @@ class _ProcessWorker:
                 "traceback": "",
             },
             "fingerprint": "",
-            "warm_start": bool(payload.get("warm_start", False)),
+            "warm_start": warm_start,
             "solve_seconds": time.perf_counter() - start,
         }
 
@@ -323,9 +321,10 @@ class _ProcessWorker:
 class JobHandle:
     """One submitted request: identity, timing, and an awaitable result."""
 
-    def __init__(self, job_id: str, payload: dict, priority: str):
+    def __init__(self, job_id: str, job, warm_start: bool, priority: str):
         self.id = job_id
-        self.payload = payload
+        self.job = job
+        self.warm_start = warm_start
         self.priority = priority
         self.enqueued_at = time.perf_counter()
         self.started_at: float | None = None
@@ -368,8 +367,8 @@ class JobHandle:
         self.worker_id = worker_id
         self.response = response
         # Finished handles stay listed (up to ``completed_cap``); only the
-        # worker reads the request, so a done job drops it.
-        self.payload = None
+        # worker reads the job, so a done handle drops it.
+        self.job = None
         self.finished_at = time.perf_counter()
         self._done.set()
 
@@ -460,15 +459,17 @@ class ServicePool:
                request_id: str | None = None) -> JobHandle:
         """Enqueue a wire-format job; raises ``QueueFullError`` at capacity.
 
-        The payload is validated *before* admission so malformed requests
-        are a client error, never a dead queue entry.
+        The payload is decoded *before* admission, once: a request
+        :func:`repro.solve` would refuse is a client error
+        (``CodecError``), never a dead queue entry, and the worker runs
+        the decoded job.
         """
         if not self._started:
             raise RuntimeError("pool is not started")
         resolve_priority(priority)  # validate before any side effect
-        job_from_wire(payload)      # raises CodecError on a bad payload
+        job, warm_start = job_from_wire(payload)
         job_id = request_id if request_id else uuid.uuid4().hex[:12]
-        handle = JobHandle(job_id, payload, priority)
+        handle = JobHandle(job_id, job, warm_start, priority)
         with self._handles_lock:
             self._handles[job_id] = handle
         try:
@@ -508,7 +509,7 @@ class ServicePool:
             # the gate so shutdown never strands a held job).
             self._gate.wait()
             handle.started_at = time.perf_counter()
-            response = worker.execute(handle.payload)
+            response = worker.execute(handle.job, handle.warm_start)
             self._worker_stats[worker_id] = response.get("stats", {})
             handle._complete(worker_id, response)
             self._log_finished(worker_id, handle, response)

@@ -1,0 +1,75 @@
+"""Property: a request the service admits is one its worker can run.
+
+Wire bodies are drawn from small pools of the knobs a client sets: the
+registered method and backend, backend options, ``warm_start``,
+``restart``, ``initial_lambdas`` and config overrides, all on a QKP-6
+with a budget of one iteration of two sweeps.  Each body is either
+refused by :func:`job_from_wire` (a ``CodecError``, which the HTTP door
+answers 400 before queueing) or runs in a worker without a
+``CodecError``, ``ValueError`` or ``TypeError``: a client error found
+only after admission would be answered 500.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import repro
+from repro.problems.generators import generate_qkp
+from repro.problems.io import array_to_json, problem_to_json
+from repro.service.codec import CodecError, job_from_wire
+from repro.service.pool import WorkerRuntime
+
+QKP6 = problem_to_json(generate_qkp(6, 0.5, rng=4))  # one constraint row
+BUDGET = {"num_iterations": 1, "mcs_per_run": 2}
+GA_BUDGET = {"population_size": 4, "num_children": 10}
+CLIENT_ERRORS = ("CodecError", "ValueError", "TypeError")
+
+#: Each knob's pool of values other than its default.
+KNOBS = {
+    "backend": st.sampled_from(repro.available_backends()),
+    "backend_options": st.sampled_from([
+        {}, {"dtype": "float32"}, {"dtype": "float64"}, {"bits": 6},
+        {"num_chains": 2}, {"kernel": "serial"}, {"nope": 1},
+    ]),
+    "warm_start": st.just(True),
+    "restart": st.sampled_from(["warm", "cold"]),
+    "initial_lambdas": st.sampled_from([
+        array_to_json(np.array([0.5])), array_to_json(np.zeros(2)),
+    ]),
+    "config_overrides": st.sampled_from([
+        {"eta": 5.0}, {"dtype": "float32"}, {"dtype": "float64"},
+        {"num_iterations": 0}, {"bogus": 1},
+    ]),
+}
+
+
+@st.composite
+def bodies(draw):
+    method = draw(st.sampled_from(repro.available_methods()))
+    body = {"problem": QKP6, "method": method, "rng": 3}
+    # The budget: a config where the method takes one, a short GA run.
+    if repro.method_info(method).uses_config:
+        body["config"] = BUDGET
+    if method == "ga":
+        body["method_options"] = GA_BUDGET
+    # A few knobs set away from their defaults; the rest stay missing.
+    for name in sorted(draw(st.sets(st.sampled_from(sorted(KNOBS)),
+                                    max_size=2))):
+        body[name] = draw(KNOBS[name])
+    return body
+
+
+@settings(max_examples=150, deadline=None)
+@given(body=bodies())
+def test_admitted_bodies_run_without_client_errors(body):
+    try:
+        job, warm_start = job_from_wire(body)
+    except CodecError:
+        return
+    response = WorkerRuntime().execute(job, warm_start)
+    if not response["ok"]:
+        error = response["error"]
+        assert error["type"] not in CLIENT_ERRORS, (
+            f"admitted, then failed in the worker: {error['type']}: "
+            f"{error['message']}"
+        )

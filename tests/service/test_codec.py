@@ -1,6 +1,7 @@
 """Wire-codec tests: jobs and reports through JSON, deterministically."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,10 +37,13 @@ class TestJobWire:
             backend_options={"bits": 6}, config_overrides={"eta": 5.0},
             tag="wire-test",
         )
-        wire = job_to_wire(job, warm_start=True)
-        decoded, warm = job_from_wire(json_cycle(wire))
-        assert warm is True
-        assert job_to_wire(decoded, warm_start=warm) == wire
+        # warm_start needs the default restart, so it travels on its own.
+        for case, warm_start in ((job, False),
+                                 (replace(job, restart="random"), True)):
+            wire = job_to_wire(case, warm_start=warm_start)
+            decoded, warm = job_from_wire(json_cycle(wire))
+            assert warm is warm_start
+            assert job_to_wire(decoded, warm_start=warm) == wire
 
     def test_identical_jobs_identical_bytes(self):
         job = SolveJob(generate_mkp(8, 2, rng=3), rng=11)
@@ -77,6 +81,18 @@ class TestJobWire:
         wire["config"] = {"num_iterations": 5, "temperature": 2.0}
         with pytest.raises(CodecError, match="temperature"):
             job_from_wire(wire)
+
+    def test_warm_start_conflicts_are_errors(self):
+        """Session multipliers cannot be combined with caller multipliers
+        or a warm restart; both are refused at decode, before admission."""
+        instance = generate_qkp(10, 0.5, rng=3)
+        bad = job_to_wire(SolveJob(instance, initial_lambdas=np.array([1.0])),
+                          warm_start=True)
+        with pytest.raises(CodecError, match="mutually exclusive"):
+            job_from_wire(bad)
+        bad = job_to_wire(SolveJob(instance, restart="warm"), warm_start=True)
+        with pytest.raises(CodecError, match="restart='random'"):
+            job_from_wire(bad)
 
     def test_initial_lambdas_travel_exactly(self):
         lambdas = np.array([0.25, 1.5, 3.125])
@@ -142,7 +158,8 @@ class TestReportWire:
 
 
 def wire_with(**fields) -> dict:
-    wire = job_to_wire(SolveJob(generate_qkp(6, 0.5, rng=2)))
+    # An MKP: every registered method takes one (milp refuses a QKP).
+    wire = job_to_wire(SolveJob(generate_mkp(6, 2, rng=2)))
     wire.update(fields)
     return wire
 
@@ -226,6 +243,49 @@ class TestBackendOptions:
         job, _ = job_from_wire(json_cycle(wire))
         assert job.backend_options == options
         assert job_to_wire(job) == wire
+
+
+def solve_job(job: SolveJob):
+    return repro.solve(
+        job.problem, job.method, job.backend, config=job.config,
+        num_replicas=job.num_replicas, aggregate=job.aggregate,
+        restart=job.restart, rng=job.rng,
+        initial_lambdas=job.initial_lambdas,
+        backend_options=job.backend_options,
+        method_options=job.method_options, **job.config_overrides,
+    )
+
+
+class TestSolveRefusals:
+    """A job repro.solve refuses before solving is refused at decode, with
+    the front door's own message, so it never reaches a worker."""
+
+    @pytest.mark.parametrize("fields", [
+        dict(method="greedy", backend_options={"dtype": "float32"}),
+        dict(method="greedy", backend="pbit"),
+        dict(method="greedy", config_overrides={"num_iterations": 2}),
+        dict(method="penalty", backend_options={"dtype": "float32"}),
+        dict(method="penalty", restart="warm"),
+        dict(method="penalty", config_overrides={"dtype": "float32"}),
+        dict(method="milp"),  # a QKP: milp takes linear objectives only
+        dict(backend="pt", restart="warm"),
+        dict(restart="cold"),
+        dict(aggregate="median"),
+        dict(num_replicas=0),
+        dict(method_options={"x": 1}),
+        dict(config_overrides={"bogus": 1}),
+        dict(config_overrides={"num_iterations": 0}),
+        dict(backend_options={"dtype": "float32"},
+             config_overrides={"dtype": "float64"}),
+        dict(initial_lambdas=np.zeros(2)),  # a QKP has one constraint row
+    ], ids=lambda fields: "-".join(f"{k}={v}" for k, v in fields.items()))
+    def test_same_refusal_as_the_front_door(self, fields):
+        job = SolveJob(generate_qkp(6, 0.5, rng=2), rng=1, **fields)
+        with pytest.raises(ValueError) as direct:
+            solve_job(job)
+        with pytest.raises(CodecError) as wire:
+            job_from_wire(json_cycle(job_to_wire(job)))
+        assert str(wire.value) == str(direct.value)
 
 
 class TestConfigWire:

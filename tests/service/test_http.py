@@ -22,6 +22,7 @@ import pytest
 
 import repro
 from repro.problems.generators import generate_mkp, generate_qkp
+from repro.problems.io import array_to_json
 from repro.runtime import SolveJob
 from repro.service import SolverService
 from repro.service.codec import job_to_wire, report_from_wire
@@ -307,6 +308,131 @@ class TestEveryMethod:
         assert report_from_wire(body["report"]) == expected
 
 
+class TestEveryMethodInProcessMode(TestEveryMethod):
+    """The same answers from a process worker, which receives the decoded
+    job rather than the wire dict."""
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        with SolverService(port=0, num_workers=1, mode="process") as live:
+            host, port = live.address
+            yield f"http://{host}:{port}"
+
+
+class TestDecodeOnce:
+    """Admission decodes each body once and the worker runs that job."""
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_one_decode_per_request(self, mode, monkeypatch):
+        import multiprocessing
+
+        from repro.service import pool
+
+        # Shared memory, so calls in a forked process worker count too.
+        decodes = multiprocessing.Value("i", 0)
+        wire_dicts = multiprocessing.Value("i", 0)
+        decode, execute = pool.job_from_wire, pool.WorkerRuntime.execute
+
+        def counting_decode(payload):
+            with decodes.get_lock():
+                decodes.value += 1
+            return decode(payload)
+
+        def watching_execute(self, job, *args):
+            if isinstance(job, dict):
+                with wire_dicts.get_lock():
+                    wire_dicts.value += 1
+            return execute(self, job, *args)
+
+        monkeypatch.setattr(pool, "job_from_wire", counting_decode)
+        monkeypatch.setattr(pool.WorkerRuntime, "execute", watching_execute)
+        instance = generate_qkp(12, 0.5, rng=8)
+        with SolverService(port=0, num_workers=1, mode=mode) as live:
+            host, port = live.address
+            for seed in range(3):
+                status, body = http_json(f"http://{host}:{port}",
+                                         "/v1/solve", wire_job(instance, seed))
+                assert status == 200, body
+        assert decodes.value == 3
+        assert wire_dicts.value == 0
+
+    def test_no_tolerant_symmetry_scan_on_a_served_qkp120(self, service,
+                                                         monkeypatch):
+        """Every matrix a served QKP request builds is exactly symmetric,
+        so each symmetry check settles on the exact compare."""
+        calls = []
+        allclose = np.allclose
+
+        def counting_allclose(*args, **kwargs):
+            calls.append(args[0].shape)
+            return allclose(*args, **kwargs)
+
+        _, base = service
+        payload = wire_job(generate_qkp(120, 0.5, rng=8), 1)
+        monkeypatch.setattr(np, "allclose", counting_allclose)
+        status, body = http_json(base, "/v1/solve", payload)
+        assert status == 200, body
+        assert calls == []
+
+
+class TestAdmissionRefusals:
+    """Calls repro.solve refuses before solving are a 400 before queueing,
+    never an admitted job that the worker answers 500."""
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"warm_start": True, "initial_lambdas": array_to_json(np.ones(1))},
+         "warm_start and initial_lambdas are mutually exclusive"),
+        ({"warm_start": True, "restart": "warm"},
+         "warm_start requires the default restart='random'"),
+        ({"method": "greedy", "config_overrides": {},
+          "backend_options": {"dtype": "float32"}},
+         "method 'greedy' is backend-free; it accepts no backend_options"),
+        ({"method": "greedy", "config_overrides": {}, "backend": "pbit"},
+         "method 'greedy' is backend-free; it accepts no backend"),
+        ({"method": "penalty", "backend_options": {"dtype": "float32"}},
+         "the penalty method accepts no backend_options"),
+    ], ids=["warm_start-lambdas", "warm_start-restart", "greedy-options",
+            "greedy-backend", "penalty-options"])
+    def test_refused_before_queueing(self, service, fields, message):
+        live, base = service
+        payload = wire_job(generate_qkp(12, 0.5, rng=8), 1)
+        payload.update(fields)
+        status, body = http_json(base, "/v1/solve", payload)
+        assert status == 400, body
+        assert body["error"]["type"] == "bad_request"
+        assert message in body["error"]["message"]
+        assert live.pool.stats()["queue"]["enqueued"] == 0
+
+
+class TestKeepAlive:
+    def test_accepted_socket_sends_without_nagle(self, service, monkeypatch):
+        """An answer leaves in two sends; with Nagle's algorithm on, a
+        keep-alive client would wait out its own delayed ACK between
+        them on every request."""
+        from repro.service.http import _Handler
+
+        nodelay = []
+        setup = _Handler.setup
+
+        def watching_setup(self):
+            setup(self)
+            nodelay.append(self.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        monkeypatch.setattr(_Handler, "setup", watching_setup)
+        live, _ = service
+        conn = http.client.HTTPConnection(*live.address, timeout=5.0)
+        try:
+            for _ in range(3):  # one keep-alive connection
+                conn.request("GET", "/v1/health")
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+        finally:
+            conn.close()
+        assert nodelay == [1]
+
+
 class TestAsyncJobs:
     def test_async_submit_then_poll(self, service):
         _, base = service
@@ -334,14 +460,25 @@ class TestAsyncJobs:
         assert status == 404
         assert body["error"]["type"] == "unknown_job"
 
-    def test_failed_job_is_500_with_traceback(self, service):
+    def test_failed_job_is_500_with_traceback(self, service, monkeypatch):
+        """A solver that fails inside the worker (admission cannot see it
+        coming) answers 500 with the worker's traceback."""
+        from dataclasses import replace
+
+        from repro import api
+
+        def explode(problem, **_):
+            raise RuntimeError("solver exploded")
+
+        monkeypatch.setitem(api._METHODS, "saim",
+                            replace(api._METHODS["saim"], runner=explode))
         _, base = service
         payload = wire_job(generate_qkp(10, 0.5, rng=8), 5)
-        payload["method_options"] = {"no_such_option": 1}
         status, body = http_json(base, "/v1/solve", payload)
         assert status == 500
         assert body["status"] == "failed"
-        assert body["error"]["traceback"]
+        assert body["error"]["type"] == "RuntimeError"
+        assert "solver exploded" in body["error"]["traceback"]
 
 
 class TestBackpressure:

@@ -9,7 +9,7 @@ import pytest
 import repro
 from repro.problems.generators import generate_qkp
 from repro.runtime import SolveJob
-from repro.service.codec import job_to_wire
+from repro.service.codec import job_from_wire, job_to_wire
 from repro.service.log import RequestLogger
 from repro.service.pool import ServicePool, WorkerRuntime
 from repro.service.queue import QueueFullError
@@ -22,11 +22,16 @@ def wire_job(instance, seed, *, warm_start=False, **kwargs):
     return job_to_wire(job, warm_start=warm_start)
 
 
+def admitted(instance, seed, **kwargs):
+    """``(SolveJob, warm_start)`` as admission hands it to a worker."""
+    return job_from_wire(wire_job(instance, seed, **kwargs))
+
+
 class TestWorkerRuntime:
     def test_bit_identity_with_front_door(self):
         instance = generate_qkp(16, 0.5, rng=3)
         runtime = WorkerRuntime()
-        response = runtime.execute(wire_job(instance, 42))
+        response = runtime.execute(*admitted(instance, 42))
         assert response["ok"], response.get("error")
         from repro.service.codec import report_from_wire
 
@@ -40,8 +45,8 @@ class TestWorkerRuntime:
         first: nothing one solve leaves behind changes the next."""
         instance = generate_qkp(16, 0.5, rng=3)
         runtime = WorkerRuntime()
-        first = runtime.execute(wire_job(instance, 42))
-        second = runtime.execute(wire_job(instance, 42))
+        first = runtime.execute(*admitted(instance, 42))
+        second = runtime.execute(*admitted(instance, 42))
         from repro.service.codec import report_from_wire
 
         # Wire dicts differ only in wall_seconds; report equality is the
@@ -52,8 +57,8 @@ class TestWorkerRuntime:
     def test_warm_start_resumes_session_lambdas(self):
         instance = generate_qkp(16, 0.5, rng=3)
         runtime = WorkerRuntime()
-        runtime.execute(wire_job(instance, 1))
-        response = runtime.execute(wire_job(instance, 2, warm_start=True))
+        runtime.execute(*admitted(instance, 1))
+        response = runtime.execute(*admitted(instance, 2, warm_start=True))
         assert response["ok"]
         assert response["warm_start"] is True
         stats = runtime.stats()
@@ -71,7 +76,7 @@ class TestWorkerRuntime:
         def execute(eta, warm_start=False):
             job = SolveJob(instance, rng=1, config_overrides=dict(
                 num_iterations=2, mcs_per_run=5, eta=eta))
-            response = runtime.execute(job_to_wire(job, warm_start=warm_start))
+            response = runtime.execute(job, warm_start)
             assert response["ok"], response.get("error")
             return response["stats"]
 
@@ -96,24 +101,10 @@ class TestWorkerRuntime:
             execute(eta)
         assert runtime.stats()["session_warm_starts"] == 2
 
-    def test_warm_start_conflicts_are_errors(self):
-        instance = generate_qkp(10, 0.5, rng=3)
-        runtime = WorkerRuntime()
-        bad = wire_job(instance, 1, warm_start=True,
-                       initial_lambdas=np.array([1.0]))
-        response = runtime.execute(bad)
-        assert not response["ok"]
-        assert "mutually exclusive" in response["error"]["message"]
-        bad = wire_job(instance, 1, warm_start=True, restart="warm")
-        response = runtime.execute(bad)
-        assert not response["ok"]
-        assert "restart='random'" in response["error"]["message"]
-
     def test_solver_errors_travel_as_data(self):
         runtime = WorkerRuntime()
-        payload = wire_job(generate_qkp(10, 0.5, rng=3), 1)
-        payload["method"] = "not-a-method"
-        response = runtime.execute(payload)
+        job = SolveJob(generate_qkp(10, 0.5, rng=3), method="not-a-method")
+        response = runtime.execute(job)
         assert not response["ok"]
         assert response["error"]["type"]
         assert "not-a-method" in response["error"]["message"]
@@ -135,7 +126,7 @@ class TestServicePool:
         with ServicePool(num_workers=1) as pool:
             handle = pool.solve_payload(wire_job(instance, 7), timeout=60)
             assert pool.handle(handle.id) is handle
-        assert handle.payload is None
+        assert handle.job is None
         assert handle.status == "done"
         assert handle.report() == repro.solve(instance, rng=7, **FAST)
 

@@ -3,6 +3,11 @@
 import numpy as np
 import pytest
 
+import repro
+from repro.core.problem import ConstrainedProblem
+from repro.ising.model import IsingModel, QuboModel
+from repro.problems.generators import generate_qkp
+from repro.problems.qkp import QkpInstance
 from repro.utils.validation import (
     check_binary_vector,
     check_finite,
@@ -49,6 +54,51 @@ class TestSquareSymmetric:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             check_square_symmetric(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+
+def near_symmetric(n: int = 5) -> np.ndarray:
+    """Symmetric with a zero diagonal, but for one pair off by 1e-12."""
+    rng = np.random.default_rng(0)
+    matrix = rng.random((n, n))
+    matrix = matrix + matrix.T
+    np.fill_diagonal(matrix, 0.0)
+    matrix[0, 1] += 1e-12
+    return matrix
+
+
+class TestSymmetryWithinTolerance:
+    """The exact compare only settles the common case first: a matrix that
+    is symmetric within tolerance is accepted as before."""
+
+    def test_check_square_symmetric(self):
+        matrix = near_symmetric()
+        assert not np.array_equal(matrix, matrix.T)
+        np.testing.assert_array_equal(check_square_symmetric(matrix), matrix)
+
+    @pytest.mark.parametrize("build", [
+        lambda m: QkpInstance(np.ones(len(m)), m, np.ones(len(m)), 2.0),
+        lambda m: ConstrainedProblem(m, np.zeros(len(m))),
+        lambda m: QuboModel(m, np.zeros(len(m))),
+        lambda m: IsingModel(m, np.zeros(len(m))),
+    ], ids=["QkpInstance", "ConstrainedProblem", "QuboModel", "IsingModel"])
+    def test_constructors_accept(self, build):
+        build(near_symmetric())
+
+    def test_no_tolerant_scan_in_a_qkp_solve(self, monkeypatch):
+        """Every matrix a QKP solve derives (its problem, the slack
+        encoding, the normalized problem, the QUBO and the Ising model)
+        is exactly symmetric, so no check falls back to np.allclose."""
+        instance = generate_qkp(40, 0.5, rng=1)
+        calls = []
+        allclose = np.allclose
+
+        def counting_allclose(*args, **kwargs):
+            calls.append(args[0].shape)
+            return allclose(*args, **kwargs)
+
+        monkeypatch.setattr(np, "allclose", counting_allclose)
+        repro.solve(instance, rng=1, num_iterations=3, mcs_per_run=10)
+        assert calls == []
 
 
 class TestScalars:
