@@ -666,8 +666,9 @@ def _saim_report(result, backend) -> SolveReport:
     )
 
 
-def _check_penalty(problem, *, config, backend, num_replicas, restart,
-                   initial_lambdas, backend_options, method_options, **_):
+def _check_penalty(problem, *, config, backend, num_replicas, aggregate,
+                   restart, initial_lambdas, backend_options, method_options,
+                   **_):
     # The classical fixed-penalty baseline: one programmed Hamiltonian,
     # num_iterations independent annealing runs, no multiplier loop.  It
     # is hard-wired to p-bit batch annealing, so reject knobs it would
@@ -687,6 +688,10 @@ def _check_penalty(problem, *, config, backend, num_replicas, restart,
         raise ValueError(
             "the penalty method has no replica loop; its num_iterations "
             "already are independent annealing runs"
+        )
+    if aggregate != "best":
+        raise ValueError(
+            f"the penalty method has no replica aggregate (got {aggregate!r})"
         )
     if restart != "random":
         raise ValueError(
@@ -748,15 +753,41 @@ def _run_penalty(problem, *, config, backend, rng, **_):
 # --------------------------------------------------------------------------
 # Classical baseline methods (backend-free).
 
-def _pop_options(method, options, **defaults):
-    """Extract known option keys; raise on leftovers."""
-    values = {key: options.pop(key, default) for key, default in defaults.items()}
-    if options:
+#: Each classical baseline's ``method_options`` and their defaults.
+_BASELINE_OPTIONS = {
+    "greedy": {"improve": True, "max_rounds": 50},
+    "ga": {"population_size": 100, "num_children": 20000,
+           "mutation_bits": 2, "tournament_size": 2},
+    "milp": {"time_limit": None},
+    "bnb": {"max_nodes": None},
+    "exhaustive": {},
+}
+
+
+def _baseline_settings(method, method_options) -> dict:
+    """The keyword arguments ``method``'s solver runs with.
+
+    Raises ``ValueError`` (or ``TypeError``) for options it refuses: an
+    unknown key, or a value its settings reject.  The check and the runner
+    both read the options here, so the rules exist once.
+    """
+    defaults = _BASELINE_OPTIONS[method]
+    options = dict(method_options or {})
+    unknown = set(options) - set(defaults)
+    if unknown:
         raise ValueError(
-            f"unknown method_options for {method!r}: {sorted(options)}; "
+            f"unknown method_options for {method!r}: {sorted(unknown)}; "
             f"valid options: {sorted(defaults)}"
         )
-    return values
+    opts = {**defaults, **options}
+    if method == "greedy":
+        return {"improve": bool(opts["improve"]),
+                "max_rounds": int(opts["max_rounds"])}
+    if method == "ga":
+        from repro.baselines.ga import GaConfig
+
+        return {"config": GaConfig(**opts)}
+    return opts
 
 
 def _require_instance(problem, *, method, **_):
@@ -771,24 +802,28 @@ def _require_instance(problem, *, method, **_):
         )
 
 
-def _check_milp(problem, *, method, **_):
-    from repro.baselines.milp import require_linear
+def _check_baseline(problem, *, method, method_options, **_):
+    """A baseline's refusals: its instance type (the exhaustive
+    enumeration takes any problem), milp's linear-objective rule and its
+    ``method_options``."""
+    if method != "exhaustive":
+        _require_instance(problem, method=method)
+    if method == "milp":
+        from repro.baselines.milp import require_linear
 
-    _require_instance(problem, method=method)
-    try:
-        require_linear(problem)
-    except TypeError as error:
-        raise ValueError(str(error)) from None
+        try:
+            require_linear(problem)
+        except TypeError as error:
+            raise ValueError(str(error)) from None
+    _baseline_settings(method, method_options)
 
 
 def _run_greedy(problem, *, instance, rng, method_options, **_):
     del problem, rng  # deterministic, works on the typed instance
     from repro.baselines.greedy import greedy_solve
 
-    opts = _pop_options("greedy", method_options, improve=True, max_rounds=50)
     result = greedy_solve(
-        instance,
-        improve=bool(opts["improve"]), max_rounds=int(opts["max_rounds"]),
+        instance, **_baseline_settings("greedy", method_options)
     )
     return SolveReport(
         method="greedy",
@@ -803,13 +838,11 @@ def _run_greedy(problem, *, instance, rng, method_options, **_):
 
 def _run_ga(problem, *, instance, rng, method_options, **_):
     del problem
-    from repro.baselines.ga import GaConfig, chu_beasley_ga
+    from repro.baselines.ga import chu_beasley_ga
 
-    opts = _pop_options(
-        "ga", method_options, population_size=100, num_children=20000,
-        mutation_bits=2, tournament_size=2,
+    result = chu_beasley_ga(
+        instance, rng=rng, **_baseline_settings("ga", method_options)
     )
-    result = chu_beasley_ga(instance, GaConfig(**opts), rng=rng)
     return SolveReport(
         method="ga",
         backend=None,
@@ -825,8 +858,8 @@ def _run_milp(problem, *, instance, method_options, **_):
     del problem
     from repro.baselines.milp import milp_solve
 
-    opts = _pop_options("milp", method_options, time_limit=None)
-    result = milp_solve(instance, time_limit=opts["time_limit"])
+    result = milp_solve(instance,
+                        **_baseline_settings("milp", method_options))
     return SolveReport(
         method="milp",
         backend=None,
@@ -842,8 +875,7 @@ def _run_bnb(problem, *, instance, method_options, **_):
     del problem
     from repro.baselines.branch_and_bound import bnb_solve
 
-    opts = _pop_options("bnb", method_options, max_nodes=None)
-    result = bnb_solve(instance, max_nodes=opts["max_nodes"])
+    result = bnb_solve(instance, **_baseline_settings("bnb", method_options))
     return SolveReport(
         method="bnb",
         backend=None,
@@ -855,11 +887,10 @@ def _run_bnb(problem, *, instance, method_options, **_):
     )
 
 
-def _run_exhaustive(problem, *, instance, method_options, **_):
+def _run_exhaustive(problem, **_):
+    # The enumeration runs on the ConstrainedProblem form and has no options.
     from repro.baselines.exact_qkp import exhaustive_solve
 
-    _pop_options("exhaustive", method_options)
-    del instance  # the enumeration runs on the ConstrainedProblem form
     result = exhaustive_solve(problem)
     return SolveReport(
         method="exhaustive",
@@ -950,8 +981,9 @@ register_method(
 _METHOD_CHECKS = {
     "saim": _check_saim,
     "penalty": _check_penalty,
-    "greedy": _require_instance,
-    "ga": _require_instance,
-    "milp": _check_milp,
-    "bnb": _require_instance,
+    "greedy": _check_baseline,
+    "ga": _check_baseline,
+    "milp": _check_baseline,
+    "bnb": _check_baseline,
+    "exhaustive": _check_baseline,
 }

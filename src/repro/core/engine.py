@@ -40,6 +40,7 @@ only a serial ``anneal`` are adapted automatically via
 from __future__ import annotations
 
 import inspect
+import numbers
 
 import numpy as np
 
@@ -65,6 +66,12 @@ RESTARTS = ("random", "warm")
 def check_loop_knobs(num_replicas: int, aggregate: str, restart: str) -> None:
     """Raise ``ValueError`` unless :class:`SaimEngine` runs this replica
     count, replica aggregate and restart policy."""
+    if isinstance(num_replicas, bool) or not isinstance(
+        num_replicas, numbers.Integral
+    ):
+        raise ValueError(
+            f"num_replicas must be an integer, got {num_replicas!r}"
+        )
     if num_replicas < 1:
         raise ValueError(f"num_replicas must be >= 1, got {num_replicas}")
     if aggregate not in AGGREGATES:
@@ -334,10 +341,11 @@ class SaimRun:
         improved = False
         restricted = [encoded.restrict(xs_ext[r]) for r in range(replicas)]
         feasible = [source.is_feasible(x) for x in restricted]
+        costs = {}
         for r in range(replicas):
             if not feasible[r]:
                 continue
-            cost = source.objective(restricted[r])
+            cost = costs[r] = source.objective(restricted[r])
             if cost < self.best_cost:
                 self.best_cost = cost
                 self.best_x = restricted[r]
@@ -347,7 +355,7 @@ class SaimRun:
         mean = self.aggregate == "mean" and replicas > 1
         lead = int(np.argmin(energies)) if replicas > 1 and not mean else 0
         x_lead = restricted[lead]
-        cost_lead = source.objective(x_lead)
+        cost_lead = costs[lead] if feasible[lead] else source.objective(x_lead)
         self.history.sample_costs[k] = cost_lead
         self.history.energies[k] = energies[lead]
         if feasible[lead]:

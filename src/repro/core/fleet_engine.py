@@ -34,7 +34,7 @@ a changing active set, which the fleet engine does not model.
 from __future__ import annotations
 
 from repro.core.encoding import encode_with_slacks
-from repro.core.engine import AGGREGATES, SaimRun
+from repro.core.engine import SaimRun, check_loop_knobs
 from repro.core.saim import SaimConfig
 from repro.ising.fleet import FleetMachine
 from repro.utils.rng import spawn_rngs
@@ -53,12 +53,7 @@ class FleetEngine:
 
     def __init__(self, config: SaimConfig | None = None, num_replicas: int = 1,
                  aggregate: str = "best", restart: str = "random"):
-        if num_replicas < 1:
-            raise ValueError(f"num_replicas must be >= 1, got {num_replicas}")
-        if aggregate not in AGGREGATES:
-            raise ValueError(
-                f"aggregate must be one of {AGGREGATES}, got {aggregate!r}"
-            )
+        check_loop_knobs(num_replicas, aggregate, restart)
         if restart != "random":
             raise ValueError(
                 "the fused fleet path supports restart='random' only "

@@ -38,7 +38,9 @@ lazily, because only this numpy scan reads them — the ``col_blocks`` /
 also keeps *solve-resident* annealing state for both kernels: the final
 spins of the previous run together with their coupling inputs ``J @ s``,
 so a warm-restarted run (same spins back in) reprograms its input fields
-from the field delta instead of paying a fresh ``O(N^2 R)`` matmul.
+from the field delta instead of paying a fresh ``O(N^2 R)`` matmul, and
+it keeps the compiled sweep's last workspace (its checked buffers), so the
+K runs of a solve set them up once.
 """
 
 from __future__ import annotations
@@ -87,6 +89,7 @@ class AnnealProgram:
         self.cold_starts = 0
         self._resident_spins = None
         self._resident_coupling_inputs = None
+        self._workspace = None
 
     @cached_property
     def col_blocks(self) -> list:
@@ -103,6 +106,22 @@ class AnnealProgram:
             np.ascontiguousarray(self.coupling[i0:i0 + BLOCK, i0:i0 + BLOCK])
             for i0 in self.starts
         ]
+
+    def workspace(self, sweep, replicas: int, chunk: int):
+        """The compiled ``sweep``'s workspace for ``replicas`` chains and
+        ``chunk``-sweep noise tables on this coupling.
+
+        The last one built is kept and served again while the sweep, the
+        replica count and the chunk stay the same (SAIM's K anneals share
+        one), and rebuilt when any of them changes.
+        """
+        work = self._workspace
+        if (work is None or work.sweep is not sweep
+                or work.replicas != replicas or work.chunk != chunk):
+            work = self._workspace = sweep.workspace(
+                self.coupling, replicas, chunk
+            )
+        return work
 
     def initial_inputs(self, spins, fields) -> np.ndarray:
         """``J @ spins + h`` for a run starting at ``spins`` (``(n, R)``).

@@ -10,6 +10,13 @@ The flags are ``-O3 -ffp-contract=off``, with no ``-march`` and no
 ``-ffast-math``: every host then runs the same IEEE operations in the same
 order, with no fused multiply-adds, so results do not depend on the CPU.
 
+The binding is :class:`CompiledSweep`, one per dtype.  It is called only
+through a :class:`SweepWorkspace` built for one ``(coupling, R, chunk)``:
+the workspace checks the coupling once, allocates every other buffer C
+touches and keeps the addresses, so a call checks only its sweep count and
+optional traces.  The workspace's buffers are reused by every call, so it
+serves one caller at a time; the p-bit anneal copies results out of it.
+
 When no compiler is found, the compile fails or the cache cannot be used,
 :func:`sweep_library` returns ``None`` and the p-bit machines run the numpy
 lock-step scan (:mod:`repro.ising._lockstep`), which computes the same
@@ -135,8 +142,9 @@ def _writable(directory: Path) -> bool:
 class CompiledSweep:
     """The ``ctypes`` binding of one dtype's sweep function.
 
-    Calls check every array's shape, dtype and contiguity before its
-    address reaches C.
+    The function is reached only through a :class:`SweepWorkspace`
+    (:meth:`workspace`), which checks the coupling and allocates every
+    other buffer once, so no call rechecks or re-reads an address.
     """
 
     def __init__(self, function, dtype):
@@ -145,44 +153,102 @@ class CompiledSweep:
         self._function = function
         self.dtype = np.dtype(dtype)
 
-    def __call__(self, coupling, fields, offset, taus, spins, inputs,
-                 energies, best_spins, best_energies, traces, t0, track):
-        """Run ``S`` sweeps of ``R`` replicas (see ``_sweep.c``).
+    def workspace(self, coupling, replicas: int, chunk: int) -> SweepWorkspace:
+        """A workspace for ``replicas`` chains on ``coupling``, drawing
+        noise ``chunk`` sweeps at a time."""
+        return SweepWorkspace(self, coupling, replicas, chunk)
 
-        ``taus`` is ``(R, S, n)``; ``spins``, ``inputs`` and
-        ``best_spins`` are ``(R, n)`` and updated in place, as are the
-        float64 ``(R,)`` ``energies`` / ``best_energies`` and the optional
-        float64 ``(R, sweeps)`` ``traces`` (columns ``t0 .. t0 + S``).
+
+class SweepWorkspace:
+    """The buffers the compiled sweep reads and writes, checked once.
+
+    Built for one ``(coupling, R, chunk)``.  The coupling must be a
+    C-contiguous square array of the sweep's dtype; it is checked here and
+    kept, with its address.  Every other array C touches is allocated
+    here, C-contiguous, and its address kept:
+
+    - ``noise``: float64 ``(chunk, n, R)``, the noise and then threshold
+      table of up to ``chunk`` sweeps, in the order numpy draws it;
+    - ``taus``: what C reads as thresholds: ``noise`` itself for float64,
+      a float32 copy of it for float32;
+    - ``fields`` ``(n,)`` and ``spins`` / ``inputs`` / ``best_spins``
+      ``(R, n)``, in the sweep's dtype;
+    - ``energies`` and ``best_energies``, float64 ``(R,)``.
+
+    :meth:`run` checks only what it is given per call: the sweep count and
+    the optional traces and their first column.  The buffers are reused by
+    every run, so a workspace serves one caller at a time, and results
+    leave it as copies.
+    """
+
+    def __init__(self, sweep: CompiledSweep, coupling, replicas: int,
+                 chunk: int):
+        dtype = sweep.dtype
+        if (coupling.ndim != 2 or coupling.shape[0] != coupling.shape[1]
+                or coupling.dtype != dtype
+                or not coupling.flags.c_contiguous):
+            raise ValueError(
+                f"sweep needs a C-contiguous square {dtype} coupling, got "
+                f"{coupling.dtype} {coupling.shape}"
+            )
+        n = coupling.shape[0]
+        self.sweep = sweep
+        self.coupling = coupling
+        self.replicas = replicas
+        self.chunk = chunk
+        self.noise = np.empty((chunk, n, replicas))
+        self.taus = (self.noise if dtype == np.float64
+                     else np.empty(self.noise.shape, dtype=dtype))
+        self.fields = np.zeros(n, dtype=dtype)
+        self.spins = np.ones((replicas, n), dtype=dtype)
+        self.inputs = np.zeros((replicas, n), dtype=dtype)
+        self.best_spins = np.ones((replicas, n), dtype=dtype)
+        self.energies = np.zeros(replicas)
+        self.best_energies = np.zeros(replicas)
+        self._function = sweep._function
+        self._shape = (n, replicas)
+        # C writes through these addresses; the tuple keeps each buffer
+        # alive for the workspace's life, whatever its attributes name.
+        self._buffers = (coupling, self.fields, self.taus, self.spins,
+                         self.inputs, self.energies, self.best_spins,
+                         self.best_energies)
+        self._addresses = tuple(array.ctypes.data for array in self._buffers)
+
+    def run(self, sweeps: int, offset: float, traces=None, t0: int = 0,
+            track: bool = True) -> None:
+        """Run ``sweeps`` sweeps on the thresholds in ``noise[:sweeps]``.
+
+        ``spins``, ``inputs`` and ``energies`` (and, with ``track``,
+        ``best_spins`` / ``best_energies``) are updated in place; the
+        optional float64 ``(R, stride)`` ``traces`` get this call's sweep
+        energies in columns ``t0 .. t0 + sweeps``.
         """
-        replicas, sweeps, n = taus.shape
-        stored = (
-            (coupling, (n, n)), (fields, (n,)), (taus, taus.shape),
-            (spins, (replicas, n)), (inputs, (replicas, n)),
-            (best_spins, (replicas, n)),
-        )
-        accounting = [(energies, (replicas,)), (best_energies, (replicas,))]
-        stride = 0
+        if not 1 <= sweeps <= self.chunk:
+            raise ValueError(
+                f"a run takes 1..{self.chunk} sweeps, got {sweeps}"
+            )
+        stride, address = 0, None
         if traces is not None:
-            stride = traces.shape[-1]
+            if (traces.ndim != 2 or traces.shape[0] != self.replicas
+                    or traces.dtype != np.float64
+                    or not traces.flags.c_contiguous):
+                raise ValueError(
+                    f"traces must be a C-contiguous float64 "
+                    f"({self.replicas}, sweeps) array, got "
+                    f"{traces.dtype} {traces.shape}"
+                )
+            stride = traces.shape[1]
             if t0 < 0 or t0 + sweeps > stride:
                 raise ValueError(
                     f"trace columns {t0}..{t0 + sweeps} exceed {stride}"
                 )
-            accounting.append((traces, (replicas, stride)))
-        for arrays, dtype in ((stored, self.dtype),
-                              (accounting, np.dtype(np.float64))):
-            for array, shape in arrays:
-                if (array.shape != shape or array.dtype != dtype
-                        or not array.flags.c_contiguous):
-                    raise ValueError(
-                        f"sweep needs a C-contiguous {dtype} {shape} array, "
-                        f"got {array.dtype} {array.shape}"
-                    )
+            address = traces.ctypes.data
+        if self.taus is not self.noise:
+            self.taus[:sweeps] = self.noise[:sweeps]
+        coupling, fields, taus, spins, inputs, energies, best_spins, \
+            best_energies = self._addresses
         self._function(
-            n, replicas, sweeps, coupling.ctypes.data, fields.ctypes.data,
-            float(offset), taus.ctypes.data, spins.ctypes.data,
-            inputs.ctypes.data, energies.ctypes.data, best_spins.ctypes.data,
-            best_energies.ctypes.data,
-            None if traces is None else traces.ctypes.data,
-            stride, t0, int(track),
+            *self._shape, sweeps, coupling, fields, float(offset), taus,
+            spins, inputs, energies, best_spins, best_energies, address,
+            stride, t0, track,
         )

@@ -1,16 +1,23 @@
 /* Sequential-Gibbs sweeps of the p-bit machine (eq. 10 in threshold form).
  *
- * Each replica is an independent chain, so replicas run one after another.
- * Within a sweep spin i becomes +1 when its input I_i >= tau_i, else -1; a
- * flip adds row i of J (J is symmetric, so row i is column i) times the spin
- * change to the replica's inputs.  After a sweep the energy
- * H = -1/2 s.I - 1/2 h.s + c is accumulated in double whatever T is.
+ * Each replica is an independent chain.  Within a sweep spin i becomes +1
+ * when its input I_i >= tau_i, else -1; a flip adds row i of J (J is
+ * symmetric, so row i is column i) times the spin change to the replica's
+ * inputs.  After a sweep the energy H = -1/2 s.I - 1/2 h.s + c is
+ * accumulated in double whatever T is.
  *
- * Layouts are replica-major: spins, inputs and best_spins are (R, n), taus
- * is (R, S, n), energies and best_energies are (R,), and traces, when not
- * NULL, is (R, stride) with this call's sweep t stored at column t0 + t.
- * With track == 0 only the last sweep's energy is computed and the best
- * state is left alone.
+ * The loop runs in draw order: for each sweep t, for each spin i, every
+ * replica r takes its decision on spin i in turn.  Each replica still sees
+ * its own decisions and rank-1 adds in the same order as a chain run on
+ * its own, so the order of the replicas changes no result; consecutive
+ * replicas that flip spin i reuse row i of J from cache.
+ *
+ * Layouts: spins, inputs and best_spins are replica-major (R, n); taus is
+ * (S, n, R), the order numpy draws a (sweeps, spins, replicas) table;
+ * energies and best_energies are (R,); traces, when not NULL, is
+ * (R, stride) with this call's sweep t stored at column t0 + t.  With
+ * track == 0 only the last sweep's energy is computed and the best state
+ * is left alone.
  */
 #include <string.h>
 
@@ -21,23 +28,27 @@ void NAME(long n, long R, long S, const T *restrict J,                      \
           T *restrict best_spins, double *best_energies, double *traces,    \
           long stride, long t0, int track)                                  \
 {                                                                           \
-    for (long r = 0; r < R; r++) {                                          \
-        T *restrict s = spins + r * n;                                      \
-        T *restrict in = inputs + r * n;                                    \
-        for (long t = 0; t < S; t++) {                                      \
-            const T *restrict tau = taus + (r * S + t) * n;                 \
-            for (long i = 0; i < n; i++) {                                  \
-                T v = in[i] >= tau[i] ? (T)1 : (T)-1;                       \
+    for (long t = 0; t < S; t++) {                                          \
+        for (long i = 0; i < n; i++) {                                      \
+            const T *restrict tau = taus + (t * n + i) * R;                 \
+            const T *restrict row = J + i * n;                              \
+            for (long r = 0; r < R; r++) {                                  \
+                T *restrict s = spins + r * n;                              \
+                T *restrict in = inputs + r * n;                            \
+                T v = in[i] >= tau[r] ? (T)1 : (T)-1;                       \
                 if (v != s[i]) {                                            \
-                    const T *restrict row = J + i * n;                      \
                     T d = v - s[i];                                         \
                     s[i] = v;                                               \
                     for (long k = 0; k < n; k++)                            \
                         in[k] += row[k] * d;                                \
                 }                                                           \
             }                                                               \
-            if (!track && t < S - 1)                                        \
-                continue;                                                   \
+        }                                                                   \
+        if (!track && t < S - 1)                                            \
+            continue;                                                       \
+        for (long r = 0; r < R; r++) {                                      \
+            const T *restrict s = spins + r * n;                            \
+            const T *restrict in = inputs + r * n;                          \
             double si = 0.0, hs = 0.0;                                      \
             for (long i = 0; i < n; i++) {                                  \
                 si += (double)s[i] * (double)in[i];                         \

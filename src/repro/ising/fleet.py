@@ -32,12 +32,10 @@ import numpy as np
 from repro.ising._lockstep import AnnealProgram
 from repro.ising.backend import BatchAnnealResult, resolve_dtype
 from repro.ising.model import IsingModel
-from repro.ising.pbit import pbit_anneal
+from repro.ising.pbit import pbit_anneal, random_spins
 from repro.utils.rng import spawn_rngs
 
 __all__ = ["FleetProgram", "FleetMachine", "FleetAnnealResult"]
-
-_SPINS = np.array([-1.0, 1.0])
 
 
 class FleetProgram:
@@ -237,7 +235,7 @@ class FleetMachine:
             n = int(program.sizes[b])
             stream = self._rngs[b]
             # Same draw as PBitMachine.anneal_many: (R, n) random spins.
-            states = stream.choice(_SPINS, size=(num_replicas, n))
+            states = random_spins(stream, (num_replicas, n))
             results[b] = pbit_anneal(
                 program.programs[b], program.fields[b, :n],
                 program.offsets[b], betas, states, stream,

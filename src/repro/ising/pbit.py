@@ -21,21 +21,26 @@ Every replica count — **including R = 1** — and the fleet
 (:mod:`repro.ising.fleet`) run one function, :func:`pbit_anneal`.  The
 per-sweep noise is drawn from the machine's own generator and folded into
 acceptance *thresholds*: ``sign(tanh(beta I_i) + u_i) = +1`` exactly when
-``I_i >= -atanh(u_i) / beta``, so each p-bit update is one comparison.  The
-sweep itself runs compiled (:mod:`repro.ising._native`: one C loop per
-chain, a rank-1 input update per flip) when the system compiler could
-build it, and as the numpy lock-step scan of :mod:`repro.ising._lockstep`
-otherwise.  Both consume the same noise stream in the same order and take
-the same decisions, so they compute the same chain; energies differ only
-by the rounding of the maintained inputs (none on integer weights).
-``kernel="serial"`` is the escape hatch back to the pure-python per-spin
-scan of eq. 10 (useful for parity tests and as its ground-truth spelling).
+``I_i >= -atanh(u_i) / beta``, so each p-bit update is one comparison.
+One helper draws the noise and turns it into thresholds in place, for
+both sweeps.  The sweep itself runs compiled (:mod:`repro.ising._native`:
+one C loop over sweeps, spins and then replicas, reading the thresholds
+in the order numpy draws them, with a rank-1 input update per flip) when
+the system compiler could build it, and as the numpy lock-step scan of
+:mod:`repro.ising._lockstep` otherwise.  Both consume the same noise
+stream in the same order and take the same decisions, so they compute the
+same chain; energies differ only by the rounding of the maintained inputs
+(none on integer weights).  ``kernel="serial"`` is the escape hatch back
+to the pure-python per-spin scan of eq. 10 (useful for parity tests and
+as its ground-truth spelling).
 
 The coupling-only preparation (contiguous dtype cast, plus the numpy
 scan's block decomposition when that scan runs) is built once per machine
 as an :class:`repro.ising._lockstep.AnnealProgram` and reused across
 ``set_fields`` calls — SAIM's K outer iterations reprogram fields into a
-standing program instead of paying the O(N^2) setup each time.
+standing program instead of paying the O(N^2) setup each time.  The
+program also keeps the compiled sweep's workspace, whose buffers every
+run reuses: a machine serves one caller at a time.
 
 The ``dtype`` knob selects the coefficient storage / scan precision
 (``"float64"`` default, ``"float32"`` for the big-R fast path); energies are
@@ -68,6 +73,8 @@ __all__ = ["AnnealResult", "PBitMachine", "pbit_anneal"]
 #: ``(sweeps, n, R)`` draw consumes the generator in exactly the per-sweep
 #: order, so chunking never changes the chain.
 _CHUNK_DOUBLES = 1 << 15
+
+_SPINS = np.array([-1.0, 1.0])
 
 
 def pbit_anneal(program: AnnealProgram, fields, offset: float, betas,
@@ -121,51 +128,69 @@ def pbit_anneal(program: AnnealProgram, fields, offset: float, betas,
     )
 
 
-def _thresholds(noise, betas):
-    """Acceptance thresholds for ``(sweeps, n, R)`` noise, one beta per sweep.
+def random_spins(rng, shape) -> np.ndarray:
+    """Uniform ±1 spins of ``shape`` from ``rng``.
 
-    ``sign(tanh(beta I) + u) == +1  <=>  I >= -atanh(u) / beta``; a sweep
-    with ``beta <= 0`` is pure noise (``+1`` exactly when ``u >= 0``).
+    The values and the stream position of ``rng.choice([-1.0, 1.0],
+    size=shape)``, drawn through ``rng.integers``, which costs less.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        taus = np.arctanh(noise)
-        taus /= -betas[:, None, None]
+    return _SPINS[rng.integers(0, 2, size=shape)]
+
+
+def _draw_thresholds(rng, betas, out) -> np.ndarray:
+    """Fill ``out`` with the acceptance thresholds of one sweep per beta.
+
+    ``out`` is a C-contiguous float64 ``(sweeps, n, R)`` buffer.  The noise
+    is drawn into it in place: ``2 r - 1`` over ``rng.random``'s ``r`` is
+    ``rng.uniform(-1, 1, out.shape)`` bit for bit, and leaves the stream
+    where that draw does.  Then ``sign(tanh(beta I) + u) == +1  <=>
+    I >= -atanh(u) / beta``; a sweep with ``beta <= 0`` is pure noise
+    (``+1`` exactly when ``u >= 0``).
+    """
+    rng.random(out=out)
+    out *= 2.0
+    out -= 1.0
     noise_only = betas <= 0.0
-    if noise_only.any():
-        taus[noise_only] = np.where(noise[noise_only] >= 0.0, -np.inf, np.inf)
-    return taus
+    signs = out[noise_only] >= 0.0 if noise_only.any() else None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.arctanh(out, out=out)
+        out /= -betas[:, None, None]
+    if signs is not None:
+        out[noise_only] = np.where(signs, -np.inf, np.inf)
+    return out
 
 
 def _compiled_anneal(sweep, program, fields, offset, betas, states, rng,
                      record_energy, track_best):
-    """:func:`pbit_anneal` on the compiled sweep, replica-major ``(R, n)``."""
-    dtype = program.dtype
+    """:func:`pbit_anneal` on the compiled sweep, in the program's
+    workspace (one noise chunk of up to ``_CHUNK_DOUBLES`` at a time)."""
     num_replicas, n = states.shape
     num_sweeps = betas.size
+    chunk = min(num_sweeps,
+                max(1, _CHUNK_DOUBLES // max(1, n * num_replicas)))
+    work = program.workspace(sweep, num_replicas, chunk)
     # Initial inputs and energies exactly as the numpy scan computes them.
-    spins_nr = np.ascontiguousarray(states.T, dtype=dtype)
+    spins_nr = np.ascontiguousarray(states.T, dtype=program.dtype)
     inputs_nr = program.initial_inputs(spins_nr, fields)
-    spins = np.ascontiguousarray(spins_nr.T)
-    inputs = np.ascontiguousarray(inputs_nr.T)
+    work.fields[...] = fields
+    work.spins[...] = states
+    work.inputs[...] = inputs_nr.T
     if track_best:
-        energies = sweep_energies(spins_nr, inputs_nr, fields, offset)
-    else:
-        energies = np.empty(num_replicas)
-    best_energies = energies.copy()
-    best_spins = spins.copy()
+        work.energies[...] = sweep_energies(spins_nr, inputs_nr, fields,
+                                            offset)
+        work.best_energies[...] = work.energies
+        work.best_spins[...] = work.spins
     traces = np.empty((num_replicas, num_sweeps)) if record_energy else None
-    chunk = max(1, _CHUNK_DOUBLES // max(1, n * num_replicas))
     for t0 in range(0, num_sweeps, chunk):
         span = betas[t0:t0 + chunk]
-        noise = rng.uniform(-1.0, 1.0, size=(span.size, n, num_replicas))
-        # The compiled loop reads each chain's thresholds contiguously.
-        taus = np.ascontiguousarray(
-            _thresholds(noise, span).transpose(2, 0, 1), dtype=dtype
-        )
-        sweep(program.coupling, fields, offset, taus, spins, inputs,
-              energies, best_spins, best_energies, traces, t0, track_best)
-    program.retain(spins.T, inputs.T, fields)
-    return spins.copy(), energies, best_spins, best_energies, traces
+        _draw_thresholds(rng, span, work.noise[:span.size])
+        work.run(span.size, offset, traces, t0, track_best)
+    program.retain(work.spins.T.copy(), work.inputs.T, fields)
+    spins, energies = work.spins.copy(), work.energies.copy()
+    if not track_best:
+        return spins, energies, spins, energies, traces
+    return (spins, energies, work.best_spins.copy(),
+            work.best_energies.copy(), traces)
 
 
 def _numpy_anneal(program, fields, offset, betas, states, rng,
@@ -173,10 +198,10 @@ def _numpy_anneal(program, fields, offset, betas, states, rng,
     """:func:`pbit_anneal` on the numpy lock-step scan (the reference)."""
     num_replicas, n = states.shape
     one = program.dtype.type(1.0)
+    noise = np.empty((1, n, num_replicas))
 
     def thresholds_for(beta):
-        noise = rng.uniform(-1.0, 1.0, size=(1, n, num_replicas))
-        return _thresholds(noise, np.array([beta]))[0]
+        return _draw_thresholds(rng, np.array([beta]), noise)[0]
 
     def decide(taus_rows, input_rows, spin_rows):
         return np.where(input_rows >= taus_rows, one, -one) - spin_rows
@@ -276,7 +301,7 @@ class PBitMachine:
 
     def random_state(self) -> np.ndarray:
         """Uniform random ±1 spin vector."""
-        return self._rng.choice(np.array([-1.0, 1.0]), size=self.num_spins)
+        return random_spins(self._rng, self.num_spins)
 
     def anneal_many(
         self,
@@ -311,9 +336,7 @@ class PBitMachine:
             raise ValueError(f"num_replicas must be positive, got {num_replicas}")
         n = self.num_spins
         if initial is None:
-            states = self._rng.choice(
-                np.array([-1.0, 1.0]), size=(num_replicas, n)
-            )
+            states = random_spins(self._rng, (num_replicas, n))
         else:
             states = np.array(initial, dtype=float)
             if states.shape != (num_replicas, n):

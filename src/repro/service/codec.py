@@ -15,7 +15,8 @@ Strictness is a feature — the codec rejects unknown keys, method and
 backend names the registry does not know, backend options their builder
 refuses, every call :func:`repro.solve` refuses before solving (through
 the same :func:`repro.api.check_solve`), non-seed RNGs (only
-``null``/ints travel; live generator state does not), and exotic config
+``null``/ints travel; live generator state does not), a replica count
+that is not a JSON integer (never rounded or parsed), and exotic config
 objects, so a malformed request dies at the front door with a
 :class:`CodecError` (HTTP 400) instead of deep inside a worker.
 """
@@ -73,6 +74,14 @@ def _check_seed(rng) -> int | None:
     raise CodecError(
         f"rng must be an integer seed or null on the wire, got "
         f"{type(rng).__name__} (live generator state does not serialize)"
+    )
+
+
+def _check_replicas(num_replicas) -> int:
+    if isinstance(num_replicas, int) and not isinstance(num_replicas, bool):
+        return num_replicas
+    raise CodecError(
+        f"num_replicas must be an integer, got {num_replicas!r}"
     )
 
 
@@ -206,7 +215,7 @@ def job_from_wire(payload: dict) -> tuple[SolveJob, bool]:
         method=method,
         backend=backend,
         config=config_from_wire(payload.get("config")),
-        num_replicas=int(payload.get("num_replicas", 1)),
+        num_replicas=_check_replicas(payload.get("num_replicas", 1)),
         aggregate=payload.get("aggregate", "best"),
         restart=payload.get("restart", "random"),
         rng=_check_seed(payload.get("rng")),

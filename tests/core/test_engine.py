@@ -9,6 +9,7 @@ config feature works identically at any replica count.
 import numpy as np
 import pytest
 
+import repro
 from repro.baselines.exact_qkp import exact_qkp_bruteforce
 from repro.core.engine import SaimEngine
 from repro.core.saim import SaimConfig
@@ -30,6 +31,20 @@ class TestEngineValidation:
     def test_rejects_bad_aggregate(self):
         with pytest.raises(ValueError):
             SaimEngine(TINY, aggregate="median")
+
+    @pytest.mark.parametrize("value", [2.7, "3", True, 2.0])
+    def test_rejects_non_integer_replicas(self, value):
+        """A replica count is never coerced: ``repro.solve`` refuses a
+        float, a string or a bool with a ``ValueError`` up front."""
+        with pytest.raises(ValueError, match="num_replicas must be an integer"):
+            SaimEngine(TINY, num_replicas=value)
+        with pytest.raises(ValueError, match="num_replicas must be an integer"):
+            repro.solve(tiny_knapsack_problem(), num_replicas=value,
+                        num_iterations=2, mcs_per_run=2, rng=0)
+        with pytest.raises(ValueError, match="num_replicas must be an integer"):
+            repro.solve_fleet([tiny_knapsack_problem()], num_replicas=value,
+                              num_iterations=2, mcs_per_run=2, rng=0)
+        SaimEngine(TINY, num_replicas=np.int64(2))  # numpy integers are fine
 
     def test_default_config(self):
         engine = SaimEngine()
@@ -189,6 +204,37 @@ class TestReplicaSolves:
         b = engine.solve(tiny_knapsack_problem(), rng=7)
         assert a.best_cost == b.best_cost
         np.testing.assert_array_equal(a.final_lambdas, b.final_lambdas)
+
+
+class TestReadoutCost:
+    def test_one_objective_per_iteration_at_one_replica(self, monkeypatch):
+        """The lead replica's cost comes from the harvest: at R=1 the
+        objective runs once per iteration, feasible or not, and the result
+        does not change."""
+        from repro.core.problem import ConstrainedProblem
+
+        problem = tiny_knapsack_problem()
+        reference = SaimEngine(TINY).solve(problem, rng=4)
+        calls, feasible = [], []
+        objective = ConstrainedProblem.objective
+        is_feasible = ConstrainedProblem.is_feasible
+
+        def counting(self, x):
+            calls.append(1)
+            return objective(self, x)
+
+        def recording(self, x, *args, **kwargs):
+            feasible.append(bool(is_feasible(self, x, *args, **kwargs)))
+            return feasible[-1]
+
+        monkeypatch.setattr(ConstrainedProblem, "objective", counting)
+        monkeypatch.setattr(ConstrainedProblem, "is_feasible", recording)
+        result = SaimEngine(TINY).solve(problem, rng=4)
+        assert result.best_cost == reference.best_cost
+        np.testing.assert_array_equal(result.final_lambdas,
+                                      reference.final_lambdas)
+        assert any(feasible)
+        assert len(calls) == TINY.num_iterations
 
 
 class _SplitReadoutMachine:

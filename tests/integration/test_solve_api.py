@@ -231,6 +231,27 @@ class TestBackendFreeRejections:
         with pytest.raises(ValueError, match="no replica aggregate"):
             repro.solve(qkp, method="greedy", aggregate="mean")
 
+    @pytest.mark.parametrize("aggregate", ["bogus", "mean"])
+    def test_penalty_rejects_aggregate(self, qkp, aggregate):
+        """The fixed-penalty baseline has no replica loop to aggregate."""
+        with pytest.raises(ValueError, match="penalty method has no replica "
+                                             "aggregate"):
+            repro.solve(qkp, method="penalty", aggregate=aggregate,
+                        num_iterations=2, mcs_per_run=2)
+
+    @pytest.mark.parametrize("method, options, message", [
+        ("greedy", {"temperature": 3}, "unknown method_options for 'greedy'"),
+        ("ga", {"population_size": -4}, "population_size must be >= 4"),
+        ("bnb", {"nodes": 1}, "unknown method_options for 'bnb'"),
+        ("exhaustive", {"x": 1}, "unknown method_options for 'exhaustive'"),
+    ])
+    def test_method_options_checked_before_solving(self, qkp, method,
+                                                   options, message):
+        """``check_solve`` (both front doors' refusals) reads each
+        baseline's method_options, so nothing refuses them later."""
+        with pytest.raises(ValueError, match=message):
+            repro.api.check_solve(qkp, method, method_options=options)
+
     def test_rejects_saim_config(self, qkp):
         with pytest.raises(ValueError, match="no SaimConfig"):
             repro.solve(qkp, method="greedy", num_iterations=10)

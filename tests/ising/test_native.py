@@ -14,6 +14,7 @@ import pytest
 import repro
 from repro.core.schedule import linear_beta_schedule
 from repro.ising import _native, pbit
+from repro.ising.model import IsingModel
 from repro.ising.pbit import PBitMachine
 from tests.helpers import integer_ising, random_ising
 
@@ -96,27 +97,128 @@ class TestCrossKernel:
                 getattr(chunked, name), getattr(whole, name), err_msg=name
             )
 
-    def test_rejects_misshapen_arrays(self, library):
-        """The binding checks shapes, dtypes and contiguity before any
-        address reaches C."""
-        sweep = library[np.dtype(np.float64)]
-        n, replicas = 4, 2
-        arrays = dict(
-            coupling=np.zeros((n, n)), fields=np.zeros(n), offset=0.0,
-            taus=np.zeros((replicas, 3, n)), spins=np.ones((replicas, n)),
-            inputs=np.zeros((replicas, n)), energies=np.zeros(replicas),
-            best_spins=np.ones((replicas, n)),
-            best_energies=np.zeros(replicas), traces=None, t0=0, track=True,
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("weights", ["integer", "float"])
+    def test_draw_order_parity_at_eight_replicas(self, monkeypatch, library,
+                                                 weights, dtype):
+        """R=8 chains of 70 spins, with pure-noise (``beta <= 0``) sweeps
+        in the middle of the schedule and 7-sweep noise chunks (the last
+        one ragged): the compiled sweep reads its thresholds in draw order
+        and still runs the numpy scan's chains."""
+        n, replicas = 70, 8
+        model = (integer_ising if weights == "integer" else random_ising)(
+            n, rng=11
         )
-        sweep(**arrays)
-        for name, bad in (
-            ("coupling", np.zeros((n + 1, n + 1))),
-            ("spins", np.ones((replicas, n), dtype=np.float32)),
-            ("inputs", np.zeros((n, replicas)).T),
-            ("traces", np.zeros((replicas, 2))),
+        schedule = linear_beta_schedule(3.0, 40, beta_min=0.0)
+        schedule[12:17] = 0.0
+        schedule[20] = -0.5
+        monkeypatch.setattr(pbit, "_CHUNK_DOUBLES", n * replicas * 7)
+        results = []
+        for loaded in (library, None):
+            monkeypatch.setattr(_native, "_library", loaded)
+            machine = PBitMachine(model, rng=5, dtype=dtype)
+            results.append(
+                machine.anneal_many(schedule, replicas, record_energy=True)
+            )
+        compiled, reference = results
+        if weights == "integer":
+            for name in ("last_samples", "best_samples", "last_energies",
+                         "best_energies", "energy_traces"):
+                np.testing.assert_array_equal(
+                    getattr(compiled, name), getattr(reference, name),
+                    err_msg=name,
+                )
+        else:
+            np.testing.assert_array_equal(
+                compiled.last_samples, reference.last_samples
+            )
+            np.testing.assert_array_equal(
+                compiled.best_samples, reference.best_samples
+            )
+            np.testing.assert_allclose(
+                compiled.energy_traces, reference.energy_traces,
+                rtol=FLOAT_RTOL[dtype],
+            )
+
+    def test_rejects_misshapen_arrays(self, library):
+        """No address reaches C unchecked: the workspace checks the
+        coupling once and allocates every other buffer itself, and a run
+        checks its sweep count, traces and first trace column."""
+        sweep = library[np.dtype(np.float64)]
+        n, replicas, chunk = 4, 2, 3
+        for bad in (np.zeros((n, n + 1)), np.zeros((n, n), np.float32),
+                    np.zeros((2 * n, 2 * n))[::2, ::2], np.zeros(n)):
+            with pytest.raises(ValueError):
+                sweep.workspace(bad, replicas, chunk)
+        work = sweep.workspace(np.zeros((n, n)), replicas, chunk)
+        work.run(chunk, 0.0, np.zeros((replicas, chunk)), 0)
+        for sweeps, traces, t0 in (
+            (chunk + 1, None, 0),                       # more than the chunk
+            (0, None, 0),
+            (2, np.zeros((replicas + 1, 5)), 0),        # misshapen traces
+            (2, np.zeros((replicas, 5), np.float32), 0),
+            (2, np.zeros((5, replicas)).T, 0),          # not C-contiguous
+            (2, np.zeros((replicas, 5)), 4),            # t0 past the trace
+            (2, np.zeros((replicas, 5)), -1),
         ):
             with pytest.raises(ValueError):
-                sweep(**{**arrays, name: bad})
+                work.run(sweeps, 0.0, traces, t0)
+
+
+class TestWorkspace:
+    def test_program_keeps_one_workspace_per_shape(self, library):
+        machine = PBitMachine(integer_ising(6, rng=0), rng=1)
+        schedule = linear_beta_schedule(2.0, 10)
+        machine.anneal_many(schedule, 2)
+        work = machine.program._workspace
+        machine.anneal_many(schedule, 2)
+        assert machine.program._workspace is work
+        machine.anneal_many(schedule, 3)
+        assert machine.program._workspace.replicas == 3
+        machine.anneal_many(schedule[:4], 3)
+        assert machine.program._workspace.chunk == 4
+
+    def test_results_are_copies(self, library):
+        """A run's results and the program's resident state never alias
+        the workspace, so later runs leave them alone."""
+        machine = PBitMachine(integer_ising(6, rng=0), rng=1)
+        schedule = linear_beta_schedule(2.0, 10)
+        first = machine.anneal_many(schedule, 2, record_energy=True)
+        kept = {name: getattr(first, name).copy() for name in (
+            "last_samples", "best_samples", "last_energies", "best_energies",
+        )}
+        work = machine.program._workspace
+        for array in (first.last_samples, first.best_samples,
+                      first.last_energies, first.best_energies,
+                      machine.program._resident_spins):
+            for buffer in (work.spins, work.best_spins, work.energies,
+                           work.best_energies, work.inputs):
+                assert not np.shares_memory(array, buffer)
+        machine.anneal_many(schedule, 2)
+        for name, values in kept.items():
+            np.testing.assert_array_equal(getattr(first, name), values)
+
+    def test_zero_spin_machine_anneals(self, library):
+        model = IsingModel(np.zeros((0, 0)), np.zeros(0), offset=1.5)
+        result = PBitMachine(model, rng=0).anneal_many(
+            linear_beta_schedule(1.0, 5), 2
+        )
+        assert result.last_samples.shape == (2, 0)
+        np.testing.assert_array_equal(result.last_energies, [1.5, 1.5])
+
+    def test_thresholds_equal_the_uniform_draw(self):
+        """The in-place noise is ``rng.uniform(-1, 1)`` bit for bit and
+        leaves the stream where that draw does."""
+        betas = np.array([0.0, 0.5, -1.0, 2.0])
+        drawn, reference = np.random.default_rng(3), np.random.default_rng(3)
+        out = pbit._draw_thresholds(drawn, betas, np.empty((4, 5, 3)))
+        noise = reference.uniform(-1.0, 1.0, size=(4, 5, 3))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = np.arctanh(noise) / -betas[:, None, None]
+        expected[betas <= 0] = np.where(noise[betas <= 0] >= 0.0,
+                                        -np.inf, np.inf)
+        np.testing.assert_array_equal(out, expected)
+        assert drawn.random() == reference.random()
 
 
 class TestLoader:

@@ -6,7 +6,7 @@ import pytest
 from repro.core.schedule import constant_beta_schedule, linear_beta_schedule
 from repro.ising.exhaustive import brute_force_ground_state, enumerate_energies
 from repro.ising.model import IsingModel
-from repro.ising.pbit import PBitMachine
+from repro.ising.pbit import PBitMachine, random_spins
 from tests.helpers import random_ising
 
 
@@ -74,6 +74,23 @@ class TestBasics:
         b = PBitMachine(model, rng=11).anneal(schedule)
         np.testing.assert_array_equal(a.last_sample, b.last_sample)
         assert a.last_energy == b.last_energy
+
+
+class TestStartSpins:
+    @pytest.mark.parametrize("replicas", [1, 3, 8])
+    @pytest.mark.parametrize("n", [1, 2, 7, 31, 32, 33, 64, 107, 1014])
+    def test_integers_draw_is_the_choice_draw(self, n, replicas):
+        """Start spins drawn through ``rng.integers`` equal
+        ``rng.choice([-1, 1])``'s and leave the stream where it does."""
+        for seed, shape in zip(range(4), [(replicas, n), n] * 2):
+            drawn = np.random.default_rng(seed)
+            reference = np.random.default_rng(seed)
+            np.testing.assert_array_equal(
+                random_spins(drawn, shape),
+                reference.choice(np.array([-1.0, 1.0]), size=shape),
+            )
+            assert drawn.integers(0, 2**62) == reference.integers(0, 2**62)
+            assert drawn.random() == reference.random()
 
 
 class TestGroundStateSearch:

@@ -278,6 +278,14 @@ class TestSolveRefusals:
         dict(backend_options={"dtype": "float32"},
              config_overrides={"dtype": "float64"}),
         dict(initial_lambdas=np.zeros(2)),  # a QKP has one constraint row
+        dict(method="greedy", method_options={"temperature": 3}),
+        dict(method="greedy", method_options={"max_rounds": "many"}),
+        dict(method="ga", method_options={"population_size": -4}),
+        dict(method="ga", method_options={"generations": 4}),
+        dict(method="bnb", method_options={"nodes": 10}),
+        dict(method="exhaustive", method_options={"x": 1}),
+        dict(method="penalty", aggregate="bogus"),
+        dict(method="penalty", aggregate="mean"),
     ], ids=lambda fields: "-".join(f"{k}={v}" for k, v in fields.items()))
     def test_same_refusal_as_the_front_door(self, fields):
         job = SolveJob(generate_qkp(6, 0.5, rng=2), rng=1, **fields)
@@ -286,6 +294,14 @@ class TestSolveRefusals:
         with pytest.raises(CodecError) as wire:
             job_from_wire(json_cycle(job_to_wire(job)))
         assert str(wire.value) == str(direct.value)
+
+    @pytest.mark.parametrize("value", [2.7, "3", True, None, [2]])
+    def test_num_replicas_is_not_coerced(self, value):
+        wire = job_to_wire(SolveJob(generate_qkp(6, 0.5, rng=2), rng=1))
+        wire["num_replicas"] = value
+        with pytest.raises(CodecError,
+                           match="num_replicas must be an integer"):
+            job_from_wire(json_cycle(wire))
 
 
 class TestConfigWire:

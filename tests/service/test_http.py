@@ -391,8 +391,18 @@ class TestAdmissionRefusals:
          "method 'greedy' is backend-free; it accepts no backend"),
         ({"method": "penalty", "backend_options": {"dtype": "float32"}},
          "the penalty method accepts no backend_options"),
+        ({"method": "greedy", "config_overrides": {},
+          "method_options": {"temperature": 3}},
+         "unknown method_options for 'greedy': ['temperature']"),
+        ({"method": "ga", "config_overrides": {},
+          "method_options": {"population_size": -4}},
+         "population_size must be >= 4, got -4"),
+        ({"method": "penalty", "aggregate": "bogus"},
+         "the penalty method has no replica aggregate"),
+        ({"num_replicas": 2.7}, "num_replicas must be an integer"),
     ], ids=["warm_start-lambdas", "warm_start-restart", "greedy-options",
-            "greedy-backend", "penalty-options"])
+            "greedy-backend", "penalty-options", "greedy-method-options",
+            "ga-method-options", "penalty-aggregate", "float-replicas"])
     def test_refused_before_queueing(self, service, fields, message):
         live, base = service
         payload = wire_job(generate_qkp(12, 0.5, rng=8), 1)
