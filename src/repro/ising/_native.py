@@ -13,9 +13,12 @@ order, with no fused multiply-adds, so results do not depend on the CPU.
 The binding is :class:`CompiledSweep`, one per dtype.  It is called only
 through a :class:`SweepWorkspace` built for one ``(coupling, R, chunk)``:
 the workspace checks the coupling once, allocates every other buffer C
-touches and keeps the addresses, so a call checks only its sweep count and
-optional traces.  The workspace's buffers are reused by every call, so it
-serves one caller at a time; the p-bit anneal copies results out of it.
+touches and keeps the addresses, so a call checks only its betas and
+optional traces.  C finishes each anneal itself: it turns the float64
+``arctanh`` table of the noise into each sweep's thresholds, and the first
+run of a tracked anneal computes the start energies and seeds the best
+state.  The workspace's buffers are reused by every call, so it serves one
+caller at a time; the p-bit anneal copies results out of it.
 
 When no compiler is found, the compile fails or the cache cannot be used,
 :func:`sweep_library` returns ``None`` and the p-bit machines run the numpy
@@ -43,7 +46,7 @@ _FUNCTIONS = {
 }
 _ARGTYPES = (
     [ctypes.c_long] * 3 + [ctypes.c_void_p] * 2 + [ctypes.c_double]
-    + [ctypes.c_void_p] * 7 + [ctypes.c_long, ctypes.c_long, ctypes.c_int]
+    + [ctypes.c_void_p] * 8 + [ctypes.c_long, ctypes.c_long, ctypes.c_int]
 )
 
 _UNLOADED = object()
@@ -167,16 +170,17 @@ class SweepWorkspace:
     kept, with its address.  Every other array C touches is allocated
     here, C-contiguous, and its address kept:
 
-    - ``noise``: float64 ``(chunk, n, R)``, the noise and then threshold
-      table of up to ``chunk`` sweeps, in the order numpy draws it;
-    - ``taus``: what C reads as thresholds: ``noise`` itself for float64,
-      a float32 copy of it for float32;
+    - ``noise``: float64 ``(chunk, n, R)``, the ``arctanh`` table of up to
+      ``chunk`` sweeps' noise, in the order numpy draws it; C turns each
+      sweep's slab into that sweep's thresholds in place, for either dtype;
+    - ``betas``: float64 ``(chunk,)``, the run's betas, copied in by
+      :meth:`run`;
     - ``fields`` ``(n,)`` and ``spins`` / ``inputs`` / ``best_spins``
       ``(R, n)``, in the sweep's dtype;
     - ``energies`` and ``best_energies``, float64 ``(R,)``.
 
-    :meth:`run` checks only what it is given per call: the sweep count and
-    the optional traces and their first column.  The buffers are reused by
+    :meth:`run` checks only what it is given per call: the betas and the
+    optional traces and their first column.  The buffers are reused by
     every run, so a workspace serves one caller at a time, and results
     leave it as copies.
     """
@@ -197,8 +201,7 @@ class SweepWorkspace:
         self.replicas = replicas
         self.chunk = chunk
         self.noise = np.empty((chunk, n, replicas))
-        self.taus = (self.noise if dtype == np.float64
-                     else np.empty(self.noise.shape, dtype=dtype))
+        self.betas = np.empty(chunk)
         self.fields = np.zeros(n, dtype=dtype)
         self.spins = np.ones((replicas, n), dtype=dtype)
         self.inputs = np.zeros((replicas, n), dtype=dtype)
@@ -209,24 +212,34 @@ class SweepWorkspace:
         self._shape = (n, replicas)
         # C writes through these addresses; the tuple keeps each buffer
         # alive for the workspace's life, whatever its attributes name.
-        self._buffers = (coupling, self.fields, self.taus, self.spins,
-                         self.inputs, self.energies, self.best_spins,
-                         self.best_energies)
+        self._buffers = (coupling, self.fields, self.betas, self.noise,
+                         self.spins, self.inputs, self.energies,
+                         self.best_spins, self.best_energies)
         self._addresses = tuple(array.ctypes.data for array in self._buffers)
 
-    def run(self, sweeps: int, offset: float, traces=None, t0: int = 0,
+    def run(self, betas, offset: float, traces=None, t0: int = 0,
             track: bool = True) -> None:
-        """Run ``sweeps`` sweeps on the thresholds in ``noise[:sweeps]``.
+        """Run one sweep per entry of ``betas`` on ``noise[:betas.size]``.
 
-        ``spins``, ``inputs`` and ``energies`` (and, with ``track``,
-        ``best_spins`` / ``best_energies``) are updated in place; the
-        optional float64 ``(R, stride)`` ``traces`` get this call's sweep
-        energies in columns ``t0 .. t0 + sweeps``.
+        ``betas`` is a 1-D float64 array of 1..``chunk`` entries, copied
+        into the ``betas`` buffer; ``noise`` holds the ``arctanh`` of each
+        sweep's noise, which C turns into thresholds in place.  ``t0`` is
+        the anneal's index of the run's first sweep.  ``spins``, ``inputs``
+        and ``energies`` (and, with ``track``, ``best_spins`` /
+        ``best_energies``) are updated in place; a tracked run at
+        ``t0 == 0`` first seeds ``energies`` and the best state from the
+        start state.  The optional float64 ``(R, stride)`` ``traces`` get
+        the run's sweep energies in columns ``t0 .. t0 + sweeps``.
         """
-        if not 1 <= sweeps <= self.chunk:
+        if (not isinstance(betas, np.ndarray) or betas.ndim != 1
+                or betas.dtype != np.float64
+                or not 1 <= betas.size <= self.chunk):
+            got = np.asarray(betas)
             raise ValueError(
-                f"a run takes 1..{self.chunk} sweeps, got {sweeps}"
+                f"betas must be a 1-D float64 array of 1..{self.chunk} "
+                f"sweeps, got {got.dtype} {got.shape}"
             )
+        sweeps = betas.size
         stride, address = 0, None
         if traces is not None:
             if (traces.ndim != 2 or traces.shape[0] != self.replicas
@@ -243,12 +256,11 @@ class SweepWorkspace:
                     f"trace columns {t0}..{t0 + sweeps} exceed {stride}"
                 )
             address = traces.ctypes.data
-        if self.taus is not self.noise:
-            self.taus[:sweeps] = self.noise[:sweeps]
-        coupling, fields, taus, spins, inputs, energies, best_spins, \
-            best_energies = self._addresses
+        self.betas[:sweeps] = betas
+        coupling, fields, betas_in, noise, spins, inputs, energies, \
+            best_spins, best_energies = self._addresses
         self._function(
-            *self._shape, sweeps, coupling, fields, float(offset), taus,
-            spins, inputs, energies, best_spins, best_energies, address,
-            stride, t0, track,
+            *self._shape, sweeps, coupling, fields, float(offset), betas_in,
+            noise, spins, inputs, energies, best_spins, best_energies,
+            address, stride, t0, track,
         )

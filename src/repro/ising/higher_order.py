@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ising.backend import AnnealResult, BatchAnnealResult, resolve_dtype
+from repro.ising.pbit import random_spins
 from repro.utils.rng import ensure_rng, spawn_rngs
 
 
@@ -262,9 +263,7 @@ class HigherOrderPBitMachine:
         replicas = num_replicas
         rngs = [self._rng] if replicas == 1 else spawn_rngs(self._rng, replicas)
         if initial is None:
-            spins = np.stack(
-                [rng.choice(np.array([-1.0, 1.0]), size=n) for rng in rngs]
-            )
+            spins = np.stack([random_spins(rng, n) for rng in rngs])
         else:
             spins = np.asarray(initial, dtype=float).copy()
             if spins.shape != (replicas, n):

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.ising.energy import ising_energies
 from repro.ising.model import IsingModel
+from repro.ising.pbit import random_spins
 from repro.utils.rng import ensure_rng
 
 
@@ -81,7 +82,7 @@ def parallel_tempering(
     coupling = np.ascontiguousarray(model.coupling)
     n = model.num_spins
 
-    states = rng.choice(np.array([-1.0, 1.0]), size=(num_replicas, n))
+    states = random_spins(rng, (num_replicas, n))
     inputs = states @ coupling + model.fields
     energies = ising_energies(model, states)
     best_idx = int(np.argmin(energies))

@@ -22,15 +22,17 @@ Every replica count — **including R = 1** — and the fleet
 per-sweep noise is drawn from the machine's own generator and folded into
 acceptance *thresholds*: ``sign(tanh(beta I_i) + u_i) = +1`` exactly when
 ``I_i >= -atanh(u_i) / beta``, so each p-bit update is one comparison.
-One helper draws the noise and turns it into thresholds in place, for
-both sweeps.  The sweep itself runs compiled (:mod:`repro.ising._native`:
-one C loop over sweeps, spins and then replicas, reading the thresholds
-in the order numpy draws them, with a rank-1 input update per flip) when
-the system compiler could build it, and as the numpy lock-step scan of
-:mod:`repro.ising._lockstep` otherwise.  Both consume the same noise
-stream in the same order and take the same decisions, so they compute the
-same chain; energies differ only by the rounding of the maintained inputs
-(none on integer weights).  ``kernel="serial"`` is the escape hatch back
+One helper draws the noise and its ``arctanh`` in place, for both sweeps.
+The sweep itself runs compiled (:mod:`repro.ising._native`: one C loop
+over sweeps, spins and then replicas that turns each sweep's slab of that
+table into thresholds, reads it in the order numpy draws it, makes a
+rank-1 input update per flip and seeds a tracked anneal's start energies)
+when the system compiler could build it, and as the numpy lock-step scan
+of :mod:`repro.ising._lockstep` otherwise; that path finishes the
+thresholds in numpy, with the same IEEE operations.  Both consume the
+same noise stream in the same order and take the same decisions, so they
+compute the same chain; energies differ only by the rounding of the
+maintained inputs (none on integer weights).  ``kernel="serial"`` is the escape hatch back
 to the pure-python per-spin scan of eq. 10 (useful for parity tests and
 as its ground-truth spelling).
 
@@ -55,7 +57,7 @@ import math
 import numpy as np
 
 from repro.ising import _native
-from repro.ising._lockstep import AnnealProgram, lockstep_anneal, sweep_energies
+from repro.ising._lockstep import AnnealProgram, lockstep_anneal
 from repro.ising.backend import (
     AnnealResult,
     BatchAnnealResult,
@@ -137,23 +139,33 @@ def random_spins(rng, shape) -> np.ndarray:
     return _SPINS[rng.integers(0, 2, size=shape)]
 
 
-def _draw_thresholds(rng, betas, out) -> np.ndarray:
-    """Fill ``out`` with the acceptance thresholds of one sweep per beta.
+def _draw_arctanh(rng, out) -> np.ndarray:
+    """Fill ``out`` with ``atanh(u)`` of fresh noise ``u ~ U(-1, 1)``.
 
     ``out`` is a C-contiguous float64 ``(sweeps, n, R)`` buffer.  The noise
     is drawn into it in place: ``2 r - 1`` over ``rng.random``'s ``r`` is
     ``rng.uniform(-1, 1, out.shape)`` bit for bit, and leaves the stream
-    where that draw does.  Then ``sign(tanh(beta I) + u) == +1  <=>
-    I >= -atanh(u) / beta``; a sweep with ``beta <= 0`` is pure noise
-    (``+1`` exactly when ``u >= 0``).
+    where that draw does.  ``arctanh`` keeps the sign of ``u``.
     """
     rng.random(out=out)
     out *= 2.0
     out -= 1.0
+    with np.errstate(divide="ignore"):
+        return np.arctanh(out, out=out)
+
+
+def _draw_thresholds(rng, betas, out) -> np.ndarray:
+    """Fill ``out`` with the acceptance thresholds of one sweep per beta.
+
+    The numpy scan's finish of :func:`_draw_arctanh` (the compiled sweep
+    runs the same IEEE operations itself):
+    ``sign(tanh(beta I) + u) == +1  <=>  I >= -atanh(u) / beta``; a sweep
+    with ``beta <= 0`` is pure noise (``+1`` exactly when ``u >= 0``).
+    """
+    _draw_arctanh(rng, out)
     noise_only = betas <= 0.0
     signs = out[noise_only] >= 0.0 if noise_only.any() else None
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.arctanh(out, out=out)
         out /= -betas[:, None, None]
     if signs is not None:
         out[noise_only] = np.where(signs, -np.inf, np.inf)
@@ -163,28 +175,27 @@ def _draw_thresholds(rng, betas, out) -> np.ndarray:
 def _compiled_anneal(sweep, program, fields, offset, betas, states, rng,
                      record_energy, track_best):
     """:func:`pbit_anneal` on the compiled sweep, in the program's
-    workspace (one noise chunk of up to ``_CHUNK_DOUBLES`` at a time)."""
+    workspace (one noise chunk of up to ``_CHUNK_DOUBLES`` at a time).
+
+    C turns each chunk's ``arctanh`` table into thresholds and, on a
+    tracked anneal's first chunk, seeds the start energies and best state.
+    """
     num_replicas, n = states.shape
     num_sweeps = betas.size
     chunk = min(num_sweeps,
                 max(1, _CHUNK_DOUBLES // max(1, n * num_replicas)))
     work = program.workspace(sweep, num_replicas, chunk)
-    # Initial inputs and energies exactly as the numpy scan computes them.
+    # Initial inputs exactly as the numpy scan computes them.
     spins_nr = np.ascontiguousarray(states.T, dtype=program.dtype)
     inputs_nr = program.initial_inputs(spins_nr, fields)
     work.fields[...] = fields
     work.spins[...] = states
     work.inputs[...] = inputs_nr.T
-    if track_best:
-        work.energies[...] = sweep_energies(spins_nr, inputs_nr, fields,
-                                            offset)
-        work.best_energies[...] = work.energies
-        work.best_spins[...] = work.spins
     traces = np.empty((num_replicas, num_sweeps)) if record_energy else None
     for t0 in range(0, num_sweeps, chunk):
         span = betas[t0:t0 + chunk]
-        _draw_thresholds(rng, span, work.noise[:span.size])
-        work.run(span.size, offset, traces, t0, track_best)
+        _draw_arctanh(rng, work.noise[:span.size])
+        work.run(span, offset, traces, t0, track_best)
     program.retain(work.spins.T.copy(), work.inputs.T, fields)
     spins, energies = work.spins.copy(), work.energies.copy()
     if not track_best:

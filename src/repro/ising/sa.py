@@ -17,6 +17,7 @@ from repro.ising._lockstep import AnnealProgram, lockstep_anneal
 from repro.ising.backend import AnnealResult, BatchAnnealResult, batch_from_runs, resolve_dtype
 from repro.ising.energy import ising_energy
 from repro.ising.model import IsingModel
+from repro.ising.pbit import random_spins
 from repro.utils.rng import ensure_rng
 
 
@@ -136,9 +137,7 @@ class MetropolisMachine:
             raise ValueError(f"num_replicas must be positive, got {num_replicas}")
         n = self.num_spins
         if initial is None:
-            states = self._rng.choice(
-                np.array([-1.0, 1.0]), size=(num_replicas, n)
-            )
+            states = random_spins(self._rng, (num_replicas, n))
         else:
             states = np.array(initial, dtype=float)
             if states.shape != (num_replicas, n):
@@ -218,7 +217,7 @@ def simulated_annealing(
     n = model.num_spins
 
     if initial is None:
-        spins = rng.choice(np.array([-1.0, 1.0]), size=n)
+        spins = random_spins(rng, n)
     else:
         spins = np.asarray(initial, dtype=float).copy()
         if spins.shape != (n,):

@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.ising.backend import resolve_dtype
+from repro.ising.pbit import random_spins
 # Coupling-graph density (off-diagonal nonzeros / possible off-diagonal
 # entries) at and above which the chromatic machine auto-selects dense
 # per-color row blocks.  The measured cutover lives with the platform's
@@ -292,7 +293,7 @@ class ChromaticPBitMachine:
         dtype = self._dtype
         one = dtype.type(1.0)
         if initial is None:
-            states = rng.choice(np.array([-1.0, 1.0]), size=(num_replicas, n))
+            states = random_spins(rng, (num_replicas, n))
         else:
             states = np.array(initial, dtype=float)
             if states.shape != (num_replicas, n):

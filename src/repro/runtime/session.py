@@ -149,7 +149,14 @@ class SolverSession:
         calls).  The solve's final multipliers (when the method exposes
         them) replace the cache entry for the problem's fingerprint.
         """
-        key = problem_fingerprint(problem)
+        return self._resolve(problem, problem_fingerprint(problem), rng,
+                             warm_start, config_overrides)
+
+    def _resolve(self, problem, key: tuple, rng, warm_start,
+                 config_overrides: dict) -> SolveReport:
+        """:meth:`resolve` under ``key``, the problem's fingerprint as the
+        caller already computed it (a service worker derives it once per
+        request, since it builds the whole constrained problem)."""
         if warm_start is None:
             warm = self.warm_start
         else:

@@ -127,13 +127,14 @@ class WorkerRuntime:
         start = time.perf_counter()
         fingerprint = ""
         try:
-            fingerprint = "/".join(str(part) for part in
-                                   problem_fingerprint(job.problem))
+            key = problem_fingerprint(job.problem)
+            fingerprint = "/".join(str(part) for part in key)
             if job.restart == "random" and job.initial_lambdas is None:
+                # The session reuses this fingerprint: computing one
+                # builds the whole constrained problem.
                 session = self._session_for(job)
-                report = session.resolve(
-                    job.problem, rng=job.rng, warm_start=warm_start
-                )
+                report = session._resolve(job.problem, key, job.rng,
+                                          warm_start, {})
             else:
                 # Off the session path (explicit restart policy or
                 # caller-supplied multipliers): call the front door

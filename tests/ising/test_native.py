@@ -143,7 +143,7 @@ class TestCrossKernel:
     def test_rejects_misshapen_arrays(self, library):
         """No address reaches C unchecked: the workspace checks the
         coupling once and allocates every other buffer itself, and a run
-        checks its sweep count, traces and first trace column."""
+        checks its betas, traces and first trace column."""
         sweep = library[np.dtype(np.float64)]
         n, replicas, chunk = 4, 2, 3
         for bad in (np.zeros((n, n + 1)), np.zeros((n, n), np.float32),
@@ -151,18 +151,51 @@ class TestCrossKernel:
             with pytest.raises(ValueError):
                 sweep.workspace(bad, replicas, chunk)
         work = sweep.workspace(np.zeros((n, n)), replicas, chunk)
-        work.run(chunk, 0.0, np.zeros((replicas, chunk)), 0)
-        for sweeps, traces, t0 in (
-            (chunk + 1, None, 0),                       # more than the chunk
-            (0, None, 0),
-            (2, np.zeros((replicas + 1, 5)), 0),        # misshapen traces
-            (2, np.zeros((replicas, 5), np.float32), 0),
-            (2, np.zeros((5, replicas)).T, 0),          # not C-contiguous
-            (2, np.zeros((replicas, 5)), 4),            # t0 past the trace
-            (2, np.zeros((replicas, 5)), -1),
+        work.run(np.ones(chunk), 0.0, np.zeros((replicas, chunk)), 0)
+        for betas, traces, t0 in (
+            (np.ones(chunk + 1), None, 0),              # more than the chunk
+            (np.ones(0), None, 0),                      # no sweep
+            (np.ones((1, 2)), None, 0),                 # not 1-D
+            (np.ones(2, np.float32), None, 0),          # not float64
+            ([1.0, 1.0], None, 0),                      # not an array
+            (np.ones(2), np.zeros((replicas + 1, 5)), 0),   # misshapen traces
+            (np.ones(2), np.zeros((replicas, 5), np.float32), 0),
+            (np.ones(2), np.zeros((5, replicas)).T, 0),     # not C-contiguous
+            (np.ones(2), np.zeros((replicas, 5)), 4),       # t0 past the trace
+            (np.ones(2), np.zeros((replicas, 5)), -1),
         ):
             with pytest.raises(ValueError):
-                work.run(sweeps, 0.0, traces, t0)
+                work.run(betas, 0.0, traces, t0)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("replicas", [1, 3])
+    def test_degenerate_betas_match_the_numpy_finish(self, monkeypatch,
+                                                     library, replicas,
+                                                     dtype):
+        """C turns the ``arctanh`` table into thresholds itself.  A schedule
+        holding ``0``, ``-0.0``, a negative beta, ``+inf`` and ``NaN``
+        mid-anneal, in 7-sweep chunks, runs the numpy scan's chains bit for
+        bit: a ``beta <= 0`` sweep is pure noise, ``+inf`` divides to
+        signed zeros and ``NaN`` divides to thresholds no input passes (a
+        C test of ``beta > 0`` would make the ``NaN`` sweep pure noise)."""
+        n = 9
+        schedule = linear_beta_schedule(3.0, 30, beta_min=0.0)
+        schedule[[4, 9, 10, 15, 22]] = [0.0, -0.75, np.nan, np.inf, -0.0]
+        monkeypatch.setattr(pbit, "_CHUNK_DOUBLES", n * replicas * 7)
+        results = []
+        for loaded in (library, None):
+            monkeypatch.setattr(_native, "_library", loaded)
+            machine = PBitMachine(integer_ising(n, rng=6), rng=8, dtype=dtype)
+            results.append(
+                machine.anneal_many(schedule, replicas, record_energy=True)
+            )
+        compiled, reference = results
+        for name in ("last_samples", "best_samples", "last_energies",
+                     "best_energies", "energy_traces"):
+            np.testing.assert_array_equal(
+                getattr(compiled, name), getattr(reference, name),
+                err_msg=name,
+            )
 
 
 class TestWorkspace:

@@ -101,6 +101,31 @@ class TestWorkerRuntime:
             execute(eta)
         assert runtime.stats()["session_warm_starts"] == 2
 
+    @pytest.mark.parametrize("warm_start", [False, True])
+    def test_two_problem_builds_per_saim_request(self, monkeypatch,
+                                                 warm_start):
+        """A served ``saim`` request builds its constrained problem twice:
+        once for the fingerprint that the worker and its session share,
+        and once in the solve."""
+        instance = generate_qkp(16, 0.5, rng=3)
+        runtime = WorkerRuntime()
+        runtime.execute(*admitted(instance, 1))
+        builds = []
+        to_problem = type(instance).to_problem
+
+        def counting(self):
+            builds.append(self)
+            return to_problem(self)
+
+        monkeypatch.setattr(type(instance), "to_problem", counting)
+        job, warm = admitted(instance, 2, warm_start=warm_start)
+        builds.clear()
+        response = runtime.execute(job, warm)
+        assert response["ok"], response.get("error")
+        assert response["warm_start"] is warm_start
+        assert len(builds) == 2
+        assert runtime.stats()["session_warm_starts"] == int(warm_start)
+
     def test_solver_errors_travel_as_data(self):
         runtime = WorkerRuntime()
         job = SolveJob(generate_qkp(10, 0.5, rng=3), method="not-a-method")
