@@ -14,7 +14,11 @@ chromatic machine) start to matter.  This bench profiles exactly that grid:
   ``dense`` row-block storage;
 
 each at R in {32, 128} (plus 512 at full scale), in float64 and float32,
-on ~100-spin (and, at full scale, ~1000-spin) models.
+on ~100-spin (and, at full scale, ~1000-spin) models.  A cell is the
+median of fifteen anneals on a machine already run once at the cell's R
+and schedule, so no program or workspace build is timed, and the float64 and
+float32 calls alternate, so the float32-over-float64 ratio is not the
+host's drift between two cells.
 
 Results are archived as ``benchmarks/output/BENCH_bigR_kernels.json``.
 Wall-time *assertions* arm only on machines with >= 4 CPUs (the dev
@@ -33,6 +37,7 @@ or through pytest-benchmark::
 from __future__ import annotations
 
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -49,6 +54,10 @@ from repro.ising.sparse import ChromaticPBitMachine, random_sparse_ising  # noqa
 from repro.problems.generators import generate_qkp  # noqa: E402
 
 DTYPES = ("float64", "float32")
+
+#: Timed anneals per cell, alternating between the dtypes; a cell
+#: records their median.
+TIMED_CALLS = 15
 
 # Per scale: (dense QKP items, sparse spins) workload pairs, sweep count,
 # replica grid.  R=128 appears at every scale — it is the acceptance point
@@ -77,20 +86,39 @@ def _qkp_lagrangian(num_items: int):
     return saim_lagrangian(instance.to_problem()).base_ising
 
 
-def _profile_kernel(build, schedule, replicas: int) -> dict:
-    """Warm up, run one timed batch, sanity-check its energy accounting."""
-    machine = build()
-    machine.anneal_many(schedule[: max(2, schedule.size // 6)], 2)  # warm-up
-    machine = build()  # fresh RNG so every cell anneals the same stream
-    start = time.perf_counter()
-    batch = machine.anneal_many(schedule, replicas)
-    seconds = time.perf_counter() - start
-    assert np.all(np.isfinite(batch.best_energies)), "kernel produced non-finite energies"
-    return {
-        "seconds": seconds,
-        "replica_sweeps_per_sec": replicas * schedule.size / seconds,
-        "best_energy_mean": float(batch.best_energies.mean()),
-    }
+def _profile_dtypes(build, schedule, replicas: int) -> dict:
+    """Per dtype, the median wall time of ``TIMED_CALLS`` anneals on one
+    machine built with ``build(dtype)``.
+
+    A first, untimed call on each machine builds what it keeps between
+    calls (a p-bit machine's program and its workspace, which is keyed by
+    the replica count and the noise chunk, so it runs the timed R and
+    schedule).  It anneals the fresh machine's stream, so its energies are
+    the cell's sanity check and its recorded mean.  The timed calls
+    alternate between the dtypes, so a change in host speed slows both
+    alike and their ratio holds.
+    """
+    machines, energies = {}, {}
+    for dtype in DTYPES:
+        machines[dtype] = build(dtype)
+        batch = machines[dtype].anneal_many(schedule, replicas)
+        assert np.all(np.isfinite(batch.best_energies)), "kernel produced non-finite energies"
+        energies[dtype] = float(batch.best_energies.mean())
+    times = {dtype: [] for dtype in DTYPES}
+    for _ in range(TIMED_CALLS):
+        for dtype, machine in machines.items():
+            start = time.perf_counter()
+            machine.anneal_many(schedule, replicas)
+            times[dtype].append(time.perf_counter() - start)
+    measured = {}
+    for dtype in DTYPES:
+        seconds = statistics.median(times[dtype])
+        measured[dtype] = {
+            "seconds": seconds,
+            "replica_sweeps_per_sec": replicas * schedule.size / seconds,
+            "best_energy_mean": energies[dtype],
+        }
+    return measured
 
 
 def run_bigR_kernels(scale: str | None = None) -> dict:
@@ -105,28 +133,27 @@ def run_bigR_kernels(scale: str | None = None) -> dict:
         sparse_model = random_sparse_ising(sparse_spins, degree=6, rng=7)
         dense_name = f"qkp{qkp_items}_lagrangian_n{dense_model.num_spins}"
         sparse_name = f"sparse_reg_n{sparse_spins}"
-
+        cells = [
+            (dense_name, "lockstep_dense",
+             lambda d: PBitMachine(dense_model, rng=0, dtype=d)),
+            (sparse_name, "chromatic_csr",
+             lambda d: ChromaticPBitMachine(
+                 sparse_model, rng=0, dtype=d, storage="csr")),
+            (sparse_name, "chromatic_dense",
+             lambda d: ChromaticPBitMachine(
+                 sparse_model, rng=0, dtype=d, storage="dense")),
+        ]
         for replicas in spec["replicas"]:
-            for dtype in DTYPES:
-                cells = [
-                    (dense_name, "lockstep_dense",
-                     lambda d=dtype: PBitMachine(dense_model, rng=0, dtype=d)),
-                    (sparse_name, "chromatic_csr",
-                     lambda d=dtype: ChromaticPBitMachine(
-                         sparse_model, rng=0, dtype=d, storage="csr")),
-                    (sparse_name, "chromatic_dense",
-                     lambda d=dtype: ChromaticPBitMachine(
-                         sparse_model, rng=0, dtype=d, storage="dense")),
-                ]
-                for workload, kernel, build in cells:
-                    measured = _profile_kernel(build, schedule, replicas)
+            for workload, kernel, build in cells:
+                measured = _profile_dtypes(build, schedule, replicas)
+                for dtype in DTYPES:
                     records.append({
                         "workload": workload,
                         "kernel": kernel,
                         "dtype": dtype,
                         "num_replicas": replicas,
                         "num_sweeps": int(schedule.size),
-                        **measured,
+                        **measured[dtype],
                     })
 
     def _lookup(kernel, dtype, replicas):

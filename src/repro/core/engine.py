@@ -40,6 +40,7 @@ only a serial ``anneal`` are adapted automatically via
 from __future__ import annotations
 
 import inspect
+import math
 import numbers
 
 import numpy as np
@@ -326,8 +327,7 @@ class SaimRun:
         """
         config = self.config
         replicas = self.num_replicas
-        encoded = self.encoded
-        source = encoded.source
+        source = self.encoded.source
         # One coherent read-out view: with read_best the consumed samples
         # AND the energies that rank/trace them come from the per-replica
         # best, never mixed with the last-sweep arrays.
@@ -335,46 +335,62 @@ class SaimRun:
             samples, energies = batch.best_samples, batch.best_energies
         else:
             samples, energies = batch.last_samples, batch.last_energies
-        xs_ext = ((np.asarray(samples) + 1) / 2).astype(np.int8)
+        samples, energies = np.asarray(samples), np.asarray(energies)
+        n = self.lagrangian.num_spins
+        if samples.shape != (replicas, n) or energies.shape != (replicas,):
+            raise ValueError(
+                f"batch samples {samples.shape} / energies {energies.shape} "
+                f"do not match this run's ({replicas}, {n}) / ({replicas},)"
+            )
+        # The batch as 0/1 once: int8 rows are what a kept solution
+        # stores, float rows what every check and product reads.
+        bits = ((samples + 1) / 2).astype(np.int8)
+        xs = bits.astype(float)
+        n0 = self.encoded.num_original
 
         # Harvest every replica's read-out for the incumbent.
         improved = False
-        restricted = [encoded.restrict(xs_ext[r]) for r in range(replicas)]
-        feasible = [source.is_feasible(x) for x in restricted]
+        feasible = []
         costs = {}
+        kept = {}  # the (n0,) solutions copied out, by replica
         for r in range(replicas):
+            feasible.append(source.is_feasible(xs[r, :n0]))
             if not feasible[r]:
                 continue
-            cost = costs[r] = source.objective(restricted[r])
+            cost = costs[r] = source.objective(xs[r, :n0])
             if cost < self.best_cost:
                 self.best_cost = cost
-                self.best_x = restricted[r]
+                self.best_x = kept[r] = bits[r, :n0].copy()
                 improved = True
 
         # The lead replica feeds the trace and (for "best") the update.
         mean = self.aggregate == "mean" and replicas > 1
         lead = int(np.argmin(energies)) if replicas > 1 and not mean else 0
-        x_lead = restricted[lead]
-        cost_lead = costs[lead] if feasible[lead] else source.objective(x_lead)
+        if feasible[lead]:
+            cost_lead = costs[lead]
+        else:
+            cost_lead = source.objective(xs[lead, :n0])
         self.history.sample_costs[k] = cost_lead
         self.history.energies[k] = energies[lead]
         if feasible[lead]:
             self.history.feasible[k] = True
+            x_lead = kept[lead] if lead in kept else bits[lead, :n0].copy()
             self.feasible_records.append(
                 FeasibleRecord(iteration=k, x=x_lead, cost=cost_lead)
             )
 
         if mean:
             residual = np.mean(
-                [self.lagrangian.residuals(xs_ext[r]) for r in range(replicas)],
-                axis=0,
+                [self.lagrangian.residuals(x) for x in xs], axis=0
             )
         else:
-            residual = self.lagrangian.residuals(xs_ext[lead])
+            residual = self.lagrangian.residuals(xs[lead])
         step = config.eta * _ETA_DECAYS[config.eta_decay](k)
         direction = residual
         if config.normalize_step:
-            norm = float(np.linalg.norm(residual))
+            # What np.linalg.norm computes for a vector, without its
+            # dispatch.
+            norm = math.sqrt(residual.dot(residual))
             if norm > 1e-12:
                 direction = residual / norm
         self.lambdas = self.lambdas + step * direction

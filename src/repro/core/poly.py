@@ -29,7 +29,7 @@ from itertools import combinations
 
 import numpy as np
 
-from repro.core.problem import LinearConstraints
+from repro.core.problem import LinearConstraints, within_tolerance
 from repro.ising.higher_order import PolyIsingModel
 from repro.utils.validation import check_binary_vector, check_finite
 
@@ -118,8 +118,7 @@ class PolyProblem:
 
     def is_feasible(self, x, tol: float = 1e-9) -> bool:
         """True iff every constraint is satisfied within ``tol``."""
-        violations = self.violations(x)
-        return bool(violations.size == 0 or np.max(violations) <= tol)
+        return within_tolerance(self.equalities, self.inequalities, x, tol)
 
     def check_solution(self, x) -> tuple[float, bool]:
         """Validated ``(objective, feasible)`` pair for an assignment."""

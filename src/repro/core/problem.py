@@ -62,6 +62,29 @@ class LinearConstraints:
         )
 
 
+def within_tolerance(equalities: LinearConstraints,
+                     inequalities: LinearConstraints, x, tol: float) -> bool:
+    """True iff ``x`` meets both blocks within ``tol``.
+
+    The accept set of ``max(violations) <= tol`` (see
+    :meth:`ConstrainedProblem.violations`), decided block by block: each
+    non-empty block's ``A x - b`` is compared with ``tol`` directly, by
+    magnitude for the equalities.  A NaN residual fails.  No violation is
+    below zero, so a negative or NaN ``tol`` fails every non-empty block.
+    """
+    if not (equalities.bounds.size or inequalities.bounds.size):
+        return True
+    if not tol >= 0.0:
+        return False
+    x = np.asarray(x, dtype=float)
+    if equalities.bounds.size and not (
+        np.abs(equalities.residuals(x)) <= tol
+    ).all():
+        return False
+    return bool(not inequalities.bounds.size
+                or (inequalities.residuals(x) <= tol).all())
+
+
 @dataclass(frozen=True)
 class ConstrainedProblem:
     """Binary minimization with a quadratic objective and linear constraints.
@@ -165,8 +188,7 @@ class ConstrainedProblem:
 
     def is_feasible(self, x, tol: float = 1e-9) -> bool:
         """True iff every constraint is satisfied within ``tol``."""
-        violations = self.violations(x)
-        return bool(violations.size == 0 or np.max(violations) <= tol)
+        return within_tolerance(self.equalities, self.inequalities, x, tol)
 
     def check_solution(self, x) -> tuple[float, bool]:
         """Validated ``(objective, feasible)`` pair for an assignment."""

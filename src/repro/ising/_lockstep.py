@@ -40,7 +40,9 @@ spins of the previous run together with their coupling inputs ``J @ s``,
 so a warm-restarted run (same spins back in) reprograms its input fields
 from the field delta instead of paying a fresh ``O(N^2 R)`` matmul, and
 it keeps the compiled sweep's last workspace (its checked buffers), so the
-K runs of a solve set them up once.
+K runs of a solve set them up once.  The resident state is replica-major
+``(R, n)``, the layout of the start states and of that workspace; this
+scan runs in ``(n, R)`` and transposes at its boundary.
 """
 
 from __future__ import annotations
@@ -65,12 +67,12 @@ class AnnealProgram:
     of K times.
 
     The program is also the keeper of *solve-resident* state: after each
-    run it retains the final spins and their coupling inputs ``J @ s``.
-    When the next run starts from exactly those spins (the engine's
-    ``restart="warm"`` mode), :meth:`initial_inputs` serves the new input
-    fields as ``cached + h`` — an O(N R) add — instead of recomputing the
-    O(N^2 R) matmul.  ``warm_hits`` / ``cold_starts`` count the two paths
-    (exposed for tests and the outer-loop benchmark).
+    run it keeps the final ``(R, n)`` spins and their coupling inputs
+    ``J s``.  When the next run starts from exactly those spins (the
+    engine's ``restart="warm"`` mode), :meth:`start_inputs` serves the new
+    input fields as ``cached + h`` — an O(N R) add — instead of
+    recomputing the O(N^2 R) matmul.  ``warm_hits`` / ``cold_starts``
+    count the two paths (exposed for tests and the outer-loop benchmark).
     """
 
     def __init__(self, coupling, dtype=None):
@@ -123,32 +125,45 @@ class AnnealProgram:
             )
         return work
 
-    def initial_inputs(self, spins, fields) -> np.ndarray:
-        """``J @ spins + h`` for a run starting at ``spins`` (``(n, R)``).
+    def start_inputs(self, states, fields, out) -> None:
+        """Write ``J s + h`` of the ``(R, n)`` start ``states`` into the
+        ``(R, n)`` ``out``.
 
-        Serves the cached ``J @ s`` when ``spins`` are exactly the previous
-        run's final spins (warm restart); falls back to the matmul — and
-        counts a cold start — otherwise.
+        Serves the resident ``J s`` when ``states`` are exactly the
+        previous run's final spins (warm restart); otherwise — a cold
+        start — runs the matmul on the contiguous ``(n, R)`` spins.
         """
-        if (
-            self._resident_spins is not None
-            and self._resident_spins.shape == spins.shape
-            and np.array_equal(self._resident_spins, spins)
-        ):
+        resident = self._resident_spins
+        if (resident is not None and resident.shape == states.shape
+                and (resident == states).all()):
             self.warm_hits += 1
-            return self._resident_coupling_inputs + fields[:, None]
-        self.cold_starts += 1
-        return self.coupling @ spins + fields[:, None]
+            np.add(self._resident_coupling_inputs, fields, out=out)
+        else:
+            self.cold_starts += 1
+            spins = np.ascontiguousarray(states.T, dtype=self.dtype)
+            np.add(self.coupling @ spins, fields[:, None], out=out.T)
 
-    def retain(self, spins, inputs, fields) -> None:
-        """Keep a run's final ``(spins, J @ spins)`` as solve-resident state.
+    def keep(self, spins, inputs, fields) -> None:
+        """Keep a run's final ``(R, n)`` spins and their ``J s`` as
+        solve-resident state.
 
-        ``inputs`` are the kernel-maintained ``J @ s + h``; the fields are
+        ``inputs`` are the kernel-maintained ``J s + h``; the fields are
         subtracted back out so the cache is field-independent (the whole
-        point: the next run reprograms new fields on top).
+        point: the next run reprograms new fields on top).  ``spins`` are
+        kept by reference: the caller hands over an array no one writes.
         """
         self._resident_spins = spins
-        self._resident_coupling_inputs = inputs - fields[:, None]
+        self._resident_coupling_inputs = inputs - fields
+
+    def initial_inputs(self, spins, fields) -> np.ndarray:
+        """:meth:`start_inputs` in the numpy scan's ``(n, R)`` layout."""
+        inputs = np.empty(spins.shape, dtype=self.dtype)
+        self.start_inputs(spins.T, fields, inputs.T)
+        return inputs
+
+    def retain(self, spins, inputs, fields) -> None:
+        """:meth:`keep` in the numpy scan's ``(n, R)`` layout."""
+        self.keep(spins.T, inputs.T, fields)
 
 
 def sweep_energies(spins, inputs, fields, offset: float) -> np.ndarray:

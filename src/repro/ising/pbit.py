@@ -179,24 +179,23 @@ def _compiled_anneal(sweep, program, fields, offset, betas, states, rng,
 
     C turns each chunk's ``arctanh`` table into thresholds and, on a
     tracked anneal's first chunk, seeds the start energies and best state.
+    The workspace and the program's resident state are both replica-major
+    ``(R, n)``, the layout of ``states``.
     """
     num_replicas, n = states.shape
     num_sweeps = betas.size
     chunk = min(num_sweeps,
                 max(1, _CHUNK_DOUBLES // max(1, n * num_replicas)))
     work = program.workspace(sweep, num_replicas, chunk)
-    # Initial inputs exactly as the numpy scan computes them.
-    spins_nr = np.ascontiguousarray(states.T, dtype=program.dtype)
-    inputs_nr = program.initial_inputs(spins_nr, fields)
+    program.start_inputs(states, fields, work.inputs)
     work.fields[...] = fields
     work.spins[...] = states
-    work.inputs[...] = inputs_nr.T
     traces = np.empty((num_replicas, num_sweeps)) if record_energy else None
     for t0 in range(0, num_sweeps, chunk):
         span = betas[t0:t0 + chunk]
         _draw_arctanh(rng, work.noise[:span.size])
         work.run(span, offset, traces, t0, track_best)
-    program.retain(work.spins.T.copy(), work.inputs.T, fields)
+    program.keep(work.spins.copy(), work.inputs, fields)
     spins, energies = work.spins.copy(), work.energies.copy()
     if not track_best:
         return spins, energies, spins, energies, traces

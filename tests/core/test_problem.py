@@ -156,3 +156,80 @@ class TestNonFiniteRejected:
         with pytest.raises(ValueError, match="must be finite"):
             repro.solve(dataclasses.replace(instance, **{field: broken}),
                         num_iterations=5, mcs_per_run=20)
+
+
+def feasible_by_violations(problem, x, tol) -> bool:
+    """The definition ``is_feasible`` keeps: ``max(violations) <= tol``."""
+    violations = problem.violations(x)
+    return bool(violations.size == 0 or np.max(violations) <= tol)
+
+
+EQUALITIES = LinearConstraints([[1.0, -2.0, 0.5]], [0.5])
+INEQUALITIES = LinearConstraints([[1.0, 2.0, -1.5], [0.0, 1.0, 1.0]],
+                                 [2.0, 1.0])
+BLOCKS = {
+    "unconstrained": {},
+    "equalities": {"equalities": EQUALITIES},
+    "inequalities": {"inequalities": INEQUALITIES},
+    "both": {"equalities": EQUALITIES, "inequalities": INEQUALITIES},
+}
+# Binary points on both sides of the rows, and points whose residuals are
+# NaN (0 * inf, or a NaN entry), +inf or -inf.
+POINTS = [
+    [0, 0, 0], [1, 0, 1], [1, 1, 1], [0, 1, 0], [1, 1, 0], [0, 0, 1],
+    [np.nan, 0, 0], [np.inf, 0, 0], [-np.inf, 0, 0],
+    [0, np.inf, 0], [0, -np.inf, 0], [0, 0, np.inf], [0, 0, -np.inf],
+]
+TOLERANCES = [1e-9, 0.0, -0.0, 0.5, 1.5, np.inf, -1e-9, -1.0, -np.inf,
+              np.nan]
+
+
+def blocked_problem(kind, blocks):
+    if kind == "quadratic":
+        quad = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, -2.0], [0.0, -2.0, 0.0]])
+        return ConstrainedProblem(quad, np.array([1.0, -1.0, 0.5]), **blocks)
+    from repro.core.poly import PolyProblem
+
+    return PolyProblem(3, {(0, 1, 2): -1.0, (1,): 0.5}, **blocks)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestIsFeasible:
+    """``is_feasible`` decides each block against ``tol`` directly; its
+    accept set is the ``violations``-based one for every ``tol``."""
+
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    @pytest.mark.parametrize("kind", ["quadratic", "poly"])
+    def test_matches_the_violations_definition(self, kind, blocks):
+        problem = blocked_problem(kind, BLOCKS[blocks])
+        for x in POINTS:
+            for tol in TOLERANCES:
+                expected = feasible_by_violations(problem, x, tol)
+                assert problem.is_feasible(x, tol) is expected, (x, tol)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "poly"])
+    def test_residual_equal_to_tol_is_feasible(self, kind):
+        # Equality residual -2.0 at [0, 1, 1]; inequality residual 1.0
+        # (row 1) at [1, 1, 1], whose other row is below it.
+        for blocks, x, residual in (
+            ({"equalities": EQUALITIES}, [0, 1, 1], 2.0),
+            ({"inequalities": INEQUALITIES}, [1, 1, 1], 1.0),
+        ):
+            problem = blocked_problem(kind, blocks)
+            assert problem.is_feasible(x, residual)
+            assert not problem.is_feasible(x, np.nextafter(residual, 0.0))
+            assert feasible_by_violations(problem, x, residual)
+
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    @pytest.mark.parametrize("kind", ["quadratic", "poly"])
+    def test_negative_tol_fails_every_constrained_point(self, kind, blocks):
+        # No violation is below zero: a satisfied (even slack) row fails a
+        # negative tolerance, and only a problem with no rows accepts.
+        problem = blocked_problem(kind, BLOCKS[blocks])
+        assert problem.is_feasible([0, 0, 0], -1e-9) is (blocks ==
+                                                         "unconstrained")
+
+    def test_nan_residual_is_infeasible(self):
+        problem = blocked_problem("quadratic", BLOCKS["both"])
+        assert not problem.is_feasible([np.nan, 0, 0], np.inf)
+        assert blocked_problem("quadratic", {}).is_feasible([np.nan, 0, 0])
