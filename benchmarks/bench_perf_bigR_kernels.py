@@ -21,11 +21,12 @@ float32 calls alternate, so the float32-over-float64 ratio is not the
 host's drift between two cells.
 
 Results are archived as ``benchmarks/output/BENCH_bigR_kernels.json``.
-Wall-time *assertions* arm only on machines with >= 4 CPUs (the dev
-container has 1 CPU, where BLAS-thread effects make speedup numbers noise)
-**and** at non-smoke scales (at smoke sizes — ~40 spins, milliseconds per
-cell — call overhead dominates and the comparison is noise on any host);
-the JSON is emitted (informationally) everywhere.  Run standalone::
+The times and their ratios are information: at ~100 spins float32 buys
+the compiled sweep almost nothing (warm, interleaved ``ci`` runs read the
+float32-over-float64 ratio at 1.01–1.04x at R=128).  What float32 does
+change is asserted on any host and at any scale, in the same process: a
+p-bit machine's coupling and its resident ``(R, n)`` spins and inputs
+take half the bytes of the float64 machine's.  Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_perf_bigR_kernels.py [--smoke]
 
@@ -121,6 +122,16 @@ def _profile_dtypes(build, schedule, replicas: int) -> dict:
     return measured
 
 
+def _pbit_state_bytes(model, dtype: str, schedule, replicas: int) -> int:
+    """Bytes of a p-bit machine's coupling plus the ``(R, n)`` spins and
+    coupling inputs it keeps resident after one anneal."""
+    machine = PBitMachine(model, rng=0, dtype=dtype)
+    machine.anneal_many(schedule, replicas)
+    program = machine.program
+    return (program.coupling.nbytes + program._resident_spins.nbytes
+            + program._resident_coupling_inputs.nbytes)
+
+
 def run_bigR_kernels(scale: str | None = None) -> dict:
     """Profile the big-R kernel grid; returns (and archives) the record."""
     scale = scale or _scale_name()
@@ -165,7 +176,15 @@ def run_bigR_kernels(scale: str | None = None) -> dict:
         raise KeyError((kernel, dtype, replicas))
 
     r_star = 128
+    dense_model = _qkp_lagrangian(spec["workloads"][0][0])
+    state_bytes = {
+        dtype: _pbit_state_bytes(dense_model, dtype, schedule, r_star)
+        for dtype in DTYPES
+    }
     summary = {
+        "f32_state_bytes_ratio_lockstep_r128": (
+            state_bytes["float32"] / state_bytes["float64"]
+        ),
         "f32_speedup_lockstep_r128": (
             _lookup("lockstep_dense", "float64", r_star)["seconds"]
             / _lookup("lockstep_dense", "float32", r_star)["seconds"]
@@ -185,7 +204,6 @@ def run_bigR_kernels(scale: str | None = None) -> dict:
         "scale": scale,
         "timestamp": time.time(),
         "cpu_count": _cpu_count(),
-        "assertions_armed": _cpu_count() >= 4 and scale != "smoke",
         "records": records,
         "summary": summary,
     }
@@ -205,7 +223,8 @@ def run_bigR_kernels(scale: str | None = None) -> dict:
 
 
 def test_perf_bigR_kernels(benchmark):
-    """The big-R grid must emit its record; speed claims gate on CPU count."""
+    """The big-R grid must emit its record, and float32 must halve the
+    p-bit machine's coupling and resident state."""
     report = benchmark.pedantic(
         run_bigR_kernels, rounds=1, iterations=1, warmup_rounds=0
     )
@@ -220,14 +239,12 @@ def test_perf_bigR_kernels(benchmark):
                 and record["kernel"] == kernel
                 for record in report["records"]
             ), f"missing R=128 cell for {kernel}/{dtype}"
-    # Wall-time claims only where they are measurable: multi-core hosts at
-    # non-smoke sizes (the dev container has 1 CPU — numbers are
-    # informational there).
-    if report["assertions_armed"]:
-        assert report["summary"]["f32_speedup_lockstep_r128"] > 1.05, (
-            "float32 lock-step scan not faster at R=128: "
-            f"{report['summary']['f32_speedup_lockstep_r128']:.2f}x"
-        )
+    # Same-process and host-free: the speed ratios stay information.
+    ratio = report["summary"]["f32_state_bytes_ratio_lockstep_r128"]
+    assert ratio == 0.5, (
+        f"float32 p-bit coupling and (R, n) state take {ratio:.3f}x the "
+        f"float64 bytes, not half"
+    )
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ only occasionally (8.1% of feasible samples on average).
 """
 
 from repro.analysis.experiments import current_scale, table3_suite
+from repro.analysis.tables import format_percent
 
 from _common import PAPER, archive, run_once
 from _qkp_tables import format_qkp_table, run_qkp_table
@@ -32,3 +33,8 @@ def test_table3_qkp200(benchmark):
 
     if not math.isnan(averages["pt"]):
         assert averages["avg"] >= averages["pt"] - 5.0
+    # The seeded SAIM headline at ci scale: a change to the chain, or to
+    # how it consumes the noise stream, shows here as a diff.
+    if scale.name == "ci":
+        headline = (format_percent(averages["avg"]), f"{averages['feas']:.0f}")
+        assert headline == ('92.6', '43'), headline

@@ -5,6 +5,7 @@ comparators widens with size — best SA drops to 94.9% and PT-DA to 83.3%.
 """
 
 from repro.analysis.experiments import current_scale, table4_suite
+from repro.analysis.tables import format_percent
 
 from _common import PAPER, archive, run_once
 from _qkp_tables import format_qkp_table, run_qkp_table
@@ -29,3 +30,8 @@ def test_table4_qkp300(benchmark):
 
     if not math.isnan(averages["pt"]):
         assert averages["avg"] >= averages["pt"] - 5.0
+    # The seeded SAIM headline at ci scale: a change to the chain, or to
+    # how it consumes the noise stream, shows here as a diff.
+    if scale.name == "ci":
+        headline = (format_percent(averages["avg"]), f"{averages['feas']:.0f}")
+        assert headline == ('96.3', '46'), headline

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import inspect
 import math
-import numbers
 
 import numpy as np
 
@@ -56,7 +55,7 @@ from repro.core.poly import PolyLagrangianIsing, PolyProblem
 from repro.core.problem import ConstrainedProblem
 from repro.core.results import FeasibleRecord, SolveTrace
 from repro.core.saim import _ETA_DECAYS, _SCHEDULES, SaimConfig, SaimResult
-from repro.ising.backend import dispatch_anneal_many
+from repro.ising.backend import check_replicas, dispatch_anneal_many
 from repro.ising.pbit import PBitMachine
 from repro.utils.rng import ensure_rng
 
@@ -67,14 +66,7 @@ RESTARTS = ("random", "warm")
 def check_loop_knobs(num_replicas: int, aggregate: str, restart: str) -> None:
     """Raise ``ValueError`` unless :class:`SaimEngine` runs this replica
     count, replica aggregate and restart policy."""
-    if isinstance(num_replicas, bool) or not isinstance(
-        num_replicas, numbers.Integral
-    ):
-        raise ValueError(
-            f"num_replicas must be an integer, got {num_replicas!r}"
-        )
-    if num_replicas < 1:
-        raise ValueError(f"num_replicas must be >= 1, got {num_replicas}")
+    check_replicas(num_replicas)
     if aggregate not in AGGREGATES:
         raise ValueError(
             f"aggregate must be one of {AGGREGATES}, got {aggregate!r}"

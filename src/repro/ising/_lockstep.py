@@ -139,9 +139,15 @@ class AnnealProgram:
             self.warm_hits += 1
             np.add(self._resident_coupling_inputs, fields, out=out)
         else:
-            self.cold_starts += 1
-            spins = np.ascontiguousarray(states.T, dtype=self.dtype)
-            np.add(self.coupling @ spins, fields[:, None], out=out.T)
+            self.cold_inputs(states, fields, out)
+
+    def cold_inputs(self, states, fields, out) -> None:
+        """Write ``J s + h`` of the ``(R, n)`` ``states`` into the
+        ``(R, n)`` ``out`` by the matmul on the contiguous ``(n, R)``
+        spins: a cold start, which a start drawn for the run always is."""
+        self.cold_starts += 1
+        spins = np.ascontiguousarray(states.T, dtype=self.dtype)
+        np.add(self.coupling @ spins, fields[:, None], out=out.T)
 
     def keep(self, spins, inputs, fields) -> None:
         """Keep a run's final ``(R, n)`` spins and their ``J s`` as
@@ -155,10 +161,12 @@ class AnnealProgram:
         self._resident_spins = spins
         self._resident_coupling_inputs = inputs - fields
 
-    def initial_inputs(self, spins, fields) -> np.ndarray:
-        """:meth:`start_inputs` in the numpy scan's ``(n, R)`` layout."""
+    def initial_inputs(self, spins, fields, resume: bool = True) -> np.ndarray:
+        """:meth:`start_inputs` (or, without ``resume``,
+        :meth:`cold_inputs`) in the numpy scan's ``(n, R)`` layout."""
         inputs = np.empty(spins.shape, dtype=self.dtype)
-        self.start_inputs(spins.T, fields, inputs.T)
+        start = self.start_inputs if resume else self.cold_inputs
+        start(spins.T, fields, inputs.T)
         return inputs
 
     def retain(self, spins, inputs, fields) -> None:
@@ -191,6 +199,7 @@ def lockstep_anneal(
     record_energy: bool = False,
     dtype=None,
     program: AnnealProgram | None = None,
+    resume: bool = True,
 ):
     """Advance ``R`` lock-step chains; returns final/best states + energies.
 
@@ -224,6 +233,10 @@ def lockstep_anneal(
         path: skips the cast + block decomposition and may serve the
         initial inputs from the solve-resident cache.  Built ad hoc (one
         cold start) when omitted.
+    resume:
+        Serve the initial inputs from that cache when ``states`` are the
+        program's resident spins (a warm restart).  ``False`` always runs
+        the matmul, as for a start drawn for this run.
 
     Returns ``(last_spins, last_energies, best_spins, best_energies,
     traces)`` with spins in ``(n, R)`` layout.
@@ -234,7 +247,7 @@ def lockstep_anneal(
     num_replicas = states.shape[0]
     fields = np.asarray(fields, dtype=dtype)
     spins = np.ascontiguousarray(states.T, dtype=dtype)  # (n, R): row i = spin i
-    inputs = program.initial_inputs(spins, fields)
+    inputs = program.initial_inputs(spins, fields, resume)
 
     energies = sweep_energies(spins, inputs, fields, offset)
     best_energies = energies.copy()

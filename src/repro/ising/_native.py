@@ -10,15 +10,27 @@ The flags are ``-O3 -ffp-contract=off``, with no ``-march`` and no
 ``-ffast-math``: every host then runs the same IEEE operations in the same
 order, with no fused multiply-adds, so results do not depend on the CPU.
 
-The binding is :class:`CompiledSweep`, one per dtype.  It is called only
-through a :class:`SweepWorkspace` built for one ``(coupling, R, chunk)``:
-the workspace checks the coupling once, allocates every other buffer C
-touches and keeps the addresses, so a call checks only its betas and
-optional traces.  C finishes each anneal itself: it turns the float64
-``arctanh`` table of the noise into each sweep's thresholds, and the first
-run of a tracked anneal computes the start energies and seeds the best
-state.  The workspace's buffers are reused by every call, so it serves one
-caller at a time; the p-bit anneal copies results out of it.
+The binding is :class:`CompiledSweep`, one per dtype, with two entries:
+the draw and the sweep.  Both are called only through a
+:class:`SweepWorkspace` built for one ``(coupling, R, chunk)``: the
+workspace checks the coupling once, allocates every other buffer C
+touches and packs the sizes and addresses into one C struct, the call
+block, so a call passes the block's address plus only its per-call
+values, and checks only those.
+
+The draw fills the workspace from a numpy generator's own bit stream, in
+the order numpy's draws consume it: the start spins, as ``rng.integers(0,
+2)`` would, then the noise, as ``rng.random`` would, mapped to
+``U(-1, 1)``.  It reaches the generator's C interface through
+``BitGenerator.capsule`` and holds ``bit_generator.lock`` while it draws,
+as numpy's own draws do (a ``ctypes`` call releases the GIL).  It never
+touches ``BitGenerator.ctypes``, which caches ``ctypes`` objects on every
+generator it is read from.  The ``arctanh`` of the noise stays in numpy.
+C finishes each anneal itself: it turns that float64 ``arctanh`` table
+into each sweep's thresholds, and the first run of a tracked anneal
+computes the start energies and seeds the best state.  The workspace's
+buffers are reused by every call, so it serves one caller at a time; the
+p-bit anneal copies results out of it.
 
 When no compiler is found, the compile fails or the cache cannot be used,
 :func:`sweep_library` returns ``None`` and the p-bit machines run the numpy
@@ -40,14 +52,31 @@ SOURCE = Path(__file__).with_name("_sweep.c")
 COMPILER = "cc"
 FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
-_FUNCTIONS = {
-    np.dtype(np.float64): "pbit_sweeps_f64",
-    np.dtype(np.float32): "pbit_sweeps_f32",
-}
-_ARGTYPES = (
-    [ctypes.c_long] * 3 + [ctypes.c_void_p] * 2 + [ctypes.c_double]
-    + [ctypes.c_void_p] * 8 + [ctypes.c_long, ctypes.c_long, ctypes.c_int]
+_SUFFIXES = {np.dtype(np.float64): "f64", np.dtype(np.float32): "f32"}
+_SWEEP_ARGTYPES = (
+    ctypes.c_void_p, ctypes.c_long, ctypes.c_double, ctypes.c_void_p,
+    ctypes.c_long, ctypes.c_long, ctypes.c_int,
 )
+_DRAW_ARGTYPES = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long,
+                  ctypes.c_int)
+
+#: ``PyCapsule_GetPointer`` through a private prototype, so the shared
+#: ``ctypes.pythonapi`` function object keeps its own argument types.
+_capsule_pointer = ctypes.PYFUNCTYPE(
+    ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p
+)(("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+class _CallBlock(ctypes.Structure):
+    """``block_t`` of ``_sweep.c``: one workspace's sizes and buffers."""
+
+    _fields_ = [(name, ctypes.c_long) for name in ("n", "R", "chunk")] + [
+        (name, ctypes.c_void_p) for name in (
+            "J", "h", "betas", "taus", "spins", "inputs", "energies",
+            "best_spins", "best_energies",
+        )
+    ]
+
 
 _UNLOADED = object()
 _library = _UNLOADED
@@ -65,13 +94,17 @@ def cache_dir() -> Path | None:
 def sweep_library() -> dict | None:
     """The compiled sweep per storage dtype, or ``None`` (numpy fallback).
 
-    Loaded (and, on a cold cache, compiled) once per process.
+    Loaded (and, on a cold cache, compiled) once per process; once loaded
+    it is served without taking the load lock.
     """
     global _library
-    with _load_lock:
-        if _library is _UNLOADED:
-            _library = load(cache_dir())
-    return _library
+    library = _library
+    if library is _UNLOADED:
+        with _load_lock:
+            if _library is _UNLOADED:
+                _library = load(cache_dir())
+            library = _library
+    return library
 
 
 def load(directory) -> dict | None:
@@ -97,8 +130,8 @@ def load(directory) -> dict | None:
     except OSError:
         return None
     return {
-        dtype: CompiledSweep(getattr(library, name), dtype)
-        for dtype, name in _FUNCTIONS.items()
+        dtype: CompiledSweep(library, suffix, dtype)
+        for dtype, suffix in _SUFFIXES.items()
     }
 
 
@@ -143,17 +176,20 @@ def _writable(directory: Path) -> bool:
 
 
 class CompiledSweep:
-    """The ``ctypes`` binding of one dtype's sweep function.
+    """The ``ctypes`` bindings of one dtype's draw and sweep.
 
-    The function is reached only through a :class:`SweepWorkspace`
+    They are reached only through a :class:`SweepWorkspace`
     (:meth:`workspace`), which checks the coupling and allocates every
     other buffer once, so no call rechecks or re-reads an address.
     """
 
-    def __init__(self, function, dtype):
-        function.argtypes = _ARGTYPES
-        function.restype = None
-        self._function = function
+    def __init__(self, library, suffix: str, dtype):
+        self._sweep = getattr(library, f"pbit_sweeps_{suffix}")
+        self._sweep.argtypes = _SWEEP_ARGTYPES
+        self._sweep.restype = None
+        self._draw = getattr(library, f"pbit_draw_{suffix}")
+        self._draw.argtypes = _DRAW_ARGTYPES
+        self._draw.restype = ctypes.c_long
         self.dtype = np.dtype(dtype)
 
     def workspace(self, coupling, replicas: int, chunk: int) -> SweepWorkspace:
@@ -163,25 +199,26 @@ class CompiledSweep:
 
 
 class SweepWorkspace:
-    """The buffers the compiled sweep reads and writes, checked once.
+    """The buffers the compiled draw and sweep read and write, checked once.
 
     Built for one ``(coupling, R, chunk)``.  The coupling must be a
     C-contiguous square array of the sweep's dtype; it is checked here and
-    kept, with its address.  Every other array C touches is allocated
-    here, C-contiguous, and its address kept:
+    kept.  Every other array C touches is allocated here, C-contiguous:
 
-    - ``noise``: float64 ``(chunk, n, R)``, the ``arctanh`` table of up to
-      ``chunk`` sweeps' noise, in the order numpy draws it; C turns each
-      sweep's slab into that sweep's thresholds in place, for either dtype;
+    - ``noise``: float64 ``(chunk, n, R)``, up to ``chunk`` sweeps' noise
+      in the order numpy draws it; the caller replaces it by its
+      ``arctanh``, and C turns each sweep's slab into that sweep's
+      thresholds in place, for either dtype;
     - ``betas``: float64 ``(chunk,)``, the run's betas, copied in by
       :meth:`run`;
     - ``fields`` ``(n,)`` and ``spins`` / ``inputs`` / ``best_spins``
       ``(R, n)``, in the sweep's dtype;
     - ``energies`` and ``best_energies``, float64 ``(R,)``.
 
-    :meth:`run` checks only what it is given per call: the betas and the
-    optional traces and their first column.  The buffers are reused by
-    every run, so a workspace serves one caller at a time, and results
+    The sizes and every address (the coupling's too) are packed once into
+    the call block C reads, so :meth:`draw` and :meth:`run` pass only
+    their per-call values and check only those.  The buffers are reused
+    by every call, so a workspace serves one caller at a time, and results
     leave it as copies.
     """
 
@@ -208,14 +245,38 @@ class SweepWorkspace:
         self.best_spins = np.ones((replicas, n), dtype=dtype)
         self.energies = np.zeros(replicas)
         self.best_energies = np.zeros(replicas)
-        self._function = sweep._function
-        self._shape = (n, replicas)
-        # C writes through these addresses; the tuple keeps each buffer
-        # alive for the workspace's life, whatever its attributes name.
+        self._sweep = sweep._sweep
+        self._draw = sweep._draw
+        # C writes through the block's addresses; the tuple keeps each
+        # buffer alive for the workspace's life, whatever its attributes
+        # name.
         self._buffers = (coupling, self.fields, self.betas, self.noise,
                          self.spins, self.inputs, self.energies,
                          self.best_spins, self.best_energies)
-        self._addresses = tuple(array.ctypes.data for array in self._buffers)
+        self._block = _CallBlock(
+            n, replicas, chunk,
+            *(array.ctypes.data for array in self._buffers),
+        )
+        self._address = ctypes.addressof(self._block)
+
+    def draw(self, rng, sweeps: int, spins: bool = False) -> int:
+        """Draw ``sweeps`` sweeps' noise into ``noise[:sweeps]`` from the
+        numpy generator ``rng``; with ``spins``, the start ``spins`` first.
+
+        The values and the stream position of ``random_spins(rng, (R,
+        n))`` and then of ``rng.random(out=noise[:sweeps])``, ``*= 2``,
+        ``-= 1``.  Holds ``rng.bit_generator.lock`` while drawing.
+        Returns how many noise values are exactly ``-1.0`` (the pole of
+        ``arctanh``).
+        """
+        if not 1 <= sweeps <= self.chunk:
+            raise ValueError(
+                f"a draw takes 1..{self.chunk} sweeps, got {sweeps}"
+            )
+        bit_generator = rng.bit_generator
+        bitgen = _capsule_pointer(bit_generator.capsule, b"BitGenerator")
+        with bit_generator.lock:
+            return self._draw(self._address, bitgen, sweeps, spins)
 
     def run(self, betas, offset: float, traces=None, t0: int = 0,
             track: bool = True) -> None:
@@ -257,10 +318,5 @@ class SweepWorkspace:
                 )
             address = traces.ctypes.data
         self.betas[:sweeps] = betas
-        coupling, fields, betas_in, noise, spins, inputs, energies, \
-            best_spins, best_energies = self._addresses
-        self._function(
-            *self._shape, sweeps, coupling, fields, float(offset), betas_in,
-            noise, spins, inputs, energies, best_spins, best_energies,
-            address, stride, t0, track,
-        )
+        self._sweep(self._address, sweeps, float(offset), address, stride,
+                    t0, track)

@@ -19,6 +19,7 @@ stacking the runs into a :class:`BatchAnnealResult`.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -52,6 +53,49 @@ def resolve_dtype(dtype) -> np.dtype:
             f"unsupported backend dtype {dtype!r}; choose from {SUPPORTED_DTYPES}"
         )
     return resolved
+
+
+def check_replicas(num_replicas) -> None:
+    """Raise ``ValueError`` unless ``num_replicas`` is an integer >= 1.
+
+    A ``bool`` is not a replica count, and neither is a float or a string
+    that holds a whole number.
+    """
+    if isinstance(num_replicas, bool) or not isinstance(
+        num_replicas, numbers.Integral
+    ):
+        raise ValueError(
+            f"num_replicas must be an integer, got {num_replicas!r}"
+        )
+    if num_replicas < 1:
+        raise ValueError(f"num_replicas must be >= 1, got {num_replicas}")
+
+
+def check_start(num_replicas, num_spins: int, initial=None):
+    """Check one ``anneal_many`` call's replica count and start spins.
+
+    Every machine's ``anneal_many`` calls this.  Returns ``initial``
+    as a fresh float ``(R, n)`` array, or ``None`` when it is omitted (the
+    machine draws the start).  Raises ``ValueError`` unless
+    ``num_replicas`` passes :func:`check_replicas` and ``initial`` has
+    shape ``(num_replicas, num_spins)`` with every entry ``-1`` or ``+1``.
+    """
+    check_replicas(num_replicas)
+    if initial is None:
+        return None
+    states = np.array(initial, dtype=float)
+    if states.shape != (num_replicas, num_spins):
+        raise ValueError(
+            f"initial must have shape ({num_replicas}, {num_spins}), "
+            f"got {states.shape}"
+        )
+    bad = np.abs(states) != 1.0
+    if bad.any():
+        raise ValueError(
+            f"initial must hold only -1 and +1 spins, got "
+            f"{float(states[bad][0])!r}"
+        )
+    return states
 
 
 @dataclass
@@ -225,8 +269,7 @@ def dispatch_anneal_many(
     machines with only a serial ``anneal`` (PT adapters, user plugins) are
     looped ``num_replicas`` times and the runs stacked.
     """
-    if num_replicas < 1:
-        raise ValueError(f"num_replicas must be >= 1, got {num_replicas}")
+    check_replicas(num_replicas)
     native = getattr(machine, "anneal_many", None)
     if callable(native):
         return native(beta_schedule, num_replicas, initial=initial)
@@ -239,12 +282,12 @@ def dispatch_anneal_many(
             f"without an 'initial' parameter; it cannot start from given "
             f"spins (restart='warm' needs initial-capable machines)"
         )
+    if initial is not None:
+        initial = check_start(num_replicas, machine.num_spins, initial)
     runs = []
     for r in range(num_replicas):
         if initial is None:
             runs.append(machine.anneal(beta_schedule))
         else:
-            runs.append(
-                machine.anneal(beta_schedule, initial=np.asarray(initial)[r])
-            )
+            runs.append(machine.anneal(beta_schedule, initial=initial[r]))
     return batch_from_runs(runs)

@@ -12,12 +12,13 @@ Per-instance loop
 -----------------
 ``anneal_fleet`` runs :func:`repro.ising.pbit.pbit_anneal` — the function
 a standalone :class:`~repro.ising.pbit.PBitMachine` runs — once per active
-instance, on that instance's program, fields and stream.  Instance ``b``
-draws its ``(R, n_b)`` initial spins and then its noise from
+instance, on that instance's program, fields and stream.  There instance
+``b`` draws its ``(R, n_b)`` initial spins and then its noise from
 ``spawn_rngs(seed, B)[b]`` exactly as a standalone machine on that stream
-does, so every instance's samples, energies and traces are *bit-identical*
-to a standalone run, whatever the active set, and on either kernel
-(compiled sweep or numpy fallback).  Inactive instances draw no noise and
+does (in C from the stream's bit generator when the compiled sweep
+loaded, through numpy otherwise), so every instance's samples, energies
+and traces are *bit-identical* to a standalone run, whatever the active
+set, and on either kernel.  Inactive instances draw no noise and
 cost nothing, which is how the fleet engine drops finished instances.
 
 The contract is pinned by ``tests/ising/test_fleet.py`` (kernel level) and
@@ -30,9 +31,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ising._lockstep import AnnealProgram
-from repro.ising.backend import BatchAnnealResult, resolve_dtype
+from repro.ising.backend import (
+    BatchAnnealResult,
+    check_replicas,
+    resolve_dtype,
+)
 from repro.ising.model import IsingModel
-from repro.ising.pbit import pbit_anneal, random_spins
+from repro.ising.pbit import pbit_anneal
 from repro.utils.rng import spawn_rngs
 
 __all__ = ["FleetProgram", "FleetMachine", "FleetAnnealResult"]
@@ -211,10 +216,7 @@ class FleetMachine:
         betas = np.asarray(beta_schedule, dtype=float)
         if betas.ndim != 1 or betas.size == 0:
             raise ValueError("beta_schedule must be a non-empty 1-D sequence")
-        if num_replicas < 1:
-            raise ValueError(
-                f"num_replicas must be >= 1, got {num_replicas}"
-            )
+        check_replicas(num_replicas)
         if active is None:
             indices = list(range(self.num_instances))
         else:
@@ -233,12 +235,11 @@ class FleetMachine:
         results = {}
         for b in indices:
             n = int(program.sizes[b])
-            stream = self._rngs[b]
-            # Same draw as PBitMachine.anneal_many: (R, n) random spins.
-            states = random_spins(stream, (num_replicas, n))
+            # pbit_anneal draws the (R, n) start from the stream, as for
+            # PBitMachine.anneal_many(initial=None).
             results[b] = pbit_anneal(
                 program.programs[b], program.fields[b, :n],
-                program.offsets[b], betas, states, stream,
+                program.offsets[b], betas, num_replicas, self._rngs[b],
                 record_energy=record_energy, track_best=track_best,
             )
         return FleetAnnealResult(results)

@@ -30,7 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ising.backend import AnnealResult, BatchAnnealResult, resolve_dtype
+from repro.ising.backend import (
+    AnnealResult,
+    BatchAnnealResult,
+    check_start,
+    resolve_dtype,
+)
 from repro.ising.pbit import random_spins
 from repro.utils.rng import ensure_rng, spawn_rngs
 
@@ -257,20 +262,12 @@ class HigherOrderPBitMachine:
         betas = np.asarray(beta_schedule, dtype=float)
         if betas.ndim != 1 or betas.size == 0:
             raise ValueError("beta_schedule must be a non-empty 1-D sequence")
-        if num_replicas < 1:
-            raise ValueError(f"num_replicas must be >= 1, got {num_replicas}")
         n = self._num_spins
         replicas = num_replicas
+        spins = check_start(replicas, n, initial)
         rngs = [self._rng] if replicas == 1 else spawn_rngs(self._rng, replicas)
-        if initial is None:
+        if spins is None:
             spins = np.stack([random_spins(rng, n) for rng in rngs])
-        else:
-            spins = np.asarray(initial, dtype=float).copy()
-            if spins.shape != (replicas, n):
-                raise ValueError(
-                    f"initial must have shape ({replicas}, {n}), "
-                    f"got {spins.shape}"
-                )
 
         products = self._term_products(spins)
         fields = self._fields
@@ -338,13 +335,7 @@ class HigherOrderPBitMachine:
                record_energy: bool = False) -> AnnealResult:
         """Single annealing run — the ``R = 1`` view of :meth:`anneal_many`."""
         if initial is not None:
-            initial = np.asarray(initial, dtype=float)
-            if initial.shape != (self._num_spins,):
-                raise ValueError(
-                    f"initial must have shape ({self._num_spins},), "
-                    f"got {initial.shape}"
-                )
-            initial = initial[None, :]
+            initial = np.asarray(initial, dtype=float)[None]
         return self.anneal_many(
             beta_schedule, 1, initial=initial, record_energy=record_energy
         ).per_run(0)

@@ -18,21 +18,24 @@ what the surrounding algorithm reads out.
 The machine implements the :class:`repro.ising.backend.AnnealingBackend`
 protocol; :meth:`PBitMachine.anneal_many` is the canonical entry point.
 Every replica count — **including R = 1** — and the fleet
-(:mod:`repro.ising.fleet`) run one function, :func:`pbit_anneal`.  The
-per-sweep noise is drawn from the machine's own generator and folded into
-acceptance *thresholds*: ``sign(tanh(beta I_i) + u_i) = +1`` exactly when
+(:mod:`repro.ising.fleet`) run one function, :func:`pbit_anneal`.  It
+draws a random start and the per-sweep noise from the machine's own
+generator and folds the noise into acceptance *thresholds*:
+``sign(tanh(beta I_i) + u_i) = +1`` exactly when
 ``I_i >= -atanh(u_i) / beta``, so each p-bit update is one comparison.
-One helper draws the noise and its ``arctanh`` in place, for both sweeps.
-The sweep itself runs compiled (:mod:`repro.ising._native`: one C loop
-over sweeps, spins and then replicas that turns each sweep's slab of that
-table into thresholds, reads it in the order numpy draws it, makes a
-rank-1 input update per flip and seeds a tracked anneal's start energies)
-when the system compiler could build it, and as the numpy lock-step scan
-of :mod:`repro.ising._lockstep` otherwise; that path finishes the
-thresholds in numpy, with the same IEEE operations.  Both consume the
-same noise stream in the same order and take the same decisions, so they
-compute the same chain; energies differ only by the rounding of the
-maintained inputs (none on integer weights).  ``kernel="serial"`` is the escape hatch back
+The sweep itself runs compiled (:mod:`repro.ising._native`) when the
+system compiler could build it: C draws the start spins and the noise
+from the generator's own bit stream, in numpy's order, numpy takes the
+``arctanh`` of that table, and one C loop over sweeps, spins and then
+replicas turns each sweep's slab into thresholds, reads it in draw order,
+makes a rank-1 input update per flip and seeds a tracked anneal's start
+energies.  Otherwise it runs as the numpy lock-step scan of
+:mod:`repro.ising._lockstep`, which draws through numpy
+(:func:`random_spins`, :func:`_draw_arctanh`) and finishes the thresholds
+in numpy, with the same IEEE operations.  Both consume the same stream in
+the same order and take the same decisions, so they compute the same
+chain; energies differ only by the rounding of the maintained inputs
+(none on integer weights).  ``kernel="serial"`` is the escape hatch back
 to the pure-python per-spin scan of eq. 10 (useful for parity tests and
 as its ground-truth spelling).
 
@@ -62,6 +65,7 @@ from repro.ising.backend import (
     AnnealResult,
     BatchAnnealResult,
     batch_from_runs,
+    check_start,
     resolve_dtype,
 )
 from repro.ising.energy import ising_energy
@@ -71,7 +75,7 @@ from repro.utils.rng import ensure_rng
 __all__ = ["AnnealResult", "PBitMachine", "pbit_anneal"]
 
 #: Noise-chunk budget (doubles) of the compiled path: several sweeps'
-#: noise is drawn and turned into thresholds per numpy call.  A
+#: noise is drawn and turned into thresholds per call.  A
 #: ``(sweeps, n, R)`` draw consumes the generator in exactly the per-sweep
 #: order, so chunking never changes the chain.
 _CHUNK_DOUBLES = 1 << 15
@@ -80,16 +84,20 @@ _SPINS = np.array([-1.0, 1.0])
 
 
 def pbit_anneal(program: AnnealProgram, fields, offset: float, betas,
-                states, rng, record_energy: bool = False,
+                num_replicas: int, rng, states=None,
+                record_energy: bool = False,
                 track_best: bool = True) -> BatchAnnealResult:
-    """Anneal ``R`` p-bit chains on ``program``'s coupling.
+    """Anneal ``num_replicas`` p-bit chains on ``program``'s coupling.
 
     The one p-bit kernel entry, shared by :class:`PBitMachine` and the
-    fleet.  ``states`` are the ``(R, n)`` starting spins; the noise comes
-    from ``rng`` as one ``(n, R)`` table per sweep, in sweep order.  Runs
-    the compiled sweep when it loaded and the numpy lock-step scan
-    otherwise — the same chain either way.  The run's final spins and
-    inputs stay resident in ``program`` for a warm restart.
+    fleet.  ``states`` are the ``(R, n)`` starting spins; when omitted,
+    the start is drawn from ``rng`` first, as :func:`random_spins` draws
+    it, and its inputs come from the matmul.  The noise then comes from
+    ``rng`` as one ``(n, R)`` table per sweep, in sweep order.  Runs the
+    compiled sweep when it loaded and the numpy lock-step scan otherwise —
+    the same chain either way.  The run's final spins and inputs stay
+    resident in ``program``; given ``states`` equal to them are a warm
+    restart.
 
     ``track_best=False`` skips the per-sweep energy accounting that only
     feeds ``best_*`` and the traces: the chain is untouched, the last
@@ -99,10 +107,12 @@ def pbit_anneal(program: AnnealProgram, fields, offset: float, betas,
     betas = np.asarray(betas, dtype=float)
     n = program.num_spins
     fields = np.ascontiguousarray(fields, dtype=program.dtype)
-    if states.ndim != 2 or states.shape[1] != n or fields.shape != (n,):
+    if fields.shape != (n,) or (
+            states is not None and states.shape != (num_replicas, n)):
         raise ValueError(
-            f"states {states.shape} / fields {fields.shape} do not match "
-            f"a {n}-spin program"
+            f"states {getattr(states, 'shape', None)} / fields "
+            f"{fields.shape} do not match {num_replicas} replicas of a "
+            f"{n}-spin program"
         )
     if record_energy and not track_best:
         raise ValueError(
@@ -111,12 +121,13 @@ def pbit_anneal(program: AnnealProgram, fields, offset: float, betas,
     sweeps = _native.sweep_library()
     if sweeps is None:
         spins, energies, best_spins, best_energies, traces = _numpy_anneal(
-            program, fields, offset, betas, states, rng, record_energy
+            program, fields, offset, betas, num_replicas, states, rng,
+            record_energy,
         )
     else:
         spins, energies, best_spins, best_energies, traces = _compiled_anneal(
-            sweeps[program.dtype], program, fields, offset, betas, states,
-            rng, record_energy, track_best,
+            sweeps[program.dtype], program, fields, offset, betas,
+            num_replicas, states, rng, record_energy, track_best,
         )
     if not track_best:
         best_spins, best_energies = spins, energies
@@ -134,7 +145,9 @@ def random_spins(rng, shape) -> np.ndarray:
     """Uniform ±1 spins of ``shape`` from ``rng``.
 
     The values and the stream position of ``rng.choice([-1.0, 1.0],
-    size=shape)``, drawn through ``rng.integers``, which costs less.
+    size=shape)``, drawn through ``rng.integers``, which costs less.  The
+    compiled draw reproduces it: numpy's Lemire method at range 2 returns
+    bit 31 of one ``next_uint32`` per spin.
     """
     return _SPINS[rng.integers(0, 2, size=shape)]
 
@@ -145,7 +158,8 @@ def _draw_arctanh(rng, out) -> np.ndarray:
     ``out`` is a C-contiguous float64 ``(sweeps, n, R)`` buffer.  The noise
     is drawn into it in place: ``2 r - 1`` over ``rng.random``'s ``r`` is
     ``rng.uniform(-1, 1, out.shape)`` bit for bit, and leaves the stream
-    where that draw does.  ``arctanh`` keeps the sign of ``u``.
+    where that draw does.  ``arctanh`` keeps the sign of ``u``.  The numpy
+    scan's draw; the compiled path draws the same values in C.
     """
     rng.random(out=out)
     out *= 2.0
@@ -172,28 +186,41 @@ def _draw_thresholds(rng, betas, out) -> np.ndarray:
     return out
 
 
-def _compiled_anneal(sweep, program, fields, offset, betas, states, rng,
-                     record_energy, track_best):
+def _compiled_anneal(sweep, program, fields, offset, betas, num_replicas,
+                     states, rng, record_energy, track_best):
     """:func:`pbit_anneal` on the compiled sweep, in the program's
     workspace (one noise chunk of up to ``_CHUNK_DOUBLES`` at a time).
 
-    C turns each chunk's ``arctanh`` table into thresholds and, on a
-    tracked anneal's first chunk, seeds the start energies and best state.
-    The workspace and the program's resident state are both replica-major
-    ``(R, n)``, the layout of ``states``.
+    C draws each chunk's noise, after the start spins when ``states`` is
+    ``None``; numpy takes its ``arctanh``, in place, under ``np.errstate``
+    only when a draw hit the pole ``u == -1``.  C then turns the table
+    into thresholds and, on a tracked anneal's first chunk, seeds the
+    start energies and best state.  The workspace and the program's
+    resident state are both replica-major ``(R, n)``, the layout of
+    ``states``.
     """
-    num_replicas, n = states.shape
+    n = program.num_spins
     num_sweeps = betas.size
     chunk = min(num_sweeps,
                 max(1, _CHUNK_DOUBLES // max(1, n * num_replicas)))
     work = program.workspace(sweep, num_replicas, chunk)
-    program.start_inputs(states, fields, work.inputs)
     work.fields[...] = fields
-    work.spins[...] = states
+    if states is not None:
+        program.start_inputs(states, fields, work.inputs)
+        work.spins[...] = states
     traces = np.empty((num_replicas, num_sweeps)) if record_energy else None
     for t0 in range(0, num_sweeps, chunk):
         span = betas[t0:t0 + chunk]
-        _draw_arctanh(rng, work.noise[:span.size])
+        noise = work.noise[:span.size]
+        drawn = t0 == 0 and states is None
+        poles = work.draw(rng, span.size, drawn)
+        if drawn:
+            program.cold_inputs(work.spins, fields, work.inputs)
+        if poles:
+            with np.errstate(divide="ignore"):
+                np.arctanh(noise, out=noise)
+        else:
+            np.arctanh(noise, out=noise)
         work.run(span, offset, traces, t0, track_best)
     program.keep(work.spins.copy(), work.inputs, fields)
     spins, energies = work.spins.copy(), work.energies.copy()
@@ -203,10 +230,13 @@ def _compiled_anneal(sweep, program, fields, offset, betas, states, rng,
             work.best_energies.copy(), traces)
 
 
-def _numpy_anneal(program, fields, offset, betas, states, rng,
+def _numpy_anneal(program, fields, offset, betas, num_replicas, states, rng,
                   record_energy):
     """:func:`pbit_anneal` on the numpy lock-step scan (the reference)."""
-    num_replicas, n = states.shape
+    n = program.num_spins
+    resume = states is not None
+    if not resume:
+        states = random_spins(rng, (num_replicas, n))
     one = program.dtype.type(1.0)
     noise = np.empty((1, n, num_replicas))
 
@@ -218,7 +248,7 @@ def _numpy_anneal(program, fields, offset, betas, states, rng,
 
     spins, energies, best_spins, best_energies, traces = lockstep_anneal(
         program.coupling, fields, offset, betas, states, thresholds_for,
-        decide, record_energy=record_energy, program=program,
+        decide, record_energy=record_energy, program=program, resume=resume,
     )
     return spins.T.copy(), energies, best_spins.T.copy(), best_energies, traces
 
@@ -330,7 +360,8 @@ class PBitMachine:
         num_replicas:
             Number of independent replicas ``R``.
         initial:
-            Starting spins of shape ``(R, n)``; random if omitted.
+            Starting spins of shape ``(R, n)``, each ``-1`` or ``+1``;
+            random if omitted.
         record_energy:
             Store per-sweep energies in ``energy_traces`` (``(R, sweeps)``).
 
@@ -342,24 +373,15 @@ class PBitMachine:
         betas = np.asarray(beta_schedule, dtype=float)
         if betas.ndim != 1 or betas.size == 0:
             raise ValueError("beta_schedule must be a non-empty 1-D sequence")
-        if num_replicas <= 0:
-            raise ValueError(f"num_replicas must be positive, got {num_replicas}")
-        n = self.num_spins
-        if initial is None:
-            states = random_spins(self._rng, (num_replicas, n))
-        else:
-            states = np.array(initial, dtype=float)
-            if states.shape != (num_replicas, n):
-                raise ValueError(
-                    f"initial must have shape ({num_replicas}, {n}), "
-                    f"got {states.shape}"
-                )
+        states = check_start(num_replicas, self.num_spins, initial)
         if num_replicas == 1 and self._kernel == "serial":
+            if states is None:
+                states = random_spins(self._rng, (1, self.num_spins))
             run = self._anneal_serial(betas, states[0], record_energy)
             return batch_from_runs([run])
         return pbit_anneal(
-            self.program, self._fields, self._offset, betas, states,
-            self._rng, record_energy,
+            self.program, self._fields, self._offset, betas, num_replicas,
+            self._rng, states, record_energy,
         )
 
     def anneal(
@@ -373,13 +395,7 @@ class PBitMachine:
         This is the ``R = 1`` view of :meth:`anneal_many`.
         """
         if initial is not None:
-            initial = np.asarray(initial, dtype=float)
-            if initial.shape != (self.num_spins,):
-                raise ValueError(
-                    f"initial must have shape ({self.num_spins},), "
-                    f"got {initial.shape}"
-                )
-            initial = initial[None, :]
+            initial = np.asarray(initial, dtype=float)[None]
         return self.anneal_many(
             beta_schedule, 1, initial=initial, record_energy=record_energy
         ).per_run(0)

@@ -14,7 +14,13 @@ import math
 import numpy as np
 
 from repro.ising._lockstep import AnnealProgram, lockstep_anneal
-from repro.ising.backend import AnnealResult, BatchAnnealResult, batch_from_runs, resolve_dtype
+from repro.ising.backend import (
+    AnnealResult,
+    BatchAnnealResult,
+    batch_from_runs,
+    check_start,
+    resolve_dtype,
+)
 from repro.ising.energy import ising_energy
 from repro.ising.model import IsingModel
 from repro.ising.pbit import random_spins
@@ -133,18 +139,9 @@ class MetropolisMachine:
         betas = np.asarray(beta_schedule, dtype=float)
         if betas.ndim != 1 or betas.size == 0:
             raise ValueError("beta_schedule must be a non-empty 1-D sequence")
-        if num_replicas <= 0:
-            raise ValueError(f"num_replicas must be positive, got {num_replicas}")
-        n = self.num_spins
-        if initial is None:
-            states = random_spins(self._rng, (num_replicas, n))
-        else:
-            states = np.array(initial, dtype=float)
-            if states.shape != (num_replicas, n):
-                raise ValueError(
-                    f"initial must have shape ({num_replicas}, {n}), "
-                    f"got {states.shape}"
-                )
+        states = check_start(num_replicas, self.num_spins, initial)
+        if states is None:
+            states = random_spins(self._rng, (num_replicas, self.num_spins))
         if num_replicas == 1 and self._kernel == "serial":
             run = simulated_annealing(
                 self.model, betas, rng=self._rng, initial=states[0],
@@ -205,7 +202,7 @@ def simulated_annealing(
     rng:
         Seed or generator.
     initial:
-        Starting spins; random if omitted.
+        Starting spins, ``(n,)`` of ``-1`` / ``+1``; random if omitted.
     record_energy:
         Store the per-sweep energy trace.
     """
@@ -219,9 +216,7 @@ def simulated_annealing(
     if initial is None:
         spins = random_spins(rng, n)
     else:
-        spins = np.asarray(initial, dtype=float).copy()
-        if spins.shape != (n,):
-            raise ValueError(f"initial must have shape ({n},), got {spins.shape}")
+        spins = check_start(1, n, np.asarray(initial, dtype=float)[None])[0]
 
     inputs = coupling @ spins + model.fields
     energy = ising_energy(model, spins)

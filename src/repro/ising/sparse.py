@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.ising.backend import resolve_dtype
+from repro.ising.backend import check_start, resolve_dtype
 from repro.ising.pbit import random_spins
 # Coupling-graph density (off-diagonal nonzeros / possible off-diagonal
 # entries) at and above which the chromatic machine auto-selects dense
@@ -258,13 +258,7 @@ class ChromaticPBitMachine:
         historical serial loop: one uniform draw per color-class member).
         """
         if initial is not None:
-            initial = np.asarray(initial, dtype=float)
-            if initial.shape != (self.num_spins,):
-                raise ValueError(
-                    f"initial must have shape ({self.num_spins},), "
-                    f"got {initial.shape}"
-                )
-            initial = initial[None, :]
+            initial = np.asarray(initial, dtype=float)[None]
         return self.anneal_many(
             beta_schedule, 1, initial=initial, record_energy=record_energy
         ).per_run(0)
@@ -285,22 +279,14 @@ class ChromaticPBitMachine:
         betas = np.asarray(beta_schedule, dtype=float)
         if betas.ndim != 1 or betas.size == 0:
             raise ValueError("beta_schedule must be a non-empty 1-D sequence")
-        if num_replicas <= 0:
-            raise ValueError(f"num_replicas must be positive, got {num_replicas}")
         model = self._model
         rng = self._rng
         n = model.num_spins
         dtype = self._dtype
         one = dtype.type(1.0)
-        if initial is None:
+        states = check_start(num_replicas, n, initial)
+        if states is None:
             states = random_spins(rng, (num_replicas, n))
-        else:
-            states = np.array(initial, dtype=float)
-            if states.shape != (num_replicas, n):
-                raise ValueError(
-                    f"initial must have shape ({num_replicas}, {n}), "
-                    f"got {states.shape}"
-                )
 
         spins = np.ascontiguousarray(states.T, dtype=dtype)  # (n, R)
         coupling = model.coupling

@@ -163,6 +163,50 @@ class TestBatchResultContract:
         with pytest.raises(ValueError):
             machine.anneal_many(SCHEDULE, 3, initial=np.ones((2, N)))
 
+    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("start", [
+        np.zeros((3, N)),
+        np.full((3, N), 0.5),
+        np.full((3, N), np.nan),
+        np.full((3, N), np.inf),
+        np.full((3, N), -np.inf),
+        np.ones((3, N + 1)),
+        np.ones(N),
+    ], ids=["zeros", "half", "nan", "inf", "-inf", "wide", "1-D"])
+    def test_start_states_must_be_spins(self, name, start):
+        """A start that is not ``(R, n)`` of ±1 is refused, not annealed
+        (or handed back as a sample); one bad entry is enough."""
+        machine = _machine(name)
+        states = np.ones((3, N))
+        if start.shape == (3, N):
+            states[1, 2] = start[1, 2]
+        else:
+            states = start
+        with pytest.raises(ValueError, match="initial"):
+            dispatch_anneal_many(machine, SCHEDULE, 3, initial=states)
+
+    @pytest.mark.parametrize("name", [
+        name for name in BACKENDS
+        if callable(getattr(_machine(name), "anneal_many", None))
+    ])
+    def test_single_run_start_must_be_spins(self, name):
+        """The ``R = 1`` view of a native ``anneal_many`` refuses what
+        ``anneal_many`` refuses (serial adapters own their start)."""
+        machine = _machine(name)
+        for start in (np.zeros(N), np.full(N, np.nan), np.ones(N + 1)):
+            with pytest.raises(ValueError, match="initial"):
+                machine.anneal(SCHEDULE, initial=start)
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("replicas", [True, 2.0, "2", 0, -1])
+    def test_replica_count_must_be_a_positive_integer(self, name, replicas):
+        machine = _machine(name)
+        with pytest.raises(ValueError, match="num_replicas"):
+            dispatch_anneal_many(machine, SCHEDULE, replicas)
+        if callable(getattr(machine, "anneal_many", None)):
+            with pytest.raises(ValueError, match="num_replicas"):
+                machine.anneal_many(SCHEDULE, replicas)
+
     def test_batch_from_runs_round_trip(self):
         machine = _machine("pbit")
         runs = [machine.anneal(SCHEDULE) for _ in range(3)]

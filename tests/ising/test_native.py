@@ -5,8 +5,15 @@ compute the same chain from the same noise.  On integer-weight models every
 partial sum is exact, so samples, energies and traces are bit-identical; on
 float weights the maintained inputs round differently (rank-1 adds versus
 32-column block matmuls), so samples still match and energies agree to the
-storage dtype's rounding.
+storage dtype's rounding.  The compiled path draws its start spins and
+noise in C from the generator's bit stream; the numpy scan draws them
+through numpy, and both leave the generator in the same state.
 """
+
+import ctypes
+import threading
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +21,8 @@ import pytest
 import repro
 from repro.core.schedule import linear_beta_schedule
 from repro.ising import _native, pbit
+from repro.ising._lockstep import AnnealProgram
+from repro.ising.fleet import FleetMachine
 from repro.ising.model import IsingModel
 from repro.ising.pbit import PBitMachine
 from tests.helpers import integer_ising, random_ising
@@ -166,6 +175,10 @@ class TestCrossKernel:
         ):
             with pytest.raises(ValueError):
                 work.run(betas, 0.0, traces, t0)
+        rng = np.random.default_rng(0)
+        for sweeps in (0, chunk + 1):
+            with pytest.raises(ValueError):
+                work.draw(rng, sweeps, True)
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("replicas", [1, 3])
@@ -252,6 +265,137 @@ class TestWorkspace:
                                         -np.inf, np.inf)
         np.testing.assert_array_equal(out, expected)
         assert drawn.random() == reference.random()
+
+
+BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937,
+                  np.random.Philox, np.random.SFC64)
+
+#: A ctypes stand-in for numpy's ``bitgen_t`` (numpy/random/bitgen.h).
+_NEXT_UINT32 = ctypes.CFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
+_NEXT_DOUBLE = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
+
+
+class _BitGen(ctypes.Structure):
+    _fields_ = [("state", ctypes.c_void_p), ("next_uint64", ctypes.c_void_p),
+                ("next_uint32", _NEXT_UINT32), ("next_double", _NEXT_DOUBLE),
+                ("next_raw", ctypes.c_void_p)]
+
+
+_capsule_new = ctypes.PYFUNCTYPE(
+    ctypes.py_object, ctypes.c_void_p, ctypes.c_char_p, ctypes.c_void_p
+)(("PyCapsule_New", ctypes.pythonapi))
+
+
+class ScriptedGenerator:
+    """Looks like a numpy Generator to the compiled draw: every
+    ``next_uint32`` has bit 31 set (all start spins +1) and
+    ``next_double`` returns ``doubles`` in turn, then 0.75."""
+
+    def __init__(self, doubles):
+        values = iter(doubles)
+        self._functions = (_NEXT_UINT32(lambda state: 0xFFFFFFFF),
+                           _NEXT_DOUBLE(lambda state: next(values, 0.75)))
+        self._bitgen = _BitGen(None, None, *self._functions, None)
+        self.bit_generator = SimpleNamespace(
+            capsule=_capsule_new(ctypes.addressof(self._bitgen),
+                                 b"BitGenerator", None),
+            lock=threading.Lock(),
+        )
+
+
+class TestCompiledDraw:
+    """C draws the start spins and the noise from the generator's own bit
+    stream: the values and the stream position of the numpy draw."""
+
+    @staticmethod
+    def _anneals(monkeypatch, loaded, bit_generator, dtype, replicas,
+                 leftover):
+        """A cold, a warm and an untracked anneal on one generator, and
+        the generator's state after them."""
+        monkeypatch.setattr(_native, "_library", loaded)
+        model = integer_ising(9, rng=4)
+        schedule = linear_beta_schedule(3.0, 25, beta_min=0.0)
+        rng = np.random.Generator(bit_generator(17))
+        if leftover:
+            rng.integers(0, 2, 3)  # PCG64 keeps the odd half-word
+        machine = PBitMachine(model, rng=rng, dtype=dtype)
+        cold = machine.anneal_many(schedule, replicas, record_energy=True)
+        # A warm restart: its first chunk is drawn without spins.
+        warm = machine.anneal_many(schedule, replicas,
+                                   initial=cold.last_samples,
+                                   record_energy=True)
+        fleet = FleetMachine([model], rng=[rng], dtype=dtype)
+        untracked = fleet.anneal_fleet(schedule, replicas,
+                                       track_best=False).instance(0)
+        return (cold, warm, untracked), rng.bit_generator.state
+
+    @pytest.mark.parametrize("leftover", [False, True])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("replicas", [1, 3, 8])
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS,
+                             ids=lambda g: g.__name__)
+    def test_matches_the_numpy_draw(self, monkeypatch, library,
+                                    bit_generator, replicas, dtype,
+                                    leftover):
+        """Four-sweep noise chunks (the last one ragged), so every anneal
+        draws several chunks after its start."""
+        monkeypatch.setattr(pbit, "_CHUNK_DOUBLES", 9 * replicas * 4)
+        compiled, compiled_state = self._anneals(
+            monkeypatch, library, bit_generator, dtype, replicas, leftover
+        )
+        reference, reference_state = self._anneals(
+            monkeypatch, None, bit_generator, dtype, replicas, leftover
+        )
+        for ours, theirs in zip(compiled, reference):
+            for name in ("last_samples", "best_samples", "last_energies",
+                         "best_energies", "energy_traces"):
+                np.testing.assert_array_equal(
+                    getattr(ours, name), getattr(theirs, name),
+                    err_msg=name,
+                )
+        np.testing.assert_equal(compiled_state, reference_state)
+
+    def test_leaves_the_generator_ctypes_alone(self, library):
+        """The draw reaches the generator through its capsule, so no
+        generator caches ``BitGenerator.ctypes`` objects."""
+        machine = PBitMachine(integer_ising(6, rng=0), rng=1)
+        machine.anneal_many(linear_beta_schedule(2.0, 10), 2)
+        assert machine._rng.bit_generator._ctypes is None
+
+    def test_waits_for_the_generator_lock(self, library):
+        """The draw holds ``bit_generator.lock``, as numpy's draws do."""
+        rng = np.random.default_rng(3)
+        machine = PBitMachine(integer_ising(6, rng=0), rng=rng)
+        schedule = linear_beta_schedule(2.0, 10)
+        machine.anneal_many(schedule, 2)  # program and workspace built
+        done = threading.Event()
+
+        def anneal():
+            machine.anneal_many(schedule, 2)
+            done.set()
+
+        with rng.bit_generator.lock:
+            thread = threading.Thread(target=anneal)
+            thread.start()
+            assert not done.wait(0.3)
+        thread.join(10)
+        assert done.is_set()
+
+    @pytest.mark.parametrize("beta", [1.0, 0.0])
+    def test_a_pole_draw_gives_an_infinite_threshold(self, library, beta):
+        """``next_double() == 0`` draws ``u == -1``, whose ``arctanh`` is
+        ``-inf``: the spin it decides is -1 whatever its input, and the
+        divide-by-zero stays silent with warnings as errors."""
+        n = 4
+        program = AnnealProgram(np.zeros((n, n)))
+        fields = np.full(n, 100.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = pbit.pbit_anneal(
+                program, fields, 0.0, np.array([beta]), 1,
+                ScriptedGenerator([0.75, 0.0]),
+            )
+        np.testing.assert_array_equal(result.last_samples, [[1, -1, 1, 1]])
 
 
 class TestLoader:
