@@ -9,16 +9,21 @@ capacities).  Both round-trip exactly through their reader/writer pairs.
 The JSON codec (:func:`problem_to_json` / :func:`problem_from_json`) is
 the wire format of the solver service: every registered problem family
 serializes to a ``{"kind": ..., ...payload}`` dict of JSON-native values.
-Arrays travel as ``{"dtype", "shape", "data"}`` envelopes — python's
-float repr round-trips every finite double exactly, so decoded instances
-are bit-identical to the originals (same dtype, same values), which is
-what lets a service solve land on the same trajectory as an in-process
-solve.  New problem families join the wire format through
+Arrays travel as ``{"dtype", "shape", "data"}`` envelopes whose ``data``
+is the base64 text of the values' little-endian, C-order bytes, so
+decoded instances are bit-identical to the originals (same dtype, same
+values) on every host, which is what lets a service solve land on the
+same trajectory as an in-process solve, and a decode parses no JSON
+number.  The decode also reads ``data`` spelled as nested lists of
+values, as hand-written bodies send it; either spelling decodes exactly
+or is refused.  New problem families join the wire format through
 :func:`register_problem_codec`.
 """
 
 from __future__ import annotations
 
+import binascii
+import math
 from pathlib import Path
 
 import numpy as np
@@ -168,34 +173,129 @@ def read_mkp(path) -> tuple[MkpInstance, float]:
 # Canonical JSON codec (the solver service's wire format)
 # --------------------------------------------------------------------------
 
+def _wire_dtype(spec) -> np.dtype:
+    """The native-order dtype ``spec`` names, if the wire carries it.
+
+    Bool, integer and float arrays travel; floats wider than 8 bytes do
+    not, since a ``longdouble``'s bytes differ from platform to platform.
+    """
+    try:
+        dtype = np.dtype(spec)
+    except (TypeError, ValueError):
+        raise ValueError(f"unknown array dtype {spec!r}") from None
+    if dtype.kind not in "biuf" or dtype.itemsize > 8:
+        raise ValueError(
+            f"array dtype {dtype.name!r} does not travel; use bool, an "
+            f"integer or a float of at most 64 bits"
+        )
+    return dtype.newbyteorder("=")
+
+
 def array_to_json(array) -> dict:
     """JSON envelope for an array: exact dtype, shape, and values.
 
-    ``tolist()`` yields python ints/floats whose JSON repr round-trips
-    exactly (repr of a finite double is exact); the dtype string restores
-    the storage type on decode.  Non-finite values are rejected — the wire
-    format is strict JSON.
+    ``data`` is the base64 text of the values' little-endian, C-order
+    bytes, so the decode restores every value bit for bit without reading
+    one JSON number, and identical arrays give identical text.  Only the
+    dtypes :func:`array_from_json` accepts are encoded, and non-finite
+    values are rejected, as the decode rejects them.
     """
     array = np.asarray(array)
-    if array.dtype.kind == "f" and not np.all(np.isfinite(array)):
+    dtype = _wire_dtype(array.dtype)
+    if dtype.kind == "f" and not np.all(np.isfinite(array)):
         raise ValueError("cannot encode non-finite array values as JSON")
+    raw = array.astype(dtype.newbyteorder("<"), copy=False).tobytes()
     return {
-        "dtype": array.dtype.name,
+        "dtype": dtype.name,
         "shape": list(array.shape),
-        "data": array.tolist(),
+        "data": binascii.b2a_base64(raw, newline=False).decode("ascii"),
     }
 
 
 def array_from_json(payload: dict) -> np.ndarray:
-    """Decode an :func:`array_to_json` envelope (exact dtype and values)."""
+    """Decode an array envelope to a writeable, native-order array.
+
+    The JSON type of ``data`` picks the spelling.  A string is
+    :func:`array_to_json`'s base64, decoded strictly, and must hold
+    exactly ``prod(shape)`` items' bytes.  Anything else is the value
+    spelling that hand-written bodies send (nested lists, or a bare number
+    for a 0-d array), read value by value.
+
+    Either spelling decodes exactly or raises ``ValueError``: the dtype
+    must be bool, integer or float; the shape a list of non-negative
+    integers; floats finite; bools 0 or 1; and a listed value one the
+    dtype holds as given (no overflow, no truncated fraction, no string,
+    no rounding to an infinity).
+    """
     try:
-        dtype = np.dtype(payload["dtype"])
-        shape = tuple(int(dim) for dim in payload["shape"])
-        data = payload["data"]
+        spec, shape, data = payload["dtype"], payload["shape"], payload["data"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed array envelope: {exc}") from exc
-    array = np.asarray(data, dtype=dtype)
+    if not isinstance(spec, str):
+        raise ValueError(f"array dtype must be a string, got {spec!r}")
+    dtype = _wire_dtype(spec)
+    if not isinstance(shape, list) or not all(
+        isinstance(dim, int) and not isinstance(dim, bool) and dim >= 0
+        for dim in shape
+    ):
+        raise ValueError(
+            f"array shape must be a list of non-negative integers, got {shape!r}"
+        )
+    count = math.prod(shape)
+    if isinstance(data, str):
+        array = _array_from_base64(data, dtype, count)
+    else:
+        array = _array_from_values(data, dtype, count)
+    if dtype.kind == "f" and not np.all(np.isfinite(array)):
+        raise ValueError(f"{dtype.name} array holds non-finite values")
     return array.reshape(shape)
+
+
+def _array_from_base64(data: str, dtype: np.dtype, count: int) -> np.ndarray:
+    try:
+        raw = binascii.a2b_base64(data, strict_mode=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII string
+        raise ValueError(f"array data is not strict base64: {exc}") from None
+    # strict_mode still takes padding after a whole quad ("AAAA=").
+    if len(data) != 4 * -(-len(raw) // 3):
+        raise ValueError("array data is not strict base64: excess padding")
+    if len(raw) != count * dtype.itemsize:
+        raise ValueError(
+            f"array data holds {len(raw)} bytes; {count} {dtype.name} "
+            f"values take {count * dtype.itemsize}"
+        )
+    if dtype.kind == "b" and raw.translate(None, b"\x00\x01"):
+        raise ValueError("bool array bytes must be 0 or 1")
+    return np.frombuffer(raw, dtype.newbyteorder("<")).astype(dtype)
+
+
+def _array_from_values(data, dtype: np.dtype, count: int) -> np.ndarray:
+    if dtype.kind == "f":
+        values = np.asarray(data)
+        if values.dtype.kind not in "biuf":
+            raise ValueError(f"{dtype.name} array data must be numbers")
+        # An overflow to an infinity is refused by the caller's finite check.
+        with np.errstate(over="ignore"):
+            array = values.astype(dtype, copy=False)
+    else:
+        # Python ints, read exactly: inferring a numeric dtype would read a
+        # uint64 list holding both 0 and 2**64 - 1 as float64.
+        values = np.asarray(data, dtype=object)
+        items = values.ravel().tolist()
+        if not all(isinstance(item, int) for item in items):
+            raise ValueError(f"{dtype.name} array data must be integers")
+        low, high = (0, 1) if dtype.kind == "b" else (
+            int(np.iinfo(dtype).min), int(np.iinfo(dtype).max))
+        if items and not low <= min(items) <= max(items) <= high:
+            raise ValueError(
+                f"{dtype.name} array values must lie in [{low}, {high}]"
+            )
+        array = values.astype(dtype)
+    if array.size != count:
+        raise ValueError(
+            f"array data holds {array.size} values; its shape needs {count}"
+        )
+    return array
 
 
 # kind -> (class, encode(instance) -> payload, decode(payload) -> instance)

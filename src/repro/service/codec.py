@@ -5,17 +5,22 @@ faithful projection of the in-process API: a request body is exactly the
 keyword surface of :class:`repro.runtime.SolveJob` (problem encoded by
 the canonical :mod:`repro.problems.io` JSON codec, arrays as
 ``{"dtype", "shape", "data"}`` envelopes), and a response body is the
-:class:`repro.core.report.SolveReport` schema.  Encoding is
-*deterministic*: :func:`job_to_wire` always emits every key in a fixed
-layout, so ``job_to_wire(job_from_wire(w)) == w`` for any canonical wire
-dict and identical jobs serialize to identical bytes (after
-``json.dumps(..., sort_keys=True)``).
+:class:`repro.core.report.SolveReport` schema.  An envelope's ``data``
+is base64 text of the array's little-endian bytes, so admitting a body
+parses no JSON number per matrix entry; a body whose ``data`` is nested
+lists of values, as hand-written bodies and older clients send, decodes
+to the same job.  Encoding is *deterministic*: :func:`job_to_wire`
+always emits every key in a fixed layout, and base64 text is a function
+of the bytes, so ``job_to_wire(job_from_wire(w)) == w`` for any
+canonical wire dict and identical jobs serialize to identical bytes
+(after ``json.dumps(..., sort_keys=True)``) on every host.
 
 Strictness is a feature — the codec rejects unknown keys, method and
 backend names the registry does not know, backend options their builder
 refuses, every call :func:`repro.solve` refuses before solving (through
-the same :func:`repro.api.check_solve`), non-seed RNGs (only
-``null``/ints travel; live generator state does not), a replica count
+the same :func:`repro.api.check_solve`), array envelopes that do not
+decode exactly, non-seed RNGs (only ``null`` and non-negative ints
+travel; live generator state does not), a replica count
 that is not a JSON integer (never rounded or parsed), and exotic config
 objects, so a malformed request dies at the front door with a
 :class:`CodecError` (HTTP 400) instead of deep inside a worker.
@@ -70,6 +75,8 @@ def _check_seed(rng) -> int | None:
     if rng is None:
         return None
     if isinstance(rng, (int, np.integer)) and not isinstance(rng, bool):
+        if rng < 0:
+            raise CodecError(f"rng seed must be non-negative, got {rng}")
         return int(rng)
     raise CodecError(
         f"rng must be an integer seed or null on the wire, got "
@@ -207,6 +214,11 @@ def job_from_wire(payload: dict) -> tuple[SolveJob, bool]:
     except (ValueError, TypeError, KeyError) as exc:
         raise CodecError(f"bad problem payload: {exc}") from exc
     lambdas = payload.get("initial_lambdas")
+    if lambdas is not None:
+        try:
+            lambdas = array_from_json(lambdas)
+        except ValueError as exc:
+            raise CodecError(f"bad initial_lambdas: {exc}") from None
     overrides = _check_options(
         "config_overrides", payload.get("config_overrides")
     )
@@ -219,7 +231,7 @@ def job_from_wire(payload: dict) -> tuple[SolveJob, bool]:
         aggregate=payload.get("aggregate", "best"),
         restart=payload.get("restart", "random"),
         rng=_check_seed(payload.get("rng")),
-        initial_lambdas=None if lambdas is None else array_from_json(lambdas),
+        initial_lambdas=lambdas,
         backend_options=backend_options,
         method_options=_check_options("method_options",
                                       payload.get("method_options")),

@@ -16,7 +16,8 @@ runtime dependencies.  The surface is deliberately small:
 Failure mapping is part of the contract:
 
 - a malformed body (including ``NaN`` / ``Infinity`` tokens, which
-  strict JSON lacks, a method or backend the registry does not know, a
+  strict JSON lacks, an array envelope that does not decode exactly, a
+  negative seed, a method or backend the registry does not know, a
   backend option its builder refuses, and any call :func:`repro.solve`
   refuses before solving, such as ``warm_start`` with
   ``initial_lambdas``) is ``400`` with the codec's message, before the
@@ -53,7 +54,8 @@ __all__ = ["SolverService"]
 _SYNC_TIMEOUT_SECONDS = 600.0
 
 #: Largest request body the door reads (a dense QKP-1000 request is about
-#: 5.7 MiB); a larger ``Content-Length`` is answered 413 unread.
+#: 10.2 MiB with base64 arrays, 5.7 MiB with list-spelled ones); a larger
+#: ``Content-Length`` is answered 413 unread.
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
 

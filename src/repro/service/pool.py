@@ -232,11 +232,10 @@ class _ProcessWorker:
 
     The dispatcher owns this worker exclusively, so the protocol is a
     strict request/response lockstep over a pair of queues; a request is
-    a decoded ``(SolveJob, warm_start)`` pair, which pickles an order of
-    magnitude faster than the wire dict it came from (numpy arrays, not
-    nested lists of floats).  A child that dies mid-job fails that job
-    as ``WorkerLost`` and is replaced by a fresh child (with fresh queues
-    and empty caches); ``restarts`` counts the replacements.
+    a decoded ``(SolveJob, warm_start)`` pair, so the child never decodes
+    the wire dict it came from again.  A child that dies mid-job fails
+    that job as ``WorkerLost`` and is replaced by a fresh child (with
+    fresh queues and empty caches); ``restarts`` counts the replacements.
     """
 
     mode = "process"

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import base64
+
 import numpy as np
 
 from repro.core.problem import ConstrainedProblem, LinearConstraints
 from repro.ising.model import IsingModel, QuboModel
+from repro.problems.generators import generate_qkp
+from repro.problems.io import array_from_json, problem_to_json
 from repro.utils.rng import ensure_rng
 
 
@@ -84,3 +88,59 @@ def sweep_kernel() -> str:
     from repro.ising import _native
 
     return "numpy" if _native.sweep_library() is None else "compiled"
+
+
+def list_spelled(envelope: dict) -> dict:
+    """An array envelope with its ``data`` as nested lists of values, the
+    spelling hand-written bodies send."""
+    return {"dtype": envelope["dtype"], "shape": envelope["shape"],
+            "data": array_from_json(envelope).tolist()}
+
+
+#: QKP-6 ``weights`` envelopes the wire refuses, each with a fragment of
+#: the refusal: values their dtype does not hold as given, dtypes that do
+#: not travel, shapes that are not lists of non-negative integers, and
+#: base64 bytes that are the wrong length or not finite.
+BAD_WEIGHT_ENVELOPES = {
+    "int8-overflow": ({"dtype": "int8", "shape": [6],
+                       "data": [1000, 1, 1, 1, 1, 1]}, "must lie in"),
+    "uint8-negative": ({"dtype": "uint8", "shape": [6],
+                        "data": [-1, 1, 1, 1, 1, 1]}, "must lie in"),
+    "int64-overflow": ({"dtype": "int64", "shape": [6],
+                        "data": [2**70, 1, 1, 1, 1, 1]}, "must lie in"),
+    "int8-fractions": ({"dtype": "int8", "shape": [6],
+                        "data": [0.7, 1.2, 1, 1, 1, 1]}, "must be integers"),
+    "float32-to-inf": ({"dtype": "float32", "shape": [6],
+                        "data": [1e300, 1, 1, 1, 1, 1]}, "non-finite"),
+    "complex128": ({"dtype": "complex128", "shape": [6],
+                    "data": [1, 1, 1, 1, 1, 1]}, "does not travel"),
+    "object": ({"dtype": "object", "shape": [6],
+                "data": [1, 1, 1, 1, 1, 1]}, "does not travel"),
+    "string-values": ({"dtype": "float64", "shape": [6],
+                       "data": ["1", "1", "1", "1", "1", "1"]},
+                      "must be numbers"),
+    "fractional-shape": ({"dtype": "float64", "shape": [6.5],
+                          "data": [1, 1, 1, 1, 1, 1]}, "shape must be"),
+    "inferred-shape": ({"dtype": "float64", "shape": [-1],
+                        "data": [1, 1, 1, 1, 1, 1]}, "shape must be"),
+    "base64-short": ({"dtype": "float64", "shape": [6],
+                      "data": base64.b64encode(np.ones(5)).decode()},
+                     "bytes"),
+    "base64-excess-padding": ({"dtype": "float64", "shape": [6],
+                               "data": base64.b64encode(np.ones(6)).decode()
+                               + "="}, "strict base64"),
+    "base64-nan": ({"dtype": "float64", "shape": [6],
+                    "data": base64.b64encode(
+                        np.array([np.nan, 1, 1, 1, 1, 1], "<f8")).decode()},
+                   "non-finite"),
+    "base64-bool-2": ({"dtype": "bool", "shape": [6],
+                       "data": base64.b64encode(bytes([1, 1, 1, 1, 1, 2])).decode()},
+                      "0 or 1"),
+}
+
+
+def qkp6_with_weights(envelope: dict) -> dict:
+    """A QKP-6 problem payload whose ``weights`` envelope is ``envelope``."""
+    payload = problem_to_json(generate_qkp(6, 0.5, rng=4))
+    payload["weights"] = envelope
+    return payload

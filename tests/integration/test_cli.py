@@ -1,11 +1,13 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import json
 import re
 
 import pytest
 
 from repro.cli import main
 from repro.problems.io import read_mkp, read_qkp
+from tests.helpers import BAD_WEIGHT_ENVELOPES, qkp6_with_weights
 
 
 class TestGenerate:
@@ -296,6 +298,17 @@ class TestUnreadableInstance:
     def test_clean_exit(self, bad_file, command):
         with pytest.raises(SystemExit, match=re.escape(f"cannot load {bad_file}: ")):
             main([command, str(bad_file)])
+
+    @pytest.mark.parametrize("case", sorted(BAD_WEIGHT_ENVELOPES))
+    def test_inexact_envelope_is_a_clean_exit(self, case, tmp_path):
+        """An array envelope that does not decode exactly is one line
+        naming the refusal; an overflowing one used to be a traceback."""
+        envelope, message = BAD_WEIGHT_ENVELOPES[case]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(qkp6_with_weights(envelope)))
+        with pytest.raises(SystemExit, match=re.escape(f"cannot load {path}: ")
+                           + ".*" + re.escape(message)):
+            main(["solve", str(path)])
 
 
 class TestSweepStrategyFlag:

@@ -13,6 +13,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.problems import (
     GapInstance,
@@ -31,6 +32,8 @@ from repro.problems.gap import generate_gap
 from repro.problems.mis import random_mis
 
 seeds = st.integers(min_value=0, max_value=10**6)
+WIRE_DTYPES = ["bool", "int8", "int16", "int32", "int64", "uint8", "uint16",
+               "uint32", "uint64", "float32", "float64"]
 
 
 def wire_cycle(instance):
@@ -61,6 +64,45 @@ class TestArrayEnvelope:
         array = rng.integers(1, 10**9, size=7, dtype=np.int64)
         decoded = array_from_json(json.loads(json.dumps(array_to_json(array))))
         assert_arrays_identical(array, decoded)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_any_wire_array_roundtrips_in_both_spellings(self, data):
+        """Every dtype the wire carries, at 0-d, empty and 2-D shapes, from
+        big-endian and Fortran-order inputs: the base64 envelope and the
+        list spelling of the same array both decode, through real JSON, to
+        a writeable native-order array with the same dtype, shape and
+        bytes."""
+        dtype = np.dtype(data.draw(st.sampled_from(WIRE_DTYPES)))
+        if data.draw(st.booleans()):
+            dtype = dtype.newbyteorder(">")
+        shape = data.draw(st.sampled_from([(), (0,), (3, 0), (4,), (3, 5)]))
+        finite = {"allow_nan": False, "allow_infinity": False}
+        array = data.draw(hnp.arrays(
+            dtype, shape, elements=finite if dtype.kind == "f" else None,
+        ))
+        if data.draw(st.booleans()):
+            array = np.asfortranarray(array)
+        expected = array.astype(dtype.newbyteorder("="), order="C")
+        envelope = array_to_json(array)
+        listed = {"dtype": envelope["dtype"], "shape": envelope["shape"],
+                  "data": array.tolist()}
+        for spelling in (envelope, listed):
+            decoded = array_from_json(json.loads(json.dumps(spelling)))
+            assert decoded.dtype == expected.dtype
+            assert decoded.dtype.isnative and decoded.flags.writeable
+            assert decoded.shape == expected.shape
+            assert decoded.tobytes() == expected.tobytes()
+
+    def test_list_spelling_reads_integers_exactly(self):
+        """numpy infers float64 for a list holding 0 and 2**64 - 1; the
+        decode reads the listed Python ints exactly."""
+        for array in (np.array([0, 2**64 - 1], dtype=np.uint64),
+                      np.array([-2**63, 2**63 - 1], dtype=np.int64)):
+            listed = {"dtype": array.dtype.name, "shape": [2],
+                      "data": array.tolist()}
+            decoded = array_from_json(json.loads(json.dumps(listed)))
+            assert_arrays_identical(array, decoded)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):

@@ -8,9 +8,20 @@ refused by :func:`job_from_wire` (a ``CodecError``, which the HTTP door
 answers 400 before queueing) or runs in a worker without a
 ``CodecError``, ``ValueError`` or ``TypeError``: a client error found
 only after admission would be answered 500.
+
+Array envelopes mutated the ways a client or a channel can break them (a
+wrong byte count, a character outside the base64 alphabet, NaN or
+infinite values, a dtype or shape that does not travel) are refused by
+:func:`job_from_wire` with a ``CodecError`` and no warning.
 """
 
+import base64
+import json
+import math
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
@@ -73,3 +84,58 @@ def test_admitted_bodies_run_without_client_errors(body):
             f"admitted, then failed in the worker: {error['type']}: "
             f"{error['message']}"
         )
+
+
+#: A QKP-6 body with one multiplier, and the path to each of its
+#: (float64) array envelopes.
+ENVELOPE_BODY = {"problem": QKP6, "rng": 3, "config": BUDGET,
+                 "initial_lambdas": array_to_json(np.array([0.5]))}
+ENVELOPE_PATHS = [("problem", "values"), ("problem", "pair_values"),
+                  ("problem", "weights"), ("initial_lambdas",)]
+NOT_BASE64 = [" ", "\n", "!", "-", "_", ".", "\u00e9", "\x00", "="]
+BAD_DTYPES = ["complex128", "object", "float128", "U8", "datetime64[s]",
+              "nope", "", 7, None, ["f8"], {"names": ["a"], "formats": ["f8"]}]
+BAD_SHAPES = [[-1], [6.5], [True], "6", None, {"0": 6}, [2**70], [0, -3]]
+
+
+@st.composite
+def mutated_bodies(draw):
+    body = json.loads(json.dumps(ENVELOPE_BODY))
+    envelope = body
+    for key in draw(st.sampled_from(ENVELOPE_PATHS)):
+        envelope = envelope[key]
+    text = envelope["data"]
+    raw = base64.b64decode(text)
+    mutation = draw(st.sampled_from(
+        ["byte-count", "alphabet", "non-finite", "dtype", "shape"]))
+    if mutation == "byte-count":
+        size = len(raw) + draw(st.sampled_from([-8, -3, -1, 1, 5, 8]))
+        envelope["data"] = base64.b64encode(raw.ljust(size, b"\0")[:size]).decode()
+    elif mutation == "alphabet":
+        at = draw(st.integers(0, len(text)))
+        envelope["data"] = text[:at] + draw(st.sampled_from(NOT_BASE64)) + text[at:]
+    elif mutation == "non-finite":
+        values = np.frombuffer(raw, "<f8").copy()
+        values[draw(st.integers(0, values.size - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+        envelope["data"] = base64.b64encode(values.tobytes()).decode()
+    elif mutation == "dtype":
+        envelope["dtype"] = draw(st.sampled_from(BAD_DTYPES))
+    else:
+        count = math.prod(envelope["shape"])
+        envelope["shape"] = draw(st.sampled_from(BAD_SHAPES + [[count + 1]]))
+    return body
+
+
+def test_envelope_body_is_admitted():
+    """The bodies below differ from an admitted one in one envelope."""
+    job_from_wire(json.loads(json.dumps(ENVELOPE_BODY)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=mutated_bodies())
+def test_mutated_envelopes_are_refused_without_warnings(body):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CodecError):
+            job_from_wire(body)

@@ -1,6 +1,7 @@
 """Wire-codec tests: jobs and reports through JSON, deterministically."""
 
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.service.codec import (
     report_from_wire,
     report_to_wire,
 )
+from tests.helpers import BAD_WEIGHT_ENVELOPES, list_spelled, qkp6_with_weights
 
 FAST = dict(num_iterations=8, mcs_per_run=50)
 
@@ -75,6 +77,48 @@ class TestJobWire:
                        rng=np.random.default_rng(3))
         with pytest.raises(CodecError, match="integer seed"):
             job_to_wire(job)
+
+    @pytest.mark.parametrize("seed", [-5, np.int64(-1)])
+    def test_negative_seed_rejected(self, seed):
+        """np.random.default_rng refuses a negative seed, so the wire does,
+        before admission, naming it."""
+        wire = job_to_wire(SolveJob(generate_qkp(6, 0.5, rng=2)))
+        wire["rng"] = seed
+        with pytest.raises(CodecError, match=f"non-negative, got {seed}"):
+            job_from_wire(wire)
+
+    @pytest.mark.parametrize("case", sorted(BAD_WEIGHT_ENVELOPES))
+    def test_inexact_envelope_rejected(self, case):
+        """An envelope decodes exactly or is refused: overflowing,
+        truncated, string or infinite values, dtypes that do not travel and
+        bad shapes are a CodecError, never a silent cast or a warning."""
+        envelope, message = BAD_WEIGHT_ENVELOPES[case]
+        wire = {"problem": qkp6_with_weights(envelope)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CodecError, match=message):
+                job_from_wire(wire)
+
+    def test_bad_initial_lambdas_envelope_is_a_codec_error(self):
+        wire = job_to_wire(SolveJob(generate_qkp(6, 0.5, rng=2)))
+        wire["initial_lambdas"] = {"dtype": "float64", "shape": [1],
+                                   "data": "not base64!"}
+        with pytest.raises(CodecError, match="initial_lambdas"):
+            job_from_wire(wire)
+
+    def test_list_spelling_decodes_to_the_same_job(self):
+        """A body whose arrays are nested lists (hand-written, or from an
+        older client) decodes to the job its base64 twin decodes to."""
+        job = SolveJob(generate_mkp(8, 3, rng=1), rng=4,
+                       initial_lambdas=np.array([0.25, 1.5, 3.125]))
+        wire = json_cycle(job_to_wire(job))
+        listed = json_cycle(wire)
+        for key in ("values", "weights", "capacities"):
+            listed["problem"][key] = list_spelled(wire["problem"][key])
+        listed["initial_lambdas"] = list_spelled(wire["initial_lambdas"])
+        assert isinstance(listed["problem"]["weights"]["data"], list)
+        decoded, _ = job_from_wire(json_cycle(listed))
+        assert job_to_wire(decoded) == wire
 
     def test_unknown_config_field_rejected(self):
         wire = job_to_wire(SolveJob(generate_qkp(6, 0.5, rng=2)))

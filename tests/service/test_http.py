@@ -27,6 +27,7 @@ from repro.runtime import SolveJob
 from repro.service import SolverService
 from repro.service.codec import job_to_wire, report_from_wire
 from repro.service.http import MAX_BODY_BYTES
+from tests.helpers import BAD_WEIGHT_ENVELOPES, list_spelled, qkp6_with_weights
 
 FAST = dict(num_iterations=10, mcs_per_run=60)
 
@@ -119,6 +120,25 @@ class TestSolveEndpoint:
         assert np.array_equal(served.best_x, direct.best_x)
         assert body["timing"]["solve_seconds"] > 0
         assert body["worker"] == 0
+
+    def test_list_spelled_body_served_as_its_base64_twin(self, service):
+        """A body whose arrays are nested lists is served exactly the
+        report its base64 twin is, and that in-process repro.solve gives."""
+        _, base = service
+        instance = generate_qkp(16, 0.5, rng=8)
+        payload = wire_job(instance, 21)
+        listed = json.loads(json.dumps(payload))
+        for key in ("values", "pair_values", "weights"):
+            listed["problem"][key] = list_spelled(payload["problem"][key])
+        reports = []
+        for body in (payload, listed):
+            status, answer = http_json(base, "/v1/solve", body)
+            assert status == 200, answer
+            answer["report"].pop("wall_seconds")
+            reports.append(answer["report"])
+        assert reports[0] == reports[1]
+        assert (report_from_wire(reports[1])
+                == repro.solve(instance, rng=21, **FAST))
 
     def test_concurrent_clients_each_bit_identical(self, service):
         _, base = service
@@ -400,9 +420,11 @@ class TestAdmissionRefusals:
         ({"method": "penalty", "aggregate": "bogus"},
          "the penalty method has no replica aggregate"),
         ({"num_replicas": 2.7}, "num_replicas must be an integer"),
+        ({"rng": -5}, "rng seed must be non-negative, got -5"),
     ], ids=["warm_start-lambdas", "warm_start-restart", "greedy-options",
             "greedy-backend", "penalty-options", "greedy-method-options",
-            "ga-method-options", "penalty-aggregate", "float-replicas"])
+            "ga-method-options", "penalty-aggregate", "float-replicas",
+            "negative-seed"])
     def test_refused_before_queueing(self, service, fields, message):
         live, base = service
         payload = wire_job(generate_qkp(12, 0.5, rng=8), 1)
@@ -411,6 +433,20 @@ class TestAdmissionRefusals:
         assert status == 400, body
         assert body["error"]["type"] == "bad_request"
         assert message in body["error"]["message"]
+        assert live.pool.stats()["queue"]["enqueued"] == 0
+
+
+    def test_inexact_envelopes_are_400(self, service):
+        """Every envelope the codec refuses is a 400 before queueing; an
+        overflowing one used to close the connection with no answer."""
+        live, base = service
+        for case, (envelope, message) in sorted(BAD_WEIGHT_ENVELOPES.items()):
+            payload = {"problem": qkp6_with_weights(envelope), "rng": 1,
+                       "config_overrides": dict(FAST)}
+            status, body = http_json(base, "/v1/solve", payload)
+            assert status == 400, (case, body)
+            assert body["error"]["type"] == "bad_request"
+            assert message in body["error"]["message"], case
         assert live.pool.stats()["queue"]["enqueued"] == 0
 
 
