@@ -240,7 +240,10 @@ def _load_instance(path: Path):
             )
             return problem, "qubo"
         if suffix == ".json":
-            payload = json.loads(path.read_text())
+            try:
+                payload = json.loads(path.read_text())
+            except RecursionError as exc:  # nested deeper than the parser goes
+                raise ValueError(f"not valid JSON: {exc}") from None
             return problem_from_json(payload), str(payload["kind"])
     # KeyError/TypeError: a known kind with missing or mistyped fields.
     except (OSError, ValueError, KeyError, TypeError) as exc:

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.penalty import build_penalty_qubo
+from repro.core.penalty import build_penalty_qubo, penalty_terms
 from repro.core.problem import ConstrainedProblem
-from repro.ising.model import IsingModel
+from repro.ising.model import IsingModel, QuboModel, spin_terms
+from repro.utils.validation import check_positive
 
 
 def saim_lagrangian(problem: ConstrainedProblem, alpha: float = 2.0,
@@ -46,6 +47,18 @@ def saim_lagrangian(problem: ConstrainedProblem, alpha: float = 2.0,
 class LagrangianIsing:
     """Ising view of ``L(x; lambda)`` with cheap multiplier updates.
 
+    ``J``, the ``lambda = 0`` fields and the offset come straight from the
+    problem's arrays: :func:`repro.core.penalty.penalty_terms` expands the
+    penalty into a fresh ``Q`` and :func:`repro.ising.model.spin_terms`
+    turns that ``Q`` into ``J`` in place — the two helpers
+    :func:`~repro.core.penalty.build_penalty_qubo` and
+    :meth:`~repro.ising.model.QuboModel.to_ising` wrap, so the arrays are
+    bit for bit theirs.  No :class:`~repro.ising.model.QuboModel` and no
+    intermediate :class:`~repro.ising.model.IsingModel` is built: the
+    problem was validated when it was built, and :attr:`base_ising`
+    builds (and validates) the one model a machine is made from.  Only
+    :meth:`energy` reads the penalty QUBO, built on its first call.
+
     Parameters
     ----------
     problem:
@@ -59,12 +72,12 @@ class LagrangianIsing:
         if problem.inequalities.num_constraints:
             raise ValueError("LagrangianIsing expects an equality-form problem")
         self._problem = problem
-        self._penalty = float(penalty)
-        self._qubo = build_penalty_qubo(problem, penalty)
-        base = self._qubo.to_ising()
-        self._base_fields = base.fields
-        self._base_offset = base.offset
-        self._coupling = base.coupling
+        self._penalty = check_positive(penalty, "penalty")
+        self._qubo: QuboModel | None = None  # built by energy(), if called
+        quadratic, linear, offset = penalty_terms(problem, self._penalty)
+        self._coupling, self._base_fields, self._base_offset = spin_terms(
+            quadratic, linear, offset, out=quadratic
+        )
         # lambda^T (A x - b) maps to QUBO linear term A^T lambda and offset
         # -lambda^T b; through x = (1 + s)/2 that is fields -A^T lambda / 2
         # and offset sum(A^T lambda)/2 - lambda^T b.
@@ -146,6 +159,8 @@ class LagrangianIsing:
     def energy(self, x, lambdas) -> float:
         """``L(x; lambda)`` evaluated directly in binary variables."""
         lambdas = self._check_lambdas(lambdas)
+        if self._qubo is None:
+            self._qubo = build_penalty_qubo(self._problem, self._penalty)
         penalized = self._qubo.energy(x)
         return penalized + float(lambdas @ self.residuals(x))
 

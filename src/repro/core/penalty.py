@@ -27,31 +27,37 @@ from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_positive
 
 
-def build_penalty_qubo(problem: ConstrainedProblem, penalty: float) -> QuboModel:
-    """QUBO for ``f(x) + P * ||A x - b||^2`` of an equality-form problem.
+def penalty_terms(problem: ConstrainedProblem, penalty: float) -> tuple:
+    """``(Q, c, offset)`` of ``f(x) + P * ||A x - b||^2``, equality form.
 
     Expanding one row, ``(a^T x - b)^2 = x^T (a a^T) x - 2 b a^T x + b^2``;
     the diagonal of ``a a^T`` is folded into the linear term because
-    ``x_i^2 = x_i``.
+    ``x_i^2 = x_i``.  ``Q`` is a fresh array the caller owns: the Gram
+    matrix, scaled and shifted in place (``P * G`` and ``Q_f + P * G`` are
+    the same IEEE operations either way round).
     """
-    check_positive(penalty, "penalty")
-    if problem.inequalities.num_constraints:
-        raise ValueError("build_penalty_qubo expects an equality-form problem")
     a = problem.equalities.coefficients
     b = problem.equalities.bounds
+    quadratic = a.T @ a  # sum_m a_m a_m^T
+    linear = quadratic.diagonal() - 2.0 * (b @ a)
+    np.fill_diagonal(quadratic, 0.0)
+    quadratic *= penalty
+    quadratic += problem.quadratic
+    linear *= penalty
+    linear += problem.linear
+    return quadratic, linear, problem.offset + penalty * float(b @ b)
 
-    gram = a.T @ a  # sum_m a_m a_m^T
-    diag = np.diag(gram).copy()
-    quad_pen = gram.copy()
-    np.fill_diagonal(quad_pen, 0.0)
-    lin_pen = diag - 2.0 * (b @ a)
-    off_pen = float(b @ b)
 
-    return QuboModel(
-        quadratic=problem.quadratic + penalty * quad_pen,
-        linear=problem.linear + penalty * lin_pen,
-        offset=problem.offset + penalty * off_pen,
-    )
+def build_penalty_qubo(problem: ConstrainedProblem, penalty: float) -> QuboModel:
+    """QUBO for ``f(x) + P * ||A x - b||^2`` of an equality-form problem.
+
+    A thin wrapper over :func:`penalty_terms`, the expansion
+    :class:`repro.core.lagrangian.LagrangianIsing` also runs.
+    """
+    penalty = check_positive(penalty, "penalty")
+    if problem.inequalities.num_constraints:
+        raise ValueError("build_penalty_qubo expects an equality-form problem")
+    return QuboModel(*penalty_terms(problem, penalty))
 
 
 def density_heuristic_penalty(problem, alpha: float = 2.0) -> float:
@@ -77,7 +83,9 @@ def density_heuristic_penalty(problem, alpha: float = 2.0) -> float:
             covered.update(combinations(indices, 2))
         nonzero = len(covered)
     else:
-        nonzero = np.count_nonzero(np.triu(problem.quadratic, k=1))
+        # Nonzeros strictly above the diagonal: a bool mask, no float copy.
+        above = ~np.tri(n, dtype=bool)
+        nonzero = np.count_nonzero((problem.quadratic != 0) & above)
     if nonzero == 0 or pairs == 0:
         density = 2.0 / (n + 1)
     else:

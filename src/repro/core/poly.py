@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core.problem import LinearConstraints, within_tolerance
 from repro.ising.higher_order import PolyIsingModel
-from repro.utils.validation import check_binary_vector, check_finite
+from repro.utils.validation import check_binary_vector, check_finite, check_finite_scalar
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ class PolyProblem:
                 raise ValueError(f"term {indices} out of range for {n} variables")
             merged[key] = merged.get(key, 0.0) + float(coefficient)
         check_finite(list(merged.values()), "terms")
-        check_finite(float(self.offset), "offset")
+        offset = check_finite_scalar(self.offset, "offset")
         cleaned = {key: c for key, c in merged.items() if c != 0.0}
         eq = self.equalities if self.equalities is not None else LinearConstraints.empty(n)
         ineq = self.inequalities if self.inequalities is not None else LinearConstraints.empty(n)
@@ -87,7 +87,7 @@ class PolyProblem:
                 )
         object.__setattr__(self, "num_variables", n)
         object.__setattr__(self, "terms", cleaned)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "equalities", eq)
         object.__setattr__(self, "inequalities", ineq)
 

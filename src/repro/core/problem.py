@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.validation import check_binary_vector, check_finite
+from repro.utils.validation import check_binary_vector, check_finite, check_finite_scalar
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,9 @@ class LinearConstraints:
             raise ValueError(
                 f"constraint count mismatch: A has {a.shape[0]} rows, b has {b.size}"
             )
-        check_finite(a, "coefficients")
-        check_finite(b, "bounds")
+        if b.size:  # an empty block (rows match) has nothing to scan
+            check_finite(a, "coefficients")
+            check_finite(b, "bounds")
         object.__setattr__(self, "coefficients", a)
         object.__setattr__(self, "bounds", b)
 
@@ -117,11 +118,11 @@ class ConstrainedProblem:
             raise ValueError(f"c must have length {quad.shape[0]}, got {lin.shape}")
         check_finite(quad, "quadratic")
         check_finite(lin, "linear")
-        check_finite(float(self.offset), "offset")
+        offset = check_finite_scalar(self.offset, "offset")
         # Exact compare first, as in check_square_symmetric.
         if not (np.array_equal(quad, quad.T) or np.allclose(quad, quad.T)):
             raise ValueError("Q must be symmetric")
-        if np.any(np.diag(quad) != 0):
+        if quad.diagonal().any():
             raise ValueError("Q diagonal must be zero; use from_objective to fold it")
         n = lin.size
         eq = self.equalities if self.equalities is not None else LinearConstraints.empty(n)
@@ -133,7 +134,7 @@ class ConstrainedProblem:
                 )
         object.__setattr__(self, "quadratic", quad)
         object.__setattr__(self, "linear", lin)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "equalities", eq)
         object.__setattr__(self, "inequalities", ineq)
 

@@ -27,6 +27,23 @@ def _symmetrize(matrix: np.ndarray) -> np.ndarray:
     return (matrix + matrix.T) / 2.0
 
 
+def spin_terms(quadratic, linear, offset: float, out=None) -> tuple:
+    """``(J, h, offset)`` of ``x^T Q x + c^T x + offset`` under ``x = (1 + s) / 2``.
+
+    ``J = -Q / 2``, ``h = -(Q 1 + c) / 2`` and the offset gains
+    ``sum(Q) / 4 + sum(c) / 2``.  ``J`` is written to ``out`` when given,
+    which may be ``quadratic`` itself: the sums are read first, so a
+    caller that owns a fresh ``Q`` converts it in place.  ``x * -0.5``
+    and ``-x / 2`` round the same real number, so they agree bit for bit.
+    """
+    row_sums = quadratic.sum(axis=1)
+    total = quadratic.sum()
+    coupling = np.multiply(quadratic, -0.5, out=out)
+    fields = row_sums + linear
+    fields *= -0.5
+    return coupling, fields, float(offset + total / 4.0 + linear.sum() / 2.0)
+
+
 @dataclass(frozen=True)
 class QuboModel:
     """Quadratic unconstrained binary optimization model.
@@ -47,7 +64,7 @@ class QuboModel:
             raise ValueError(
                 f"linear term must have length {quad.shape[0]}, got shape {lin.shape}"
             )
-        if np.any(np.diag(quad) != 0):
+        if quad.diagonal().any():
             raise ValueError("Q diagonal must be zero; use from_matrices to fold it")
         object.__setattr__(self, "quadratic", quad)
         object.__setattr__(self, "linear", lin)
@@ -83,15 +100,10 @@ class QuboModel:
 
         For every binary ``x`` and its spin image ``s = 2x - 1`` the returned
         model satisfies ``IsingModel.energy(s) == QuboModel.energy(x)``.
+        A thin wrapper over :func:`spin_terms`, the conversion
+        :class:`repro.core.lagrangian.LagrangianIsing` also runs.
         """
-        quad = self.quadratic
-        lin = self.linear
-        row_sums = quad.sum(axis=1)
-        total = quad.sum()
-        coupling = -quad / 2.0
-        fields = -(row_sums + lin) / 2.0
-        offset = self.offset + total / 4.0 + lin.sum() / 2.0
-        return IsingModel(coupling, fields, offset)
+        return IsingModel(*spin_terms(self.quadratic, self.linear, self.offset))
 
     def scaled(self, factor: float) -> "QuboModel":
         """Return the model with all coefficients multiplied by ``factor``."""
@@ -117,7 +129,7 @@ class IsingModel:
             raise ValueError(
                 f"fields must have length {coup.shape[0]}, got shape {h.shape}"
             )
-        if np.any(np.diag(coup) != 0):
+        if coup.diagonal().any():
             raise ValueError("J diagonal must be zero")
         object.__setattr__(self, "coupling", coup)
         object.__setattr__(self, "fields", h)

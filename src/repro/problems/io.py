@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import binascii
 import math
+import reprlib
 from pathlib import Path
 
 import numpy as np
@@ -298,6 +299,16 @@ def _array_from_values(data, dtype: np.dtype, count: int) -> np.ndarray:
     return array
 
 
+def _json_int(value, field: str) -> int:
+    """``value`` if it is a JSON integer; a fraction, a numeric string or a
+    bool is refused rather than truncated or parsed."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(
+            f"{field} must hold JSON integers, got {reprlib.repr(value)}"
+        )
+    return value
+
+
 # kind -> (class, encode(instance) -> payload, decode(payload) -> instance)
 _JSON_CODECS: dict = {}
 _KIND_BY_CLASS: dict = {}
@@ -416,7 +427,8 @@ register_problem_codec(
     },
     lambda d: MisInstance(
         array_from_json(d["weights"]),
-        tuple((int(u), int(v)) for u, v in d["edges"]),
+        tuple((_json_int(u, "edges"), _json_int(v, "edges"))
+              for u, v in d["edges"]),
         name=d.get("name", ""),
     ),
 )
@@ -429,8 +441,9 @@ register_problem_codec(
         "name": p.name,
     },
     lambda d: Max3SatInstance(
-        int(d["num_variables"]),
-        tuple(tuple(int(literal) for literal in clause) for clause in d["clauses"]),
+        _json_int(d["num_variables"], "num_variables"),
+        tuple(tuple(_json_int(literal, "clauses") for literal in clause)
+              for clause in d["clauses"]),
         name=d.get("name", ""),
     ),
 )

@@ -50,7 +50,7 @@ class QkpInstance:
         n = values.size
         if pair.shape != (n, n):
             raise ValueError(f"W must be {n}x{n}, got {pair.shape}")
-        if np.any(np.diag(pair) != 0):
+        if pair.diagonal().any():
             raise ValueError("W diagonal must be zero (individual values go in h)")
         if weights.size != n:
             raise ValueError(f"weights must have length {n}, got {weights.size}")
@@ -98,7 +98,7 @@ class QkpInstance:
     def to_problem(self) -> ConstrainedProblem:
         """Express the instance as a :class:`ConstrainedProblem`."""
         return ConstrainedProblem(
-            quadratic=-self.pair_values / 2.0,
+            quadratic=self.pair_values * -0.5,  # bit for bit -W / 2
             linear=-self.values,
             offset=0.0,
             equalities=None,

@@ -137,7 +137,8 @@ class _Handler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length) if length else b""
         try:
             return json.loads(raw.decode("utf-8"), parse_constant=_reject_constant)
-        except (ValueError, UnicodeDecodeError) as exc:
+        # RecursionError: nesting deeper than the parser's stack.
+        except (ValueError, UnicodeDecodeError, RecursionError) as exc:
             raise CodecError(f"request body is not valid JSON: {exc}") from exc
 
     # -- routes ------------------------------------------------------------

@@ -6,6 +6,8 @@ inside hot loops; these helpers keep the error messages uniform.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -38,6 +40,14 @@ def check_finite(values, name: str) -> None:
     """Raise unless every entry of ``values`` is finite (no NaN or inf)."""
     if not np.isfinite(values).all():
         raise ValueError(f"{name} must be finite (no NaN or infinity)")
+
+
+def check_finite_scalar(value, name: str) -> float:
+    """Return ``value`` as a float, raising unless it is finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite (no NaN or infinity)")
+    return value
 
 
 def check_positive(value: float, name: str) -> float:

@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.encoding import encode_with_slacks
+import repro
+from repro.core.encoding import encode_with_slacks, normalize_problem
+from repro.core.hybrid_encoding import encode_with_hybrid_slacks
 from repro.core.lagrangian import LagrangianIsing
-from repro.core.penalty import build_penalty_qubo
+from repro.core.penalty import build_penalty_qubo, density_heuristic_penalty
+from repro.core.problem import ConstrainedProblem, LinearConstraints
 from repro.ising.exhaustive import brute_force_ground_state
+from repro.ising.model import IsingModel, QuboModel
+from repro.problems.generators import generate_mkp, generate_qkp
 from tests.helpers import all_binary_vectors, tiny_constrained_problem, tiny_knapsack_problem
 
 
@@ -112,3 +117,78 @@ class TestDualShaping:
         for lam in np.linspace(-10, 10, 21):
             _, lower_bound = brute_force_ground_state(lag.ising_for(np.array([lam])))
             assert lower_bound <= opt + 1e-9
+
+
+def _equality_toy() -> ConstrainedProblem:
+    """Four variables, a quadratic objective and two equality rows."""
+    quad = np.array([[0.0, 1.5, -2.0, 0.0],
+                     [1.5, 0.0, 0.5, -1.0],
+                     [-2.0, 0.5, 0.0, 3.0],
+                     [0.0, -1.0, 3.0, 0.0]])
+    return ConstrainedProblem(
+        quadratic=quad, linear=np.array([-1.0, 2.0, -3.0, 0.5]), offset=0.25,
+        equalities=LinearConstraints(
+            np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 2.0, 0.0, 1.0]]),
+            np.array([2.0, 1.0]),
+        ),
+    )
+
+
+BUILD_CASES = {
+    "qkp": lambda: encode_with_slacks(generate_qkp(15, 0.5, rng=1).to_problem()),
+    "mkp": lambda: encode_with_slacks(generate_mkp(12, 3, rng=2).to_problem()),
+    "hybrid": lambda: encode_with_hybrid_slacks(
+        generate_qkp(15, 0.6, rng=3).to_problem(), unary_bits=2),
+    "equality-toy": lambda: encode_with_slacks(_equality_toy()),
+}
+
+
+def _same_bits(left, right) -> bool:
+    """Bit-for-bit equality (a signed zero or a NaN payload counts)."""
+    left, right = np.asarray(left), np.asarray(right)
+    return (left.dtype == right.dtype and left.shape == right.shape
+            and left.tobytes() == right.tobytes())
+
+
+@pytest.mark.parametrize("case", sorted(BUILD_CASES))
+class TestBuildPins:
+    """The Lagrangian builds its arrays from the problem directly; they
+    must be exactly the penalty QUBO's Ising conversion."""
+
+    def test_base_ising_is_the_penalty_qubo_conversion(self, case):
+        normalized, _ = normalize_problem(BUILD_CASES[case]().problem)
+        penalty = density_heuristic_penalty(normalized)
+        model = LagrangianIsing(normalized, penalty).base_ising
+        expected = build_penalty_qubo(normalized, penalty).to_ising()
+        assert _same_bits(model.coupling, expected.coupling)
+        assert _same_bits(model.fields, expected.fields)
+        assert model.offset.hex() == expected.offset.hex()
+
+    def test_energy_is_qubo_energy_plus_multiplier_term(self, case):
+        normalized, _ = normalize_problem(BUILD_CASES[case]().problem)
+        penalty = density_heuristic_penalty(normalized)
+        lag = LagrangianIsing(normalized, penalty)
+        qubo = build_penalty_qubo(normalized, penalty)
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            x = (rng.random(lag.num_spins) < 0.5).astype(np.int8)
+            lambdas = rng.normal(size=lag.num_multipliers)
+            residuals = normalized.equalities.residuals(x)
+            assert lag.energy(x, lambdas) == (
+                qubo.energy(x) + float(lambdas @ residuals))
+
+
+def test_qkp_solve_builds_one_ising_model_and_no_qubo(monkeypatch):
+    """A solve validates the one Ising model its machine is made from;
+    the penalty QUBO and the conversion's intermediate model are never
+    built."""
+    built = {IsingModel: 0, QuboModel: 0}
+    for cls in built:
+        def counting(self, cls=cls, check=cls.__post_init__):
+            built[cls] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    repro.solve(generate_qkp(12, 0.5, rng=2), rng=3,
+                config=repro.SaimConfig(num_iterations=3, mcs_per_run=20))
+    assert built == {IsingModel: 1, QuboModel: 0}

@@ -279,7 +279,8 @@ class TestUnreadableInstance:
     """A bad instance file is one clean error line, never a traceback."""
 
     @pytest.fixture(params=["missing", "garbage-qkp", "huge-count-qkp",
-                            "garbage-mkp", "bad-json", "incomplete-json"])
+                            "garbage-mkp", "bad-json", "incomplete-json",
+                            "deep-json"])
     def bad_file(self, request, tmp_path):
         name, content = {
             "missing": ("absent.qkp", None),
@@ -288,6 +289,8 @@ class TestUnreadableInstance:
             "garbage-mkp": ("bad.mkp", "3 1\n1 2\n"),
             "bad-json": ("bad.json", "{not json"),
             "incomplete-json": ("bad.json", '{"kind": "qkp"}'),
+            # Deeper than the JSON parser's recursion limit.
+            "deep-json": ("deep.json", "[" * 100_000),
         }[request.param]
         path = tmp_path / name
         if content is not None:

@@ -29,6 +29,7 @@ from repro.problems import (
 )
 from repro.problems.generators import generate_mkp, generate_qkp
 from repro.problems.gap import generate_gap
+from repro.problems.max3sat import generate_max3sat
 from repro.problems.mis import random_mis
 
 seeds = st.integers(min_value=0, max_value=10**6)
@@ -177,6 +178,42 @@ class TestProblemRoundTrips:
         assert_arrays_identical(instance.costs, decoded.costs)
         assert_arrays_identical(instance.loads, decoded.loads)
         assert_arrays_identical(instance.capacities, decoded.capacities)
+
+
+class TestIntegerFields:
+    """MIS edges and Max-3-SAT counts and literals decode exactly or are
+    refused: a fraction, a numeric string or a bool is not an integer
+    (they used to be truncated or parsed by ``int``)."""
+
+    @pytest.mark.parametrize("edges", [
+        [[0.7, 1.2], ["2", "3"]], [[0, 1.0]], [["0", 1]], [[0, True]],
+        ["23"],
+    ])
+    def test_mis_edges_refused(self, edges):
+        payload = problem_to_json(random_mis(4, 0.5, rng=1))
+        payload["edges"] = edges
+        with pytest.raises(ValueError, match="edges must hold JSON integers"):
+            problem_from_json(json.loads(json.dumps(payload)))
+
+    @pytest.mark.parametrize("field, value", [
+        ("num_variables", 3.9), ("num_variables", 3.0),
+        ("num_variables", "3"), ("num_variables", True),
+        ("clauses", [[1, "-2", 3]]), ("clauses", [[1, 2, 3.7]]),
+        ("clauses", [[False, 2]]),
+    ])
+    def test_max3sat_fields_refused(self, field, value):
+        payload = problem_to_json(generate_max3sat(3, 4, rng=1))
+        payload[field] = value
+        with pytest.raises(ValueError, match=f"{field} must hold JSON integers"):
+            problem_from_json(json.loads(json.dumps(payload)))
+
+    @given(seeds)
+    @settings(max_examples=25, deadline=None)
+    def test_max3sat_roundtrips(self, seed):
+        instance = generate_max3sat(6, 12, rng=seed)
+        decoded = wire_cycle(instance)
+        assert decoded.num_variables == instance.num_variables
+        assert decoded.clauses == instance.clauses
 
 
 class TestRegistry:

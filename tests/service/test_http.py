@@ -201,6 +201,23 @@ class TestSolveEndpoint:
         stats = http_json(base, "/v1/stats")[1]
         assert stats["queue"]["enqueued"] == 1
 
+    def test_too_deeply_nested_body_is_400(self, service):
+        """Nesting past the JSON parser's recursion limit is malformed
+        JSON: a 400, not a handler thread dying behind a dropped
+        connection; the server then answers on a new connection."""
+        _, base = service
+        request = urllib.request.Request(
+            base + "/v1/solve", data=b"[" * 100_000,
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=60.0)
+        assert excinfo.value.code == 400
+        error = json.loads(excinfo.value.read())["error"]
+        assert error["type"] == "bad_request"
+        assert "not valid JSON" in error["message"]
+        assert http_json(base, "/v1/health")[0] == 200
+
     def test_unknown_method_or_backend_is_400(self, service):
         """Names the registry does not know are refused before admission
         ("auto" included: the perf-model planner is gone)."""
