@@ -17,10 +17,9 @@ Quickstart::
 ``repro.solve`` is the registry-backed front door: ``method`` selects the
 solver loop (``"saim"``, ``"penalty"``, or a classical baseline:
 ``"greedy"``, ``"ga"``, ``"milp"``, ``"bnb"``, ``"exhaustive"``),
-``backend`` the annealing machine (``"pbit"``, ``"metropolis"``,
-``"quantized"``, ``"chromatic"``, ``"pt"``, ``"higher_order"``), and
-``num_replicas`` scales
-the batched replica-parallel engine.  Every method returns the same
+``backend`` the annealing machine (``"pbit"``, ``"quantized"``,
+``"chromatic"``, ``"higher_order"``), and ``num_replicas`` scales the
+batched replica-parallel engine.  Every method returns the same
 :class:`repro.core.report.SolveReport` schema, with the solver's native
 result as its typed ``detail`` payload.
 
@@ -79,7 +78,6 @@ from repro.ising import (
     QuboModel,
     PBitMachine,
     FleetMachine,
-    simulated_annealing,
     parallel_tempering,
     brute_force_ground_state,
 )
@@ -174,7 +172,6 @@ __all__ = [
     "QuboModel",
     "PBitMachine",
     "FleetMachine",
-    "simulated_annealing",
     "parallel_tempering",
     "brute_force_ground_state",
     "QkpInstance",

@@ -30,13 +30,6 @@ from repro.analysis.reference_cache import (
     ReferenceCache,
     cached_reference_qkp_optimum,
 )
-from repro.analysis.diagnostics import (
-    flip_rate_profile,
-    energy_autocorrelation,
-    integrated_autocorrelation_time,
-    empirical_distribution,
-    boltzmann_distance,
-)
 from repro.analysis.experiments import (
     Scale,
     current_scale,
@@ -78,11 +71,6 @@ __all__ = [
     "sweep_backends",
     "ReferenceCache",
     "cached_reference_qkp_optimum",
-    "flip_rate_profile",
-    "energy_autocorrelation",
-    "integrated_autocorrelation_time",
-    "empirical_distribution",
-    "boltzmann_distance",
     "Scale",
     "current_scale",
     "default_max_workers",

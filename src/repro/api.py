@@ -338,8 +338,8 @@ def solve(
         ``"ga"``, ``"milp"``, ``"bnb"`` and ``"exhaustive"``.
     backend:
         Registered annealing machine for annealing methods (``"pbit"``,
-        ``"metropolis"``, ``"quantized"``, ``"chromatic"``, ``"pt"``,
-        ``"higher_order"``); ``None`` selects ``"pbit"``.
+        ``"quantized"``, ``"chromatic"``, ``"higher_order"``); ``None``
+        selects ``"pbit"``.
         Backend-free methods reject an explicit backend.
     config:
         A :class:`~repro.core.saim.SaimConfig`, a dict of its fields, or
@@ -354,8 +354,7 @@ def solve(
         (the paper — fresh uniform spins every run) or ``"warm"`` (each
         run resumes the previous iteration's final spins; the lock-step
         machines then skip the start-of-run ``O(N^2 R)`` input matmul).
-        Annealing methods only; rejected on the ``"pt"`` backend, which
-        owns its replica initialization.
+        Annealing methods only.
     rng:
         Seed or generator (stochastic methods).
     initial_lambdas:
@@ -505,10 +504,18 @@ def _resolve_builder_dtype(default: str | None):
     return default
 
 
+def _check_choice(name: str, value, choices) -> None:
+    """Refuse a builder option the machine would refuse, when the builder
+    is called, so both front doors answer it before any work is done."""
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+
+
 def _pbit_builder(dtype: str | None = None, kernel: str = "lockstep"):
     from repro.ising.pbit import PBitMachine
 
     default = _resolve_builder_dtype(dtype)
+    _check_choice("kernel", kernel, PBitMachine.KERNELS)
 
     def factory(model, rng=None, dtype=None):
         return PBitMachine(model, rng=rng, dtype=dtype or default,
@@ -517,23 +524,13 @@ def _pbit_builder(dtype: str | None = None, kernel: str = "lockstep"):
     return factory
 
 
-def _metropolis_builder(dtype: str | None = None, kernel: str = "serial"):
-    from repro.ising.sa import MetropolisMachine
-
-    default = _resolve_builder_dtype(dtype)
-
-    def factory(model, rng=None, dtype=None):
-        return MetropolisMachine(model, rng=rng, dtype=dtype or default,
-                                 kernel=kernel)
-
-    return factory
-
-
 def _quantized_builder(bits: int = 8, dtype: str | None = None,
                        kernel: str = "lockstep"):
-    from repro.ising.quantization import QuantizedPBitMachine
+    from repro.ising.quantization import QuantizationSpec, QuantizedPBitMachine
 
     default = _resolve_builder_dtype(dtype)
+    QuantizationSpec(bits)  # refuses a bit count the machine would refuse
+    _check_choice("kernel", kernel, QuantizedPBitMachine.KERNELS)
 
     def factory(model, rng=None, dtype=None):
         return QuantizedPBitMachine(
@@ -547,29 +544,11 @@ def _chromatic_builder(dtype: str | None = None, storage: str | None = None):
     from repro.ising.sparse import ChromaticPBitMachine
 
     default = _resolve_builder_dtype(dtype)
+    _check_choice("storage", storage, ChromaticPBitMachine.STORAGES)
 
     def factory(model, rng=None, dtype=None):
         return ChromaticPBitMachine.from_dense(
             model, rng=rng, dtype=dtype or default, storage=storage
-        )
-
-    return factory
-
-
-def _pt_builder(num_chains: int = 8, beta_min: float = 0.1,
-                read_out: str = "cold", dtype: str | None = None):
-    # `num_chains` is the number of parallel-tempering chains inside ONE
-    # machine, not the engine-level replica batch (`num_replicas`).
-    if num_chains < 1:
-        raise ValueError(f"num_chains must be >= 1, got {num_chains}")
-    from repro.ising.pt_machine import PTMachine
-
-    default = _resolve_builder_dtype(dtype)
-
-    def factory(model, rng=None, dtype=None):
-        return PTMachine(
-            model, rng=rng, num_replicas=num_chains,
-            beta_min=beta_min, read_out=read_out, dtype=dtype or default,
         )
 
     return factory
@@ -594,8 +573,8 @@ def _higher_order_builder(dtype: str | None = None):
 # --------------------------------------------------------------------------
 # Annealing methods.
 
-def _check_saim(problem, *, config, backend, num_replicas, aggregate,
-                restart, backend_options, method_options, **_):
+def _check_saim(problem, *, config, num_replicas, aggregate, restart,
+                backend_options, method_options, **_):
     from repro.core.engine import check_loop_knobs
 
     del problem
@@ -604,14 +583,6 @@ def _check_saim(problem, *, config, backend, num_replicas, aggregate,
         raise ValueError(
             f"the saim method has no method_options (got "
             f"{sorted(method_options)}); its settings live on SaimConfig"
-        )
-    if restart == "warm" and backend == "pt":
-        # PTMachine owns its replica initialization (anneal's `initial` is
-        # interface parity only), so a warm restart would be silently
-        # ignored — refuse instead.
-        raise ValueError(
-            "restart='warm' is not supported on the 'pt' backend: parallel "
-            "tempering re-initializes its own replica ladder every run"
         )
     _check_dtype_spellings(config, (backend_options or {}).get("dtype"))
 
@@ -913,12 +884,6 @@ register_backend(
                 "{'kernel': 'serial'} for the pure-python R=1 reference)",
 )
 register_backend(
-    "metropolis", _metropolis_builder,
-    description="single-flip Metropolis simulated annealing (dtype knob; "
-                "backend_options={'kernel': 'lockstep'} for the fast R=1 "
-                "systematic scan)",
-)
-register_backend(
     "quantized", _quantized_builder,
     description="fixed-point p-bit machine (backend_options={'bits': 8})",
 )
@@ -928,10 +893,6 @@ register_backend(
                 "sweeps; backend_options={'storage': 'dense'|'csr', "
                 "'dtype': ...} — storage auto-selected by coupling density "
                 "when omitted)",
-)
-register_backend(
-    "pt", _pt_builder,
-    description="parallel tempering (backend_options={'num_chains': 8})",
 )
 register_backend(
     "higher_order", _higher_order_builder,

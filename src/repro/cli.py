@@ -24,7 +24,9 @@ the uniform :class:`repro.core.report.SolveReport` digest; backend knobs
 (``--backend`` / ``--replicas``) apply to annealing methods only.  The
 spellings of the retired solver-selection flag map onto it as follows:
 
-- ``saim-pt`` -> ``--backend pt``;
+- ``saim-pt`` has no successor: the ``pt`` backend is gone, and PT-DA
+  stays only as the Tables III-IV comparator
+  (:func:`repro.ising.parallel_tempering.parallel_tempering`);
 - ``parallel-saim`` -> ``--replicas 4``, which no longer divides
   ``--iterations``;
 - ``exact`` -> ``--method milp`` for MKP, or ``--method exhaustive`` for

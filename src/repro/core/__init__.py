@@ -40,30 +40,8 @@ from repro.core.hybrid_encoding import (
     hybrid_slack_weights,
     max_coefficient_ratio,
 )
-from repro.core.dual import (
-    dual_value,
-    dual_minimizer,
-    dual_ascent_exact,
-    DualAscentResult,
-    duality_gap,
-)
-from repro.core.adaptive_penalty import (
-    AdaptivePenaltyConfig,
-    AdaptivePenaltyResult,
-    AdaptivePenaltySaim,
-    reduced_capacity_problem,
-)
 
 __all__ = [
-    "dual_value",
-    "dual_minimizer",
-    "dual_ascent_exact",
-    "DualAscentResult",
-    "duality_gap",
-    "AdaptivePenaltyConfig",
-    "AdaptivePenaltyResult",
-    "AdaptivePenaltySaim",
-    "reduced_capacity_problem",
     "encode_with_hybrid_slacks",
     "hybrid_slack_weights",
     "max_coefficient_ratio",

@@ -16,7 +16,7 @@ anneals of one problem: the Lagrangian build (normalize, penalty, the PUBO
 check), warm-start validation, reprogramming into a standing fields buffer,
 the read-out with incumbent harvest over every replica, the subgradient
 step, the early exits and the final :class:`~repro.core.saim.SaimResult`.
-Three solvers run it and own only the machines around it:
+Two solvers run it and own only the machines around it:
 
 - :class:`SaimEngine` builds one machine and makes one batched
   ``anneal_many`` call per iteration, optionally warm-restarted.  With
@@ -24,17 +24,14 @@ Three solvers run it and own only the machines around it:
   bit-for-bit.
 - :class:`repro.core.fleet_engine.FleetEngine` advances ``B`` runs through
   one fused fleet kernel call per iteration.
-- :class:`repro.core.adaptive_penalty.AdaptivePenaltySaim` escalates its
-  run's penalty between feasibility windows.
 
 So every configuration knob — schedule choice, eta decay, normalized
 steps, warm-started multipliers, early exits — works identically at any
-replica count and in every solver.
+replica count and in both solvers.
 
 The engine drives machines exclusively through the
-:class:`repro.ising.backend.AnnealingBackend` protocol; machines exposing
-only a serial ``anneal`` are adapted automatically via
-:func:`repro.ising.backend.dispatch_anneal_many`.
+:class:`repro.ising.backend.AnnealingBackend` protocol: ``set_fields``,
+then ``anneal_many``.
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ from repro.core.poly import PolyLagrangianIsing, PolyProblem
 from repro.core.problem import ConstrainedProblem
 from repro.core.results import FeasibleRecord, SolveTrace
 from repro.core.saim import _ETA_DECAYS, _SCHEDULES, SaimConfig, SaimResult
-from repro.ising.backend import check_replicas, dispatch_anneal_many
+from repro.ising.backend import check_replicas
 from repro.ising.pbit import PBitMachine
 from repro.utils.rng import ensure_rng
 
@@ -106,9 +103,11 @@ class SaimEngine:
         replica's subgradient) or ``"mean"`` (average residual).
     machine_factory:
         Any callable ``factory(model, rng) -> machine`` whose machine
-        exposes ``set_fields(fields, offset)`` and either ``anneal_many``
-        (the :class:`~repro.ising.backend.AnnealingBackend` protocol) or a
-        serial ``anneal``.  Defaults to the p-bit machine of Section III-B.
+        exposes ``set_fields(fields, offset)`` and ``anneal_many(schedule,
+        R, initial=...)`` (the
+        :class:`~repro.ising.backend.AnnealingBackend` protocol); a machine
+        without a callable ``anneal_many`` is refused with a
+        ``ValueError``.  Defaults to the p-bit machine of Section III-B.
         ``set_fields`` must **copy** its argument: the engine reprograms
         through one standing buffer that it overwrites every iteration (a
         machine that stores the array by reference would see its fields
@@ -196,15 +195,21 @@ class SaimEngine:
         machine = self._build_machine(
             run.lagrangian.base_ising, ensure_rng(rng), self.config.dtype
         )
+        anneal_many = getattr(machine, "anneal_many", None)
+        if not callable(anneal_many):
+            raise ValueError(
+                f"machine {type(machine).__name__} has no callable "
+                f"anneal_many(schedule, num_replicas, initial=...); the "
+                f"engine drives machines through set_fields and anneal_many"
+            )
         # With restart="warm" each run resumes from the previous one's
         # final spins (solve-resident annealing); with "random" (the
         # paper) every run starts fresh.
         initial = None
         for k in range(self.config.num_iterations):
             machine.set_fields(*run.program(k))
-            batch = dispatch_anneal_many(
-                machine, run.schedule, self.num_replicas, initial=initial
-            )
+            batch = anneal_many(run.schedule, self.num_replicas,
+                                initial=initial)
             if self.restart == "warm":
                 initial = batch.last_samples
             if not run.advance(batch, k):
@@ -262,11 +267,16 @@ class SaimRun:
                 "models — solve with backend='higher_order'"
             )
         if config.penalty is not None:
-            self.set_penalty(float(config.penalty))
+            self.penalty = float(config.penalty)
         else:
-            self.set_penalty(
-                density_heuristic_penalty(self.normalized, alpha=config.alpha)
+            self.penalty = density_heuristic_penalty(
+                self.normalized, alpha=config.alpha
             )
+        if isinstance(self.normalized, PolyProblem):
+            self.lagrangian = PolyLagrangianIsing(self.normalized,
+                                                  self.penalty)
+        else:
+            self.lagrangian = LagrangianIsing(self.normalized, self.penalty)
 
         num_multipliers = self.lagrangian.num_multipliers
         if initial_lambdas is None:
@@ -287,19 +297,6 @@ class SaimRun:
         self.k_ran = 0
         self._stall = 0
         self._fields = np.empty(self.lagrangian.num_spins)
-
-    def set_penalty(self, penalty: float) -> None:
-        """(Re)build the Lagrangian at quadratic penalty ``P``.
-
-        The multipliers carry over (``lambda`` and ``P`` shape the
-        landscape independently); the caller rebuilds its machine from
-        the new ``lagrangian.base_ising``.
-        """
-        self.penalty = penalty
-        if isinstance(self.normalized, PolyProblem):
-            self.lagrangian = PolyLagrangianIsing(self.normalized, penalty)
-        else:
-            self.lagrangian = LagrangianIsing(self.normalized, penalty)
 
     def program(self, k: int) -> tuple[np.ndarray, float]:
         """Record ``lambda_k``; return the ``(fields, offset)`` to program.

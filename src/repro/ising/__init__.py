@@ -1,17 +1,15 @@
 """Ising-machine substrate: models, energies, and samplers.
 
 This subpackage is the "hardware" layer of the reproduction.  It provides the
-Ising/QUBO model containers, exact energy evaluation, and the three samplers
+Ising/QUBO model containers, exact energy evaluation, and the two samplers
 used in the paper's evaluation:
 
 - :class:`~repro.ising.pbit.PBitMachine` — the probabilistic-bit Ising
-  machine of Section III-B (sequential Gibbs sweeps with annealing); this is
-  the solver SAIM drives.
-- :func:`~repro.ising.sa.simulated_annealing` — Metropolis simulated
-  annealing, the engine behind the penalty-method baselines.
+  machine of Section III-B (sequential Gibbs sweeps with annealing); SAIM
+  and the penalty-method baselines both run on it.
 - :func:`~repro.ising.parallel_tempering.parallel_tempering` — a
   replica-exchange sampler standing in for Fujitsu's Digital Annealer
-  parallel-tempering mode (PT-DA).
+  parallel-tempering mode (PT-DA), the comparator of Tables III-IV.
 """
 
 from repro.ising.model import IsingModel, QuboModel
@@ -19,7 +17,6 @@ from repro.ising.backend import (
     AnnealingBackend,
     BatchAnnealResult,
     batch_from_runs,
-    dispatch_anneal_many,
 )
 from repro.ising.energy import (
     ising_energy,
@@ -28,9 +25,8 @@ from repro.ising.energy import (
     qubo_energies,
 )
 from repro.ising.pbit import PBitMachine, AnnealResult
-from repro.ising.sa import simulated_annealing, MetropolisMachine
 from repro.ising.parallel_tempering import parallel_tempering
-from repro.ising.exhaustive import brute_force_ground_state, enumerate_energies
+from repro.ising.exhaustive import brute_force_ground_state
 from repro.ising.quantization import (
     QuantizationSpec,
     QuantizedPBitMachine,
@@ -44,7 +40,6 @@ from repro.ising.sparse import (
     random_sparse_ising,
 )
 from repro.ising.fleet import FleetMachine
-from repro.ising.pt_machine import PTMachine
 from repro.ising.qubo_io import write_qubo, read_qubo
 from repro.ising.higher_order import (
     PolyIsingModel,
@@ -56,7 +51,6 @@ __all__ = [
     "AnnealingBackend",
     "BatchAnnealResult",
     "batch_from_runs",
-    "dispatch_anneal_many",
     "QuantizationSpec",
     "QuantizedPBitMachine",
     "quantize_ising",
@@ -66,7 +60,6 @@ __all__ = [
     "greedy_coloring",
     "random_sparse_ising",
     "FleetMachine",
-    "PTMachine",
     "write_qubo",
     "read_qubo",
     "PolyIsingModel",
@@ -80,9 +73,6 @@ __all__ = [
     "qubo_energies",
     "PBitMachine",
     "AnnealResult",
-    "simulated_annealing",
-    "MetropolisMachine",
     "parallel_tempering",
     "brute_force_ground_state",
-    "enumerate_energies",
 ]

@@ -1,12 +1,11 @@
-"""Numpy lock-step replica kernel for single-flip samplers.
+"""Numpy lock-step replica kernel of the p-bit machines.
 
 The p-bit machines run the compiled sweep of :mod:`repro.ising._native`
 when it loads; this scan is their no-compiler fallback and the parity
-reference the compiled sweep is tested against.  The Metropolis machine's
-``kernel="lockstep"`` runs only here.  Both advance ``R`` independent
-chains in lock-step over the same sweep/spin scan.  The per-spin
-acceptance rules differ, but the machinery that makes the scan fast in
-pure numpy is shared:
+reference the compiled sweep is tested against.  It advances ``R``
+independent chains in lock-step over the same sweep/spin scan.  The
+caller supplies the noise and the per-spin acceptance rule; the machinery
+that makes the scan fast in pure numpy is here:
 
 - per-sweep noise is folded into per-spin *threshold tables* outside the
   scan (``thresholds_for``), so the hot loop is comparisons only;
@@ -189,7 +188,7 @@ def sweep_energies(spins, inputs, fields, offset: float) -> np.ndarray:
 
 
 def lockstep_anneal(
-    coupling: np.ndarray,
+    program: AnnealProgram,
     fields: np.ndarray,
     offset: float,
     betas: np.ndarray,
@@ -197,18 +196,19 @@ def lockstep_anneal(
     thresholds_for,
     decide,
     record_energy: bool = False,
-    dtype=None,
-    program: AnnealProgram | None = None,
     resume: bool = True,
 ):
     """Advance ``R`` lock-step chains; returns final/best states + energies.
 
     Parameters
     ----------
-    coupling / fields / offset:
-        Dense Ising Hamiltonian ``H = -1/2 s.J s - h.s + c``.  When a
-        ``program`` is given its prepared coupling is used and the
-        ``coupling`` argument is ignored.
+    program:
+        The prepared :class:`AnnealProgram` of the coupling ``J``: its
+        cast coupling and block decomposition, its dtype (the scan's
+        storage/compute precision; the returned energies are float64
+        regardless, see module docstring) and its solve-resident state.
+    fields / offset:
+        The rest of the dense Ising Hamiltonian ``H = -1/2 s.J s - h.s + c``.
     betas:
         Inverse temperature per sweep.
     states:
@@ -216,7 +216,8 @@ def lockstep_anneal(
     thresholds_for:
         ``thresholds_for(beta) -> (n, R)`` per-sweep threshold table; this
         is where the sampler draws its noise, so it is called exactly once
-        per sweep, before the scan.  Tables are cast to ``dtype`` here.
+        per sweep, before the scan.  Tables are cast to the program's dtype
+        here.
     decide:
         ``decide(thresholds_rows, input_rows, spin_rows) -> delta_rows``:
         the sampler's acceptance rule, vectorized over a ``(m, R)`` tail of
@@ -224,25 +225,14 @@ def lockstep_anneal(
         the given input fields are current*.
     record_energy:
         Also return ``(R, sweeps)`` per-sweep energy traces (else None).
-    dtype:
-        Storage/compute precision of the scan (``None`` → float64).  The
-        returned energies are float64 regardless (see module docstring).
-        Ignored when a ``program`` is given (the program's dtype rules).
-    program:
-        A prepared :class:`AnnealProgram` for this coupling — the fast
-        path: skips the cast + block decomposition and may serve the
-        initial inputs from the solve-resident cache.  Built ad hoc (one
-        cold start) when omitted.
     resume:
-        Serve the initial inputs from that cache when ``states`` are the
-        program's resident spins (a warm restart).  ``False`` always runs
-        the matmul, as for a start drawn for this run.
+        Serve the initial inputs from the program's resident cache when
+        ``states`` are its resident spins (a warm restart).  ``False``
+        always runs the matmul, as for a start drawn for this run.
 
     Returns ``(last_spins, last_energies, best_spins, best_energies,
     traces)`` with spins in ``(n, R)`` layout.
     """
-    if program is None:
-        program = AnnealProgram(coupling, dtype=dtype)
     dtype = program.dtype
     num_replicas = states.shape[0]
     fields = np.asarray(fields, dtype=dtype)

@@ -7,23 +7,20 @@ Hamiltonian, lets the driver reprogram the linear fields cheaply, and anneals
 Everything above this layer — the SAIM engine, the ``repro.solve`` front
 door, the benchmarks — talks to machines exclusively through this surface.
 
-Hardware IMs are massively parallel, so the batch call is the primary one:
-``anneal_many(schedule, R)`` is one programmed "shot" of ``R`` replicas, and
-the classic single-run ``anneal`` is just the ``R = 1`` view of it.
-
-Machines that only implement a serial ``anneal`` (e.g. experimental adapters
-like :class:`repro.ising.pt_machine.PTMachine`) are still usable:
-:func:`dispatch_anneal_many` falls back to looping the serial entry point and
-stacking the runs into a :class:`BatchAnnealResult`.
+Hardware IMs are massively parallel, so the batch call is the only one the
+engine makes: ``anneal_many(schedule, R)`` is one programmed "shot" of ``R``
+replicas, and a machine's single-run ``anneal`` is just the ``R = 1`` view
+of it.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import numpy as np
+
+from repro.utils.validation import check_integer
 
 #: Coefficient-storage precisions the machines support.  ``float64`` is the
 #: exact reference; ``float32`` halves memory traffic and doubles BLAS
@@ -61,14 +58,7 @@ def check_replicas(num_replicas) -> None:
     A ``bool`` is not a replica count, and neither is a float or a string
     that holds a whole number.
     """
-    if isinstance(num_replicas, bool) or not isinstance(
-        num_replicas, numbers.Integral
-    ):
-        raise ValueError(
-            f"num_replicas must be an integer, got {num_replicas!r}"
-        )
-    if num_replicas < 1:
-        raise ValueError(f"num_replicas must be >= 1, got {num_replicas}")
+    check_integer(num_replicas, "num_replicas", 1)
 
 
 def check_start(num_replicas, num_spins: int, initial=None):
@@ -245,49 +235,3 @@ def batch_from_runs(runs) -> BatchAnnealResult:
         num_sweeps=runs[0].num_sweeps,
         energy_traces=traces,
     )
-
-
-def _accepts_initial(anneal) -> bool:
-    """Whether a serial ``anneal`` can take an ``initial`` keyword."""
-    import inspect
-
-    try:
-        parameters = inspect.signature(anneal).parameters
-    except (TypeError, ValueError):  # builtins/extensions: just try it
-        return True
-    return "initial" in parameters or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-    )
-
-
-def dispatch_anneal_many(
-    machine, beta_schedule, num_replicas: int, initial=None
-) -> BatchAnnealResult:
-    """Batch-anneal on any machine, native or via the serial fallback.
-
-    Machines implementing the protocol's ``anneal_many`` are called directly;
-    machines with only a serial ``anneal`` (PT adapters, user plugins) are
-    looped ``num_replicas`` times and the runs stacked.
-    """
-    check_replicas(num_replicas)
-    native = getattr(machine, "anneal_many", None)
-    if callable(native):
-        return native(beta_schedule, num_replicas, initial=initial)
-    if initial is not None and not _accepts_initial(machine.anneal):
-        # Minimal legacy contract: anneal(schedule) only.  Refuse up front
-        # rather than crashing the machine mid-solve with a TypeError (the
-        # engine's restart="warm" passes initial from iteration 2 on).
-        raise ValueError(
-            f"machine {type(machine).__name__} has a serial anneal() "
-            f"without an 'initial' parameter; it cannot start from given "
-            f"spins (restart='warm' needs initial-capable machines)"
-        )
-    if initial is not None:
-        initial = check_start(num_replicas, machine.num_spins, initial)
-    runs = []
-    for r in range(num_replicas):
-        if initial is None:
-            runs.append(machine.anneal(beta_schedule))
-        else:
-            runs.append(machine.anneal(beta_schedule, initial=initial[r]))
-    return batch_from_runs(runs)

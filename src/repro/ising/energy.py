@@ -2,11 +2,11 @@
 
 Everything here is pure numpy on dense arrays.  The incremental quantities —
 input fields ``I = J s + h`` and single-flip deltas — are the primitives the
-p-bit machine, Metropolis SA, and parallel tempering are built from.  The
-batch kernels are the production surface (exported from ``repro.ising``);
-the scalar ``input_fields`` / ``flip_delta`` / ``all_flip_deltas`` forms
-stay module-local as the reference definitions the property suite checks
-the machines against.
+p-bit machine and parallel tempering are built from.  The batch kernels are
+the production surface (exported from ``repro.ising``); the scalar
+``input_fields`` / ``flip_delta`` / ``all_flip_deltas`` forms stay
+module-local as the reference definitions the property suite checks the
+machines against.
 """
 
 from __future__ import annotations

@@ -71,6 +71,7 @@ from repro.ising.backend import (
 from repro.ising.energy import ising_energy
 from repro.ising.model import IsingModel
 from repro.utils.rng import ensure_rng
+from repro.utils.validation import check_integer
 
 __all__ = ["AnnealResult", "PBitMachine", "pbit_anneal"]
 
@@ -247,8 +248,8 @@ def _numpy_anneal(program, fields, offset, betas, num_replicas, states, rng,
         return np.where(input_rows >= taus_rows, one, -one) - spin_rows
 
     spins, energies, best_spins, best_energies, traces = lockstep_anneal(
-        program.coupling, fields, offset, betas, states, thresholds_for,
-        decide, record_energy=record_energy, program=program, resume=resume,
+        program, fields, offset, betas, states, thresholds_for, decide,
+        record_energy=record_energy, resume=resume,
     )
     return spins.T.copy(), energies, best_spins.T.copy(), best_energies, traces
 
@@ -447,14 +448,20 @@ class PBitMachine:
         Returns an array of shape ``(num_sweeps, n)``.  With enough sweeps
         the empirical distribution converges to eq. (11); the test suite uses
         this on tiny models to validate the sampler against the exact
-        Boltzmann weights.
+        Boltzmann weights.  ``burn_in`` sweeps (an integer >= 0) run
+        first and are discarded; ``initial`` is an ``(n,)`` start of
+        ``-1`` / ``+1`` spins, random if omitted.
         """
         if num_sweeps <= 0:
             raise ValueError(f"num_sweeps must be positive, got {num_sweeps}")
+        check_integer(burn_in, "burn_in", 0)
         schedule = np.full(burn_in + num_sweeps, float(beta))
         n = self.num_spins
         coupling = self._coupling
-        spins = self.random_state() if initial is None else np.asarray(initial, dtype=float).copy()
+        if initial is None:
+            spins = self.random_state()
+        else:
+            spins = check_start(1, n, [initial])[0]
         inputs = coupling @ spins + self._fields
         samples = np.empty((num_sweeps, n))
         rng = self._rng

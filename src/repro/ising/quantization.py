@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.ising.model import IsingModel
 from repro.ising.pbit import PBitMachine
+from repro.utils.validation import check_integer
 
 
 @dataclass(frozen=True)
@@ -32,8 +33,7 @@ class QuantizationSpec:
     bits: int
 
     def __post_init__(self):
-        if self.bits < 2:
-            raise ValueError(f"need at least 2 bits (sign + magnitude), got {self.bits}")
+        check_integer(self.bits, "bits", 2)  # a sign bit and a magnitude
 
     @property
     def levels(self) -> int:

@@ -160,7 +160,14 @@ class ChromaticPBitMachine:
         integer-weight models they are bit-identical.
     """
 
+    #: The ``storage`` values the machine takes (``None`` is ``"auto"``).
+    STORAGES = (None, "auto", "csr", "dense")
+
     def __init__(self, model, rng=None, dtype=None, storage: str | None = None):
+        if storage not in self.STORAGES:
+            raise ValueError(
+                f"storage must be one of {self.STORAGES}, got {storage!r}"
+            )
         if not isinstance(model, SparseIsingModel):
             model = SparseIsingModel.from_dense(model)
         if storage in (None, "auto"):
@@ -168,11 +175,6 @@ class ChromaticPBitMachine:
                 "dense"
                 if coupling_density(model) >= DENSE_STORAGE_DENSITY
                 else "csr"
-            )
-        if storage not in ("csr", "dense"):
-            raise ValueError(
-                f"storage must be 'csr', 'dense', 'auto' or None, "
-                f"got {storage!r}"
             )
         # Private fields buffer: set_fields reprograms it in place, so it
         # must never alias the caller's array.

@@ -7,6 +7,7 @@ inside hot loops; these helpers keep the error messages uniform.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -48,6 +49,18 @@ def check_finite_scalar(value, name: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite (no NaN or infinity)")
     return value
+
+
+def check_integer(value, name: str, minimum: int) -> None:
+    """Raise unless ``value`` is an integer >= ``minimum``.
+
+    A ``bool`` is not an integer here, and neither is a float or a string
+    that holds a whole number; a numpy integer is.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 def check_positive(value: float, name: str) -> float:

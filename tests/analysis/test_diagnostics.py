@@ -1,17 +1,17 @@
-"""Tests for sampler diagnostics (repro.analysis.diagnostics)."""
+"""Tests for the sampler diagnostics (tests.diagnostics)."""
 
 import numpy as np
 import pytest
 
-from repro.analysis.diagnostics import (
+from repro.core.schedule import linear_beta_schedule
+from repro.ising.pbit import PBitMachine
+from tests.diagnostics import (
     boltzmann_distance,
     empirical_distribution,
     energy_autocorrelation,
     flip_rate_profile,
     integrated_autocorrelation_time,
 )
-from repro.core.schedule import linear_beta_schedule
-from repro.ising.pbit import PBitMachine
 from tests.helpers import random_ising
 
 

@@ -171,7 +171,7 @@ class TestBackendSweep:
         from tests.helpers import tiny_knapsack_problem
 
         report = sweep_backends(
-            tiny_knapsack_problem(), backends=["pbit", "metropolis"],
+            tiny_knapsack_problem(), backends=["pbit", "chromatic"],
             replicas=[1, 2], rng=0, title="backend comparison", **self.FAST,
         )
         assert len(report.points) == 4
@@ -253,7 +253,7 @@ class TestMethodAxis:
 
     def test_backend_free_methods_collapse(self):
         sweep = BackendSweep(
-            self.instance(), backends=["pbit", "metropolis"],
+            self.instance(), backends=["pbit", "quantized"],
             replicas=[1, 2], methods=["saim", "greedy", "milp"],
             rng=0, **self.FAST,
         )
@@ -376,7 +376,7 @@ class TestSweepStrategy:
         from tests.helpers import tiny_knapsack_problem
 
         sweep = BackendSweep(
-            tiny_knapsack_problem(), backends=["pbit", "metropolis"],
+            tiny_knapsack_problem(), backends=["pbit", "quantized"],
             rng=0, **self.FAST,
         )
         with pytest.raises(ValueError, match="shareable"):

@@ -1,16 +1,14 @@
-"""Tests for the exact dual machinery (repro.core.dual)."""
+"""The exact dual function ``q(lambda) = min_x L(x; lambda)``.
+
+Computed by enumeration, ``brute_force_ground_state(lagrangian.ising_for(
+lambda))``, the call the Fig. 2 bench and ``examples/toy_lagrange.py`` make.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.dual import (
-    dual_ascent_exact,
-    dual_minimizer,
-    dual_value,
-    duality_gap,
-)
 from repro.core.lagrangian import LagrangianIsing
-from tests.helpers import tiny_constrained_problem
+from tests.helpers import dual_value, tiny_constrained_problem
 
 OPT = -5.0  # optimum of tiny_constrained_problem
 
@@ -25,63 +23,8 @@ class TestDualValue:
         for lam in np.linspace(-10, 10, 21):
             assert dual_value(lagrangian, np.array([lam])) <= OPT + 1e-9
 
-    def test_minimizer_achieves_value(self, lagrangian):
-        lam = np.array([1.5])
-        x = dual_minimizer(lagrangian, lam)
-        assert lagrangian.energy(x, lam) == pytest.approx(
-            dual_value(lagrangian, lam)
-        )
-
     def test_concavity_on_grid(self, lagrangian):
         grid = np.linspace(-4, 4, 33)
         values = [dual_value(lagrangian, np.array([lam])) for lam in grid]
         second_diff = np.diff(values, 2)
         assert np.all(second_diff <= 1e-9)
-
-
-class TestDualAscent:
-    def test_converges_to_opt(self, lagrangian):
-        result = dual_ascent_exact(lagrangian, eta=0.1, num_iterations=300)
-        assert result.best_bound == pytest.approx(OPT, abs=0.1)
-
-    def test_trajectory_shapes(self, lagrangian):
-        result = dual_ascent_exact(lagrangian, eta=0.1, num_iterations=50)
-        assert result.lambdas.shape == (50, 1)
-        assert result.bounds.shape == (50,)
-
-    def test_best_lambdas_achieve_best_bound(self, lagrangian):
-        result = dual_ascent_exact(lagrangian, eta=0.1, num_iterations=100)
-        assert dual_value(lagrangian, result.best_lambdas) == pytest.approx(
-            result.best_bound
-        )
-
-    def test_decay_options(self, lagrangian):
-        for decay in ("constant", "sqrt", "harmonic"):
-            result = dual_ascent_exact(
-                lagrangian, eta=0.5, num_iterations=50, decay=decay
-            )
-            assert np.all(result.bounds <= OPT + 1e-9)
-
-    def test_validation(self, lagrangian):
-        with pytest.raises(ValueError):
-            dual_ascent_exact(lagrangian, eta=0.0, num_iterations=10)
-        with pytest.raises(ValueError):
-            dual_ascent_exact(lagrangian, eta=1.0, num_iterations=0)
-        with pytest.raises(ValueError):
-            dual_ascent_exact(lagrangian, eta=1.0, num_iterations=10,
-                              decay="exp")
-
-
-class TestDualityGap:
-    def test_gap_upper_bounds_suboptimality(self, lagrangian):
-        result = dual_ascent_exact(lagrangian, eta=0.1, num_iterations=200)
-        # Incumbent: the true optimum; its certified gap must be >= 0 and
-        # small once the dual is nearly tight.
-        gap = duality_gap(lagrangian, result.best_lambdas, OPT)
-        assert 0.0 <= gap <= 0.2
-
-    def test_suboptimal_incumbent_has_larger_gap(self, lagrangian):
-        result = dual_ascent_exact(lagrangian, eta=0.1, num_iterations=200)
-        gap_optimal = duality_gap(lagrangian, result.best_lambdas, OPT)
-        gap_worse = duality_gap(lagrangian, result.best_lambdas, OPT + 1.0)
-        assert gap_worse == pytest.approx(gap_optimal + 1.0)

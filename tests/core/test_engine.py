@@ -13,7 +13,6 @@ import repro
 from repro.baselines.exact_qkp import exact_qkp_bruteforce
 from repro.core.engine import SaimEngine
 from repro.core.saim import SaimConfig
-from repro.ising.pt_machine import PTMachine
 from repro.problems.generators import generate_qkp
 from tests.helpers import tiny_knapsack_problem
 
@@ -134,16 +133,6 @@ class TestReplicaFeatureParity:
         assert result.found_feasible
         # lambda history starts at the warm-start value
         assert result.trace.lambdas[0, 0] == 4.0
-
-    def test_custom_factory_without_anneal_many_uses_fallback(self):
-        def factory(model, rng=None):
-            return PTMachine(model, rng=rng, num_replicas=4)
-
-        result = SaimEngine(TINY, num_replicas=2, machine_factory=factory).solve(
-            tiny_knapsack_problem(), rng=0
-        )
-        assert result.num_iterations == 15
-        assert result.num_replicas == 2
 
     def test_mean_aggregate_with_replicas(self):
         result = SaimEngine(TINY, num_replicas=4, aggregate="mean").solve(

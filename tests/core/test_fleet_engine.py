@@ -179,7 +179,7 @@ class TestSolveFleetApi:
     def test_non_pbit_backend_rejected(self):
         with pytest.raises(ValueError, match="pbit"):
             repro.solve_fleet(
-                fleet_problems()[:1], backend="metropolis", num_iterations=2
+                fleet_problems()[:1], backend="quantized", num_iterations=2
             )
 
     def test_unknown_backend_lists_available(self):

@@ -1,40 +1,21 @@
 """Tests for SAIM's pluggable-machine hook ("compatible with any IM")."""
 
-import numpy as np
 import pytest
 
 from repro.core.engine import SaimEngine
 from repro.core.saim import SaimConfig
 from repro.ising.pbit import PBitMachine
 from repro.ising.quantization import QuantizedPBitMachine
-from repro.ising.sa import MetropolisMachine
+from repro.ising.sparse import ChromaticPBitMachine
 from repro.problems.generators import generate_qkp
-from tests.helpers import random_ising, tiny_knapsack_problem
+from tests.helpers import tiny_knapsack_problem
 
 FAST = SaimConfig(num_iterations=30, mcs_per_run=120)
 
 
-class TestMetropolisMachine:
-    def test_interface_parity_with_pbit(self):
-        model = random_ising(8, rng=0)
-        machine = MetropolisMachine(model, rng=0)
-        assert machine.num_spins == 8
-        machine.set_fields(np.zeros(8), offset=1.0)
-        assert machine.model.offset == 1.0
-        result = machine.anneal(np.linspace(0, 5, 50))
-        assert result.last_energy == pytest.approx(
-            machine.model.energy(result.last_sample), abs=1e-6
-        )
-
-    def test_set_fields_shape_checked(self):
-        machine = MetropolisMachine(random_ising(5, rng=1))
-        with pytest.raises(ValueError):
-            machine.set_fields(np.zeros(4))
-
-
 class TestSaimWithAlternativeMachines:
-    def test_metropolis_machine_solves_knapsack(self):
-        saim = SaimEngine(FAST, machine_factory=MetropolisMachine)
+    def test_chromatic_machine_solves_knapsack(self):
+        saim = SaimEngine(FAST, machine_factory=ChromaticPBitMachine)
         result = saim.solve(tiny_knapsack_problem(), rng=0)
         assert result.found_feasible
         assert result.best_cost == pytest.approx(-8.0)
@@ -48,17 +29,18 @@ class TestSaimWithAlternativeMachines:
         assert result.found_feasible
         assert result.best_cost == pytest.approx(-8.0)
 
-    def test_gibbs_and_metropolis_agree_on_qkp(self):
+    def test_pbit_and_chromatic_agree_on_qkp(self):
         instance = generate_qkp(15, 0.5, rng=4)
         config = SaimConfig(num_iterations=60, mcs_per_run=200,
                             eta=80.0, eta_decay="sqrt", normalize_step=True)
-        gibbs = SaimEngine(config).solve(instance.to_problem(), rng=2)
-        metro = SaimEngine(
-            config, machine_factory=MetropolisMachine
+        pbit = SaimEngine(config).solve(instance.to_problem(), rng=2)
+        chromatic = SaimEngine(
+            config, machine_factory=ChromaticPBitMachine
         ).solve(instance.to_problem(), rng=2)
-        assert gibbs.found_feasible and metro.found_feasible
-        # Two different samplers on the same landscape: results within 10%.
-        assert abs(gibbs.best_cost - metro.best_cost) <= 0.1 * abs(gibbs.best_cost)
+        assert pbit.found_feasible and chromatic.found_feasible
+        # Two different machines on the same landscape: results within 10%.
+        assert (abs(pbit.best_cost - chromatic.best_cost)
+                <= 0.1 * abs(pbit.best_cost))
 
     def test_custom_machine_is_called(self):
         calls = {"constructed": 0, "reprogrammed": 0}
@@ -83,10 +65,10 @@ class TestSaimWithAlternativeMachines:
         saim = SaimEngine(FAST)
         assert saim.machine_factory is PBitMachine
 
-    def test_minimal_legacy_contract_still_drives_saim(self):
+    def test_machine_without_anneal_many_is_refused(self):
         """A machine with only set_fields + anneal(schedule) — the contract
-        the pre-engine docs promised — must keep working via the serial
-        fallback (no extra kwargs passed)."""
+        the pre-engine docs promised — is refused before the first
+        iteration, with an error that names the missing anneal_many."""
 
         class MinimalMachine:
             def __init__(self, model, rng=None):
@@ -103,6 +85,5 @@ class TestSaimWithAlternativeMachines:
                 return self._inner.anneal(beta_schedule)
 
         saim = SaimEngine(FAST, machine_factory=MinimalMachine)
-        result = saim.solve(tiny_knapsack_problem(), rng=0)
-        assert result.found_feasible
-        assert result.best_cost == pytest.approx(-8.0)
+        with pytest.raises(ValueError, match="anneal_many"):
+            saim.solve(tiny_knapsack_problem(), rng=0)

@@ -1,8 +1,8 @@
 """Sampler diagnostics: flip rates, autocorrelation, distribution checks.
 
 Quality assurance for the Monte-Carlo substrate.  Hardware IM papers track
-these to validate emulations against devices; here they back the sampler
-tests and give users tools to tune beta schedules:
+these to validate emulations against devices; here they are the oracles
+the sampler tests check the machines against:
 
 - :func:`flip_rate_profile` — fraction of spins flipped per sweep along an
   anneal (should fall from ~0.5 toward ~0 as beta rises);

@@ -5,8 +5,11 @@ from __future__ import annotations
 import base64
 
 import numpy as np
+import pytest
 
+import repro
 from repro.core.problem import ConstrainedProblem, LinearConstraints
+from repro.ising.exhaustive import brute_force_ground_state
 from repro.ising.model import IsingModel, QuboModel
 from repro.problems.generators import generate_qkp
 from repro.problems.io import array_from_json, problem_to_json
@@ -54,6 +57,12 @@ def tiny_constrained_problem() -> ConstrainedProblem:
     )
 
 
+def dual_value(lagrangian, lambdas) -> float:
+    """Exact ``q(lambda) = min_x L(x; lambda)`` by enumeration (small N)."""
+    _, value = brute_force_ground_state(lagrangian.ising_for(lambdas))
+    return value
+
+
 def tiny_knapsack_problem() -> ConstrainedProblem:
     """3-variable knapsack with one inequality, solvable by hand.
 
@@ -88,6 +97,33 @@ def sweep_kernel() -> str:
     from repro.ising import _native
 
     return "numpy" if _native.sweep_library() is None else "compiled"
+
+
+#: Builder options that move a registered backend off its default code
+#: path: the p-bit kernels' pure-python ``R = 1`` scan, and the chromatic
+#: machine's CSR rows (its default picks dense rows for the dense-ish
+#: models the contract suites build).
+BACKEND_VARIANTS = {
+    "pbit": ({"kernel": "serial"},),
+    "quantized": ({"kernel": "serial"},),
+    "chromatic": ({"storage": "csr"},),
+}
+
+
+def backend_configs() -> list:
+    """``(name, options)`` parameters for the backend contract suites.
+
+    Every registered backend at its default options, with the backend name
+    as its id, then every entry of :data:`BACKEND_VARIANTS`, with an id
+    like ``pbit-serial``.
+    """
+    configs = [pytest.param(name, {}, id=name)
+               for name in repro.available_backends()]
+    for name, variants in BACKEND_VARIANTS.items():
+        for options in variants:
+            label = "-".join(str(value) for value in options.values())
+            configs.append(pytest.param(name, options, id=f"{name}-{label}"))
+    return configs
 
 
 def list_spelled(envelope: dict) -> dict:

@@ -90,9 +90,9 @@ class TestSolve:
         assert report.total_mcs == 40 * 4 * 120
 
     def test_solve_backend_option(self, qkp_file, capsys):
-        code = main(["solve", str(qkp_file), "--backend", "metropolis",
+        code = main(["solve", str(qkp_file), "--backend", "quantized",
                      "--iterations", "40", "--mcs", "120"])
-        assert "saim[metropolis]" in capsys.readouterr().out
+        assert "saim[quantized]" in capsys.readouterr().out
         assert code in (0, 1)
 
     def test_unknown_backend_rejected_cleanly(self, qkp_file):
@@ -103,21 +103,15 @@ class TestSolve:
         with pytest.raises(SystemExit, match="--replicas must be >= 1"):
             main(["solve", str(qkp_file), "--replicas", "0"])
 
-    def test_solve_saim_pt(self, qkp_file, capsys):
-        code = main(["solve", str(qkp_file), "--backend", "pt",
-                     "--iterations", "20", "--mcs", "80"])
-        assert "saim[pt]" in capsys.readouterr().out
-        assert code in (0, 1)
-
     def test_sweep_backends_table(self, qkp_file, capsys):
-        code = main(["sweep", str(qkp_file), "--backends", "pbit,metropolis",
+        code = main(["sweep", str(qkp_file), "--backends", "pbit,chromatic",
                      "--replicas", "1,2", "--iterations", "30",
                      "--mcs", "100"])
         out = capsys.readouterr().out
         assert code == 0
         assert "Solver sweep" in out
         for token in ("method", "backend", "replicas", "best_cost",
-                      "feasible_pct", "metropolis", "best:"):
+                      "feasible_pct", "chromatic", "best:"):
             assert token in out
 
     def test_sweep_with_workers(self, qkp_file, capsys):
@@ -175,10 +169,10 @@ class TestSolve:
 
     def test_solve_method_saim_with_backend(self, qkp_file, capsys):
         code = main(["solve", str(qkp_file), "--method", "saim",
-                     "--backend", "metropolis", "--replicas", "2",
+                     "--backend", "chromatic", "--replicas", "2",
                      "--iterations", "30", "--mcs", "100"])
         assert code in (0, 1)
-        assert "saim[metropolis]" in capsys.readouterr().out
+        assert "saim[chromatic]" in capsys.readouterr().out
 
     def test_retired_solver_flag_is_a_usage_error(self, qkp_file):
         # Spelled in two parts so a search for the retired flag finds only
@@ -331,7 +325,7 @@ class TestSweepStrategyFlag:
 
     def test_fused_rejects_heterogeneous_grid(self, qkp_file):
         with pytest.raises(SystemExit, match="shareable"):
-            main(["sweep", str(qkp_file), "--backends", "pbit,metropolis",
+            main(["sweep", str(qkp_file), "--backends", "pbit,quantized",
                   "--strategy", "fused", "--iterations", "10",
                   "--mcs", "60"])
 

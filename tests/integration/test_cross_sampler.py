@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.analysis.diagnostics import boltzmann_distance
 from repro.core.schedule import linear_beta_schedule
 from repro.ising.exhaustive import brute_force_ground_state
 from repro.ising.parallel_tempering import parallel_tempering
 from repro.ising.pbit import PBitMachine
-from repro.ising.sa import simulated_annealing
 from repro.ising.sparse import ChromaticPBitMachine, SparseIsingModel
+from tests.diagnostics import boltzmann_distance
 from tests.helpers import random_ising
+from tests.sa import simulated_annealing
 
 
 class TestGroundStateAgreement:

@@ -20,10 +20,6 @@ class TestRegistry:
                      "exhaustive"):
             assert name in repro.available_methods()
 
-    def test_default_backends_registered(self):
-        for name in ("pbit", "metropolis", "quantized", "chromatic", "pt"):
-            assert name in repro.available_backends()
-
     def test_unknown_method_lists_available(self):
         # "auto" (the retired perf-model planner) is unknown like any other.
         for name in ("quantum", "auto"):
@@ -312,8 +308,7 @@ class TestSolveFrontDoor:
         assert report.total_mcs == 15 * 4 * 100
         assert report.num_iterations == 15
 
-    @pytest.mark.parametrize("backend", ["pbit", "metropolis", "quantized",
-                                         "chromatic"])
+    @pytest.mark.parametrize("backend", ["pbit", "quantized", "chromatic"])
     def test_every_backend_solves_tiny_knapsack(self, backend):
         report = repro.solve(
             tiny_knapsack_problem(), backend=backend, rng=0, **FAST
@@ -330,24 +325,23 @@ class TestSolveFrontDoor:
         )
         assert report.feasible
 
-    def test_pt_backend_num_chains(self):
-        report = repro.solve(
-            tiny_knapsack_problem(), backend="pt",
-            backend_options={"num_chains": 4}, rng=0,
-            num_iterations=8, mcs_per_run=60, eta=5.0,
-            eta_decay="sqrt", normalize_step=True,
-        )
-        assert isinstance(report.detail, SaimResult)
-
-    @pytest.mark.parametrize("option", ["num_replicas", "num_chainz"])
-    def test_pt_unknown_option_is_type_error(self, option):
-        """`num_replicas` is the engine-level replica argument of
-        repro.solve, not a pt builder option: it fails like any typo."""
-        with pytest.raises(TypeError, match=f"unexpected keyword argument '{option}'"):
-            repro.solve(
-                tiny_knapsack_problem(), backend="pt",
-                backend_options={option: 4}, num_iterations=5, mcs_per_run=20,
-            )
+    @pytest.mark.parametrize("backend, options, named", [
+        ("pbit", {"kernel": "bogus"}, "kernel"),
+        ("quantized", {"kernel": "bogus"}, "kernel"),
+        ("quantized", {"bits": 0}, "bits"),
+        ("quantized", {"bits": 2.5}, "bits"),
+        ("chromatic", {"storage": "bogus"}, "storage"),
+    ])
+    def test_bad_option_values_refused_by_the_builder(
+            self, backend, options, named):
+        """The builder refuses a value its machine would refuse, so no
+        machine is ever built with it."""
+        with pytest.raises(ValueError, match=named):
+            repro.make_backend_factory(backend, **options)
+        with pytest.raises(ValueError, match=named):
+            repro.solve(tiny_knapsack_problem(), backend=backend,
+                        backend_options=options, num_iterations=2,
+                        mcs_per_run=5)
 
     @pytest.mark.parametrize("backend", ["pbit", "quantized"])
     def test_retired_program_cache_option_is_type_error(self, backend):
@@ -376,7 +370,7 @@ class TestSolveFrontDoor:
         with pytest.raises(ValueError, match="'pbit' backend only"):
             repro.solve(
                 tiny_knapsack_problem(), method="penalty",
-                backend="metropolis", num_iterations=5, mcs_per_run=20,
+                backend="quantized", num_iterations=5, mcs_per_run=20,
             )
 
     def test_penalty_method_rejects_replicas(self):

@@ -3,16 +3,22 @@
 The contract suite **auto-discovers** every backend registered with the
 front door (``repro.available_backends()``), so a newly registered machine
 is pulled into the contract the moment it is registered — it cannot
-silently skip these tests.  Each backend must return array-shaped
-:class:`BatchAnnealResult` objects (natively or via the serial-dispatch
-fallback), report energies consistent with its own Hamiltonian, keep doing
-so after ``set_fields`` reprogramming, and hold its shape contract at
-big replica counts (R >= 128) in both storage dtypes.
+silently skip these tests, and so is each builder option that moves a
+backend onto another kernel or layout (``BACKEND_VARIANTS`` in
+``tests/helpers.py``).  Each machine must return array-shaped
+:class:`BatchAnnealResult` objects from ``anneal_many``, report energies
+consistent with its own Hamiltonian, keep doing so after ``set_fields``
+reprogramming, refuse fields of the wrong shape, and hold its shape
+contract at big replica counts (R >= 128) in both storage dtypes.  Each
+backend must also name the bench that exercises it.
 
 The statistical sections validate the batched kernels against exact
-Boltzmann weights on tiny models, and the ``R = 1`` dispatch against the
-serial reference kernels bit-for-bit.
+Boltzmann weights on tiny models, and ``anneal`` as the bit-exact
+``R = 1`` view of ``anneal_many``.
 """
+
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,62 +29,75 @@ from repro.ising.backend import (
     AnnealingBackend,
     BatchAnnealResult,
     batch_from_runs,
-    dispatch_anneal_many,
     resolve_dtype,
 )
 from repro.ising.exhaustive import enumerate_energies
 from repro.ising.pbit import PBitMachine
-from repro.ising.pt_machine import PTMachine
-from repro.ising.sa import MetropolisMachine
 from repro.ising.sparse import ChromaticPBitMachine, random_sparse_ising
-from tests.helpers import random_ising
+from tests.helpers import backend_configs, random_ising
 
 N = 10
 REPLICAS = 5
 SCHEDULE = linear_beta_schedule(3.0, 40)
 
 # The registry IS the discovery mechanism: registering a backend opts it
-# into this file's whole contract.
-BACKENDS = tuple(repro.available_backends())
+# into this file's whole contract.  Each case is ``(name, options)``.
+CONFIGS = backend_configs()
 DTYPES = ("float64", "float32")
 
+#: The bench under ``benchmarks/`` that exercises each registered backend.
+#: A backend registered without one fails the suite.
+BACKEND_BENCHES = {
+    "pbit": "bench_perf_engine_throughput.py",
+    "quantized": "bench_ablation_precision.py",
+    "chromatic": "bench_perf_bigR_kernels.py",
+    "higher_order": "bench_perf_higher_order.py",
+}
+BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
 
-def _machine(name: str, model=None, rng=1, dtype=None):
+
+def _machine(name: str, model=None, rng=1, dtype=None, options=None):
     """One machine instance of a registered backend, via its factory."""
     if model is None:
         model = random_ising(N, rng=0)
-    return repro.make_backend_factory(name)(model, rng=rng, dtype=dtype)
+    factory = repro.make_backend_factory(name, **(options or {}))
+    return factory(model, rng=rng, dtype=dtype)
 
 
 class TestRegistryDiscovery:
-    def test_known_backends_are_registered(self):
-        """The ships-with set must be present (guards registry regressions)."""
-        for name in ("pbit", "metropolis", "quantized", "chromatic", "pt"):
-            assert name in BACKENDS
+    def test_each_backend_has_a_bench(self):
+        """The registry ships exactly the backends some bench exercises,
+        and each bench names its backend or the backend's machine class."""
+        assert sorted(BACKEND_BENCHES) == repro.available_backends()
+        for name, bench in BACKEND_BENCHES.items():
+            text = (BENCHMARKS / bench).read_text(encoding="utf-8")
+            machine_class = type(_machine(name)).__name__
+            assert (re.search(rf"[\"']{name}[\"']", text)
+                    or re.search(rf"\b{machine_class}\b", text)), (
+                f"{bench} names neither {name!r} nor {machine_class}"
+            )
 
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_factory_builds_a_drivable_machine(self, name):
+    @pytest.mark.parametrize("name, options", CONFIGS)
+    def test_factory_builds_a_drivable_machine(self, name, options):
         """Every registered factory yields the SAIM-drivable surface."""
-        machine = _machine(name)
+        machine = _machine(name, options=options)
         assert machine.num_spins == N
+        assert isinstance(machine, AnnealingBackend)
         assert callable(machine.set_fields)
-        # Protocol natively, or serial `anneal` served by the dispatcher.
-        assert isinstance(machine, AnnealingBackend) or callable(
-            getattr(machine, "anneal", None)
-        )
+        assert callable(machine.anneal_many)
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name, options", CONFIGS)
     @pytest.mark.parametrize("dtype", DTYPES)
-    def test_factory_accepts_both_dtypes(self, name, dtype):
-        machine = _machine(name, dtype=dtype)
+    def test_factory_accepts_both_dtypes(self, name, options, dtype):
+        machine = _machine(name, dtype=dtype, options=options)
         assert machine.dtype == resolve_dtype(dtype)
 
 
 class TestBatchResultContract:
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_shapes_and_dtypes(self, name):
-        machine = _machine(name)
-        batch = dispatch_anneal_many(machine, SCHEDULE, REPLICAS)
+    @pytest.mark.parametrize("name, options", CONFIGS)
+    def test_shapes_and_dtypes(self, name, options):
+        machine = _machine(name, options=options)
+        batch = machine.anneal_many(SCHEDULE, REPLICAS)
         assert isinstance(batch, BatchAnnealResult)
         assert batch.num_replicas == REPLICAS
         assert batch.num_spins == N
@@ -93,11 +112,11 @@ class TestBatchResultContract:
         np.testing.assert_array_equal(np.abs(batch.last_samples), 1.0)
         np.testing.assert_array_equal(np.abs(batch.best_samples), 1.0)
 
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_energies_consistent_with_samples(self, name):
-        machine = _machine(name)
+    @pytest.mark.parametrize("name, options", CONFIGS)
+    def test_energies_consistent_with_samples(self, name, options):
+        machine = _machine(name, options=options)
         model = machine.model
-        batch = dispatch_anneal_many(machine, SCHEDULE, REPLICAS)
+        batch = machine.anneal_many(SCHEDULE, REPLICAS)
         for r in range(REPLICAS):
             last = model.energy(batch.last_samples[r])
             best = model.energy(batch.best_samples[r])
@@ -105,25 +124,25 @@ class TestBatchResultContract:
             assert batch.best_energies[r] == pytest.approx(best, abs=1e-8)
             assert batch.best_energies[r] <= batch.last_energies[r] + 1e-9
 
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_energies_stay_consistent_after_set_fields(self, name):
+    @pytest.mark.parametrize("name, options", CONFIGS)
+    def test_energies_stay_consistent_after_set_fields(self, name, options):
         """Reprogramming fields (SAIM's hot path) must retarget read-outs."""
-        machine = _machine(name)
+        machine = _machine(name, options=options)
         rng = np.random.default_rng(9)
         machine.set_fields(rng.uniform(-1, 1, size=N), offset=0.25)
         model = machine.model  # reflects the (possibly re-quantized) fields
-        batch = dispatch_anneal_many(machine, SCHEDULE, 3)
+        batch = machine.anneal_many(SCHEDULE, 3)
         for r in range(3):
             assert batch.last_energies[r] == pytest.approx(
                 model.energy(batch.last_samples[r]), abs=1e-8
             )
 
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_set_fields_copies_never_aliases(self, name):
+    @pytest.mark.parametrize("name, options", CONFIGS)
+    def test_set_fields_copies_never_aliases(self, name, options):
         """The caller owns its fields array (the engine reuses one buffer
         across iterations), so a machine must copy on ``set_fields`` —
         mutating the array afterwards must not leak into the machine."""
-        machine = _machine(name)
+        machine = _machine(name, options=options)
         fields = np.linspace(-1.0, 1.0, N)
         machine.set_fields(fields, offset=0.0)
         programmed = np.asarray(machine.model.fields, dtype=float).copy()
@@ -132,15 +151,32 @@ class TestBatchResultContract:
             np.asarray(machine.model.fields, dtype=float), programmed
         )
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name, options", CONFIGS)
+    @pytest.mark.parametrize("fields", [
+        np.zeros(N + 1), np.zeros(N - 1), np.zeros((2, N)),
+    ], ids=["wide", "short", "2-D"])
+    def test_set_fields_shape_checked(self, name, options, fields):
+        """Fields that are not one per spin are refused, and the machine
+        keeps the fields it had."""
+        machine = _machine(name, options=options)
+        before = np.asarray(machine.model.fields, dtype=float).copy()
+        with pytest.raises(ValueError, match="fields"):
+            machine.set_fields(fields)
+        np.testing.assert_array_equal(
+            np.asarray(machine.model.fields, dtype=float), before
+        )
+
+    @pytest.mark.parametrize("name, options", CONFIGS)
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("replicas", [1, 8, 128])
-    def test_shape_contract_at_any_replica_count(self, name, dtype, replicas):
+    def test_shape_contract_at_any_replica_count(self, name, options, dtype,
+                                                 replicas):
         """R >= 128 exercises the big-R batched kernels in both dtypes."""
         model = random_ising(8, rng=2)
-        machine = _machine(name, model=model, rng=4, dtype=dtype)
+        machine = _machine(name, model=model, rng=4, dtype=dtype,
+                           options=options)
         schedule = linear_beta_schedule(2.0, 6)
-        batch = dispatch_anneal_many(machine, schedule, replicas)
+        batch = machine.anneal_many(schedule, replicas)
         assert batch.num_replicas == replicas
         assert batch.last_samples.shape == (replicas, 8)
         assert batch.best_samples.shape == (replicas, 8)
@@ -157,13 +193,13 @@ class TestBatchResultContract:
             assert run.last_energy == batch.last_energies[r]
             assert run.num_sweeps == batch.num_sweeps
 
-    @pytest.mark.parametrize("name", ["pbit", "metropolis", "chromatic"])
+    @pytest.mark.parametrize("name", ["pbit", "quantized", "chromatic"])
     def test_initial_state_shape_checked(self, name):
         machine = _machine(name)
         with pytest.raises(ValueError):
             machine.anneal_many(SCHEDULE, 3, initial=np.ones((2, N)))
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name, options", CONFIGS)
     @pytest.mark.parametrize("start", [
         np.zeros((3, N)),
         np.full((3, N), 0.5),
@@ -173,39 +209,34 @@ class TestBatchResultContract:
         np.ones((3, N + 1)),
         np.ones(N),
     ], ids=["zeros", "half", "nan", "inf", "-inf", "wide", "1-D"])
-    def test_start_states_must_be_spins(self, name, start):
+    def test_start_states_must_be_spins(self, name, options, start):
         """A start that is not ``(R, n)`` of ±1 is refused, not annealed
         (or handed back as a sample); one bad entry is enough."""
-        machine = _machine(name)
+        machine = _machine(name, options=options)
         states = np.ones((3, N))
         if start.shape == (3, N):
             states[1, 2] = start[1, 2]
         else:
             states = start
         with pytest.raises(ValueError, match="initial"):
-            dispatch_anneal_many(machine, SCHEDULE, 3, initial=states)
+            machine.anneal_many(SCHEDULE, 3, initial=states)
 
-    @pytest.mark.parametrize("name", [
-        name for name in BACKENDS
-        if callable(getattr(_machine(name), "anneal_many", None))
-    ])
-    def test_single_run_start_must_be_spins(self, name):
-        """The ``R = 1`` view of a native ``anneal_many`` refuses what
-        ``anneal_many`` refuses (serial adapters own their start)."""
-        machine = _machine(name)
+    @pytest.mark.parametrize("name, options", CONFIGS)
+    def test_single_run_start_must_be_spins(self, name, options):
+        """The ``R = 1`` view of ``anneal_many`` refuses what
+        ``anneal_many`` refuses."""
+        machine = _machine(name, options=options)
         for start in (np.zeros(N), np.full(N, np.nan), np.ones(N + 1)):
             with pytest.raises(ValueError, match="initial"):
                 machine.anneal(SCHEDULE, initial=start)
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name, options", CONFIGS)
     @pytest.mark.parametrize("replicas", [True, 2.0, "2", 0, -1])
-    def test_replica_count_must_be_a_positive_integer(self, name, replicas):
-        machine = _machine(name)
+    def test_replica_count_must_be_a_positive_integer(self, name, options,
+                                                      replicas):
+        machine = _machine(name, options=options)
         with pytest.raises(ValueError, match="num_replicas"):
-            dispatch_anneal_many(machine, SCHEDULE, replicas)
-        if callable(getattr(machine, "anneal_many", None)):
-            with pytest.raises(ValueError, match="num_replicas"):
-                machine.anneal_many(SCHEDULE, replicas)
+            machine.anneal_many(SCHEDULE, replicas)
 
     def test_batch_from_runs_round_trip(self):
         machine = _machine("pbit")
@@ -224,12 +255,6 @@ class TestBatchResultContract:
                 num_sweeps=5,
             )
 
-    def test_pt_machine_usable_via_fallback(self):
-        machine = PTMachine(random_ising(N, rng=0), rng=3)
-        batch = dispatch_anneal_many(machine, SCHEDULE, 3)
-        assert isinstance(batch, BatchAnnealResult)
-        assert batch.last_samples.shape == (3, N)
-
 
 class TestSerialViewBitParity:
     """``anneal`` must be the exact R=1 view of ``anneal_many``."""
@@ -242,13 +267,6 @@ class TestSerialViewBitParity:
         np.testing.assert_array_equal(serial.best_sample, batch.best_samples[0])
         assert serial.last_energy == batch.last_energies[0]
         assert serial.best_energy == batch.best_energies[0]
-
-    def test_metropolis_anneal_equals_anneal_many_r1(self):
-        model = random_ising(12, rng=4)
-        serial = MetropolisMachine(model, rng=77).anneal(SCHEDULE)
-        batch = MetropolisMachine(model, rng=77).anneal_many(SCHEDULE, 1)
-        np.testing.assert_array_equal(serial.last_sample, batch.last_samples[0])
-        assert serial.last_energy == batch.last_energies[0]
 
     def test_chromatic_anneal_equals_anneal_many_r1(self):
         sparse_model = random_sparse_ising(12, degree=3, rng=4)
@@ -335,16 +353,6 @@ class TestBoltzmannEquivalence:
         batch = PBitMachine(model, rng=19, dtype="float32").anneal_many(
             schedule, 400
         )
-        spread = float(np.std(batch.last_energies))
-        assert abs(float(batch.last_energies.mean()) - exact) \
-            < 4.0 * spread / np.sqrt(400)
-
-    def test_batched_metropolis_matches_exact_boltzmann(self):
-        model = random_ising(4, rng=8, density=1.0)
-        beta = 0.7
-        exact = self._exact_mean_energy(model, beta)
-        schedule = constant_beta_schedule(beta, 30)
-        batch = MetropolisMachine(model, rng=13).anneal_many(schedule, 400)
         spread = float(np.std(batch.last_energies))
         assert abs(float(batch.last_energies.mean()) - exact) \
             < 4.0 * spread / np.sqrt(400)

@@ -14,12 +14,11 @@ import pytest
 
 import repro
 from repro.core.schedule import linear_beta_schedule
-from repro.ising.backend import dispatch_anneal_many
 from repro.ising.fleet import FleetMachine, FleetProgram
 from repro.ising.model import IsingModel
 from repro.ising.pbit import PBitMachine
 from repro.utils.rng import spawn_rngs
-from tests.helpers import random_ising
+from tests.helpers import backend_configs, random_ising
 
 # Ragged on purpose: multi-block instances (n > 32) for the numpy scan, a
 # full 32-aligned instance, and tiny tails inside one block.
@@ -233,7 +232,8 @@ def block_diagonal(model_a: IsingModel, model_b: IsingModel,
 
 
 class TestBlockDiagonalNoCrosstalk:
-    """Every backend: A's rows are deaf to B's fields across the zero block.
+    """Every backend and variant: A's rows are deaf to B's fields across
+    the zero block.
 
     This is the invariant the fused fleet is built on.  Row-identity to a
     *standalone* run of A alone is deliberately not asserted here: the
@@ -246,30 +246,20 @@ class TestBlockDiagonalNoCrosstalk:
     fields changed — A's rows bit-identical.
     """
 
-    @pytest.mark.parametrize("name", tuple(repro.available_backends()))
+    @pytest.mark.parametrize("name, options", backend_configs())
     @pytest.mark.parametrize("num_replicas", [1, 4])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_a_rows_ignore_b_fields(self, name, num_replicas, seed):
-        if name == "pt":
-            pytest.skip(
-                "parallel tempering has cross-instance coupling by design: "
-                "replica-exchange acceptances compare GLOBAL chain energies, "
-                "so instance B's field energy steers which chains swap and "
-                "A's rows move with it (the fused fleet path excludes pt "
-                "for the same reason)"
-            )
+    def test_a_rows_ignore_b_fields(self, name, options, num_replicas, seed):
         model_a = random_ising(9, rng=seed)
         model_b = random_ising(6, rng=seed + 50)
-        factory = repro.make_backend_factory(name)
+        factory = repro.make_backend_factory(name, **options)
         schedule = linear_beta_schedule(2.5, 10)
         results = []
         for b_fields in (None, -model_b.fields * 0.3 + 0.05):
             machine = factory(
                 block_diagonal(model_a, model_b, b_fields), rng=seed + 7
             )
-            results.append(dispatch_anneal_many(
-                machine, schedule, num_replicas
-            ))
+            results.append(machine.anneal_many(schedule, num_replicas))
         # last_samples are the chain state: any dependence on B's fields is
         # crosstalk.  best_samples are NOT asserted — "best" is selected by
         # GLOBAL chain energy, which legitimately includes B's field term,

@@ -178,3 +178,20 @@ class TestBoltzmannSampling:
         machine = PBitMachine(random_ising(3, rng=0))
         with pytest.raises(ValueError):
             machine.sample_boltzmann(1.0, num_sweeps=0)
+
+    @pytest.mark.parametrize("burn_in", [-1, 2.5, True, "3"])
+    def test_rejects_bad_burn_in(self, burn_in):
+        """A negative burn-in would leave rows of the sample buffer
+        unwritten; a fraction, a bool or a string is no sweep count."""
+        machine = PBitMachine(random_ising(4, rng=0))
+        with pytest.raises(ValueError, match="burn_in"):
+            machine.sample_boltzmann(1.0, num_sweeps=10, burn_in=burn_in)
+
+    @pytest.mark.parametrize("start", [
+        np.zeros(4), np.full(4, 0.5), np.full(4, np.nan), np.ones(5),
+    ], ids=["zeros", "half", "nan", "wide"])
+    def test_rejects_non_spin_initial(self, start):
+        """``initial`` passes the start check every anneal_many applies."""
+        machine = PBitMachine(random_ising(4, rng=0))
+        with pytest.raises(ValueError, match="initial"):
+            machine.sample_boltzmann(1.0, num_sweeps=10, initial=start)

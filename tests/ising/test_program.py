@@ -24,7 +24,6 @@ from repro.core.schedule import linear_beta_schedule
 from repro.ising._lockstep import BLOCK, AnnealProgram
 from repro.ising.pbit import PBitMachine
 from repro.ising.quantization import QuantizedPBitMachine
-from repro.ising.sa import MetropolisMachine
 from tests.helpers import random_ising
 
 
@@ -96,7 +95,7 @@ class TestAnnealProgram:
 class TestProgramBuiltOncePerSolve:
     """The block decomposition must be built per machine, not per run."""
 
-    @pytest.mark.parametrize("machine_cls", [PBitMachine, MetropolisMachine])
+    @pytest.mark.parametrize("machine_cls", [PBitMachine])
     def test_one_program_across_reprogram_cycles(self, machine_cls, monkeypatch):
         calls = _counting_program(monkeypatch)
         model = random_ising(40, rng=3)
@@ -162,22 +161,6 @@ class TestSerialKernelParity:
     def test_pbit_rejects_unknown_kernel(self):
         with pytest.raises(ValueError):
             PBitMachine(random_ising(4, rng=0), kernel="simd")
-
-    def test_metropolis_kernel_knob(self):
-        """Metropolis defaults to its serial random-scan reference; the
-        lock-step opt-in runs the systematic-scan chain (valid, distinct
-        stream) and still reprograms correctly."""
-        model = random_ising(30, rng=5)
-        schedule = linear_beta_schedule(3.0, 60)
-        serial = MetropolisMachine(model, rng=0)
-        assert serial.kernel == "serial"
-        fast = MetropolisMachine(model, rng=0, kernel="lockstep")
-        result = fast.anneal(schedule)
-        assert result.last_energy == pytest.approx(
-            fast.model.energy(result.last_sample), abs=1e-6
-        )
-        with pytest.raises(ValueError):
-            MetropolisMachine(model, kernel="simd")
 
 
 class TestSolveParityThroughFrontDoor:
@@ -368,20 +351,9 @@ class TestEngineWarmRestart:
             default.detail.trace.sample_costs,
         )
 
-    def test_pt_backend_rejects_warm_restart(self):
-        """PT owns its replica init, so warm would be a silent no-op."""
-        import repro
-
-        instance = repro.generate_qkp(12, 0.5, rng=0)
-        with pytest.raises(ValueError, match="pt"):
-            repro.solve(
-                instance, backend="pt", restart="warm",
-                num_iterations=3, mcs_per_run=10,
-            )
-
     def test_initial_less_legacy_machine_rejected_with_clear_error(self):
         """A serial anneal(schedule)-only machine can't warm-restart: the
-        dispatcher must refuse cleanly, not TypeError mid-solve."""
+        engine must refuse cleanly, not TypeError mid-solve."""
         from repro.core.engine import SaimEngine
         from repro.problems.generators import generate_qkp
 

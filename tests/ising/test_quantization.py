@@ -24,6 +24,16 @@ class TestQuantizationSpec:
         with pytest.raises(ValueError):
             QuantizationSpec(1)
 
+    @pytest.mark.parametrize("bits", [2.5, 8.0, True, "8", None])
+    def test_rejects_non_integer_bits(self, bits):
+        """A fractional bit count would quantize onto 2**(bits-1) - 1
+        levels, a non-integer grid."""
+        with pytest.raises(ValueError, match="bits"):
+            QuantizationSpec(bits)
+
+    def test_numpy_integer_bits(self):
+        assert QuantizationSpec(np.int64(8)).levels == 127
+
     def test_quantize_is_idempotent(self):
         spec = QuantizationSpec(5)
         values = np.array([0.3, -0.7, 1.0, 0.0])

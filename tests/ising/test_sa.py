@@ -1,4 +1,4 @@
-"""Tests for Metropolis simulated annealing (repro.ising.sa)."""
+"""Tests for the Metropolis simulated-annealing oracle (tests.sa)."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,8 @@ import pytest
 from repro.core.schedule import linear_beta_schedule
 from repro.ising.exhaustive import brute_force_ground_state
 from repro.ising.model import IsingModel
-from repro.ising.sa import simulated_annealing
 from tests.helpers import random_ising
+from tests.sa import simulated_annealing
 
 
 class TestSimulatedAnnealing:

@@ -27,7 +27,6 @@ from repro.core.problem import ConstrainedProblem, LinearConstraints
 from repro.core.schedule import linear_beta_schedule
 from repro.ising.model import IsingModel
 from repro.ising.pbit import PBitMachine
-from repro.ising.sa import MetropolisMachine
 
 DTYPES = ("float64", "float32")
 
@@ -105,7 +104,7 @@ class TestGoldenParity:
 class TestStoredHamiltonianTolerance:
     """Float32 coefficient storage moves energies by at most rtol 1e-4."""
 
-    @pytest.mark.parametrize("machine_cls", [PBitMachine, MetropolisMachine])
+    @pytest.mark.parametrize("machine_cls", [PBitMachine])
     def test_qkp_lagrangian_energies_within_rtol(self, machine_cls):
         model = qkp_lagrangian_ising()
         exact = machine_cls(model, rng=0).model
@@ -135,7 +134,7 @@ class TestStoredHamiltonianTolerance:
 class TestIntegerWeightBitExactness:
     """Integer-weight models: float32 == float64, bit for bit."""
 
-    @pytest.mark.parametrize("machine_cls", [PBitMachine, MetropolisMachine])
+    @pytest.mark.parametrize("machine_cls", [PBitMachine])
     @pytest.mark.parametrize("replicas", [1, 8, 128])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_trajectories_bit_exact(self, machine_cls, replicas, seed):

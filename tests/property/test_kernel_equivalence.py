@@ -1,12 +1,13 @@
 """Property-based equivalence suite over the kernel zoo.
 
-The repo now carries four update rules (thresholded Gibbs, speculative-block
-Metropolis, event-driven serial scans, chromatic block Gibbs) across two
-storage dtypes and two sparse layouts.  This suite pins the invariants that
+The repo carries three update rules (thresholded Gibbs, event-driven
+serial scans, chromatic block Gibbs) across two storage dtypes and two
+sparse layouts.  This suite pins the invariants that
 make them interchangeable, over randomized Ising models:
 
-(a) **energy accounting** — every registered backend, at every dtype and
-    replica count (including the big-R batched path), reports energies that
+(a) **energy accounting** — every registered backend and every kernel or
+    layout variant of one, at every dtype and replica count (including the
+    big-R batched path), reports energies that
     match a float64 recomputation from its own Hamiltonian to dtype
     tolerance;
 (b) **zero-temperature descent** — at beta -> inf every kernel is a
@@ -26,14 +27,12 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.core.schedule import constant_beta_schedule, linear_beta_schedule
-from repro.ising.backend import dispatch_anneal_many
 from repro.ising.model import IsingModel
 from repro.ising.pbit import PBitMachine
-from repro.ising.sa import MetropolisMachine
 from repro.ising.sparse import ChromaticPBitMachine, random_sparse_ising
-from tests.helpers import random_ising
+from tests.helpers import backend_configs, random_ising
 
-BACKENDS = tuple(repro.available_backends())
+CONFIGS = backend_configs()
 DTYPES = ("float64", "float32")
 # Reported-vs-recomputed energy tolerances per storage dtype.  float32
 # tolerances cover the incremental input-field drift of the lock-step scan;
@@ -46,8 +45,9 @@ ENERGY_TOL = {
 seeds = st.integers(min_value=0, max_value=10**6)
 
 
-def _machine(name, model, rng, dtype):
-    return repro.make_backend_factory(name)(model, rng=rng, dtype=dtype)
+def _machine(name, options, model, rng, dtype):
+    factory = repro.make_backend_factory(name, **options)
+    return factory(model, rng=rng, dtype=dtype)
 
 
 def _supports_record_energy(machine) -> bool:
@@ -93,15 +93,16 @@ def integer_sparse_ising(num_spins, degree, seed, scale=3):
 class TestEnergyAccounting:
     """(a) reported energies == recomputed energies, to dtype tolerance."""
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name, options", CONFIGS)
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("replicas", [1, 8, 128])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_reported_matches_recomputed(self, name, dtype, replicas, seed):
+    def test_reported_matches_recomputed(self, name, options, dtype,
+                                         replicas, seed):
         model = random_ising(10, rng=seed)
-        machine = _machine(name, model, rng=seed + 100, dtype=dtype)
+        machine = _machine(name, options, model, rng=seed + 100, dtype=dtype)
         schedule = linear_beta_schedule(2.5, 8)
-        batch = dispatch_anneal_many(machine, schedule, replicas)
+        batch = machine.anneal_many(schedule, replicas)
         hamiltonian = machine.model  # reflects dtype-rounded storage
         recomputed_last = np.array(
             [hamiltonian.energy(s) for s in batch.last_samples]
@@ -122,16 +123,15 @@ class TestEnergyAccounting:
         """Hypothesis sweep of the dense lock-step kernels, both dtypes."""
         model = random_ising(n, rng=seed)
         schedule = linear_beta_schedule(3.0, 10)
-        for cls in (PBitMachine, MetropolisMachine):
-            for dtype in DTYPES:
-                machine = cls(model, rng=seed, dtype=dtype)
-                batch = machine.anneal_many(schedule, replicas)
-                recomputed = np.array(
-                    [machine.model.energy(s) for s in batch.last_samples]
-                )
-                np.testing.assert_allclose(
-                    batch.last_energies, recomputed, **ENERGY_TOL[dtype]
-                )
+        for dtype in DTYPES:
+            machine = PBitMachine(model, rng=seed, dtype=dtype)
+            batch = machine.anneal_many(schedule, replicas)
+            recomputed = np.array(
+                [machine.model.energy(s) for s in batch.last_samples]
+            )
+            np.testing.assert_allclose(
+                batch.last_energies, recomputed, **ENERGY_TOL[dtype]
+            )
 
 
 class TestZeroTemperatureDescent:
@@ -141,12 +141,13 @@ class TestZeroTemperatureDescent:
     # report sweep-to-sweep upticks at the scale of the input-field drift.
     SLACK = {"float64": 1e-7, "float32": 1e-2}
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name, options", CONFIGS)
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("seed", [3, 4, 5])
-    def test_traces_monotone_non_increasing(self, name, dtype, seed):
+    def test_traces_monotone_non_increasing(self, name, options, dtype,
+                                            seed):
         model = random_ising(12, rng=seed)
-        machine = _machine(name, model, rng=seed, dtype=dtype)
+        machine = _machine(name, options, model, rng=seed, dtype=dtype)
         if not _supports_record_energy(machine):
             pytest.skip(f"backend {name!r} exposes no energy traces")
         schedule = constant_beta_schedule(1e8, 20)

@@ -40,7 +40,8 @@ KNOBS = {
     "backend": st.sampled_from(repro.available_backends()),
     "backend_options": st.sampled_from([
         {}, {"dtype": "float32"}, {"dtype": "float64"}, {"bits": 6},
-        {"num_chains": 2}, {"kernel": "serial"}, {"nope": 1},
+        {"storage": "csr"}, {"kernel": "serial"}, {"kernel": "bogus"},
+        {"bits": 2.5}, {"nope": 1},
     ]),
     "warm_start": st.just(True),
     "restart": st.sampled_from(["warm", "cold"]),

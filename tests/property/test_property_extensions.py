@@ -1,5 +1,5 @@
-"""Property-based tests on the extension modules (dual, quantization, TTS,
-hybrid encoding, GAP)."""
+"""Property-based tests on the extension modules (the exact dual function,
+quantization, TTS, hybrid encoding, GAP)."""
 
 import math
 
@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.tts import time_to_solution
-from repro.core.dual import dual_value
 from repro.core.hybrid_encoding import hybrid_slack_weights
 from repro.core.lagrangian import LagrangianIsing
 from repro.core.problem import ConstrainedProblem, LinearConstraints
 from repro.ising.quantization import QuantizationSpec, quantize_ising
 from repro.problems.gap import generate_gap
-from tests.helpers import random_ising
+from tests.helpers import dual_value, random_ising
 
 seeds = st.integers(min_value=0, max_value=10**6)
 

@@ -264,10 +264,16 @@ class TestBackendOptions:
     @pytest.mark.parametrize("backend, options, named", [
         (None, {"nope": 1}, "nope"),
         ("pbit", {"dtype": "float16"}, "float16"),
-        ("pt", {"num_chains": 0}, "num_chains"),
+        ("pbit", {"kernel": "bogus"}, "kernel"),
         # The retired program-cache knob, spelled in two parts as in
         # test_cli: it is one more unknown option.
         ("quantized", {"program_" + "cache": "mine"}, "program_" + "cache"),
+        # Values the machines refuse are refused here, not by the worker
+        # that builds the machine.
+        ("quantized", {"kernel": "bogus"}, "kernel"),
+        ("quantized", {"bits": 0}, "bits"),
+        ("quantized", {"bits": 2.5}, "bits"),
+        ("chromatic", {"storage": "bogus"}, "storage"),
     ])
     def test_refused_options_rejected_before_the_problem(
             self, backend, options, named):
@@ -280,7 +286,8 @@ class TestBackendOptions:
     @pytest.mark.parametrize("backend, options", [
         (None, {"dtype": "float32"}),
         ("quantized", {"bits": 6}),
-        ("pt", {"num_chains": 4}),
+        ("pbit", {"kernel": "serial"}),
+        ("chromatic", {"storage": "csr"}),
     ])
     def test_accepted_options_decode_unchanged(self, backend, options):
         wire = wire_with(backend=backend, backend_options=options)
@@ -312,7 +319,8 @@ class TestSolveRefusals:
         dict(method="penalty", restart="warm"),
         dict(method="penalty", config_overrides={"dtype": "float32"}),
         dict(method="milp"),  # a QKP: milp takes linear objectives only
-        dict(backend="pt", restart="warm"),
+        dict(backend="pt"),  # retired backends are unknown names
+        dict(backend="metropolis"),
         dict(restart="cold"),
         dict(aggregate="median"),
         dict(num_replicas=0),

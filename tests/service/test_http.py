@@ -220,11 +220,13 @@ class TestSolveEndpoint:
 
     def test_unknown_method_or_backend_is_400(self, service):
         """Names the registry does not know are refused before admission
-        ("auto" included: the perf-model planner is gone)."""
+        ("auto" included: the perf-model planner is gone; so are the pt
+        and metropolis backends)."""
         _, base = service
         instance = generate_qkp(12, 0.5, rng=8)
         for field, name in (("method", "nope"), ("backend", "nope"),
-                            ("method", "auto")):
+                            ("method", "auto"), ("backend", "pt"),
+                            ("backend", "metropolis")):
             payload = wire_job(instance, 1)
             payload[field] = name
             status, body = http_json(base, "/v1/solve", payload)
@@ -244,7 +246,9 @@ class TestSolveEndpoint:
         for backend, options, named in (
             (None, {"nope": 1}, "nope"),
             ("pbit", {"dtype": "float16"}, "float16"),
-            ("pt", {"num_chains": 0}, "num_chains"),
+            ("pbit", {"kernel": "bogus"}, "kernel"),
+            ("quantized", {"bits": 0}, "bits"),
+            ("chromatic", {"storage": "bogus"}, "storage"),
             (None, {retired: "mine"}, retired),
         ):
             payload = wire_job(instance, 1)
